@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
@@ -35,7 +35,7 @@ from .. import validate as _validate
 from ..core.ack import plan_ack_collection
 from ..core.online import OnlinePollingScheduler
 from ..core.requests import RequestState
-from ..core.transmissions import Transmission
+from ..core.sectors import partition_into_sectors
 from ..interference.physical import PhysicalModelOracle
 from ..radio.packet import BROADCAST_ADDR, DEFAULT_SIZES, Frame, FrameSizes, FrameType
 from ..routing.backup import BackupRoutes, compute_backup_routes
@@ -44,11 +44,14 @@ from ..routing.warmcache import SolverCache
 from ..routing.paths import RoutingPlan
 from ..routing.repair import prune_dead_nodes, repair_routing
 from ..routing.rotation import PathRotator
-from ..sim.kernel import Simulator
 from ..sim.process import Process, Timeout
 from ..sim.units import transmission_time
 from ..topology.cluster import HEAD, Cluster
-from ..topology.recluster import StalenessTracker, StalenessTrigger, reform_cluster
+from ..topology.recluster import (
+    StalenessTracker,
+    StalenessTrigger,
+    discovered_cluster,
+)
 from .base import ClusterPhy, MacTimings
 from .vector_engine import maybe_vector_engine
 
@@ -426,11 +429,9 @@ class PollingClusterMac:
         # Recovery state: the topology the head currently plans on (pruned
         # after each repair), declared-dead sensors, survivors that lost
         # their last route, and per-node consecutive-suspect-cycle counters.
-        self.active_cluster = phy.cluster
-        if self.absent:
-            # Joiner slots exist in the PHY from t=0 but must not attract
-            # routes until admitted; prune them like the dead.
-            self.active_cluster = prune_dead_nodes(phy.cluster, self.absent)
+        # Joiner slots exist in the PHY from t=0 but must not attract routes
+        # until admitted; prune them like the dead.
+        self.active_cluster = prune_dead_nodes(phy.cluster, self.absent)
         self.blacklisted: set[int] = set()
         self.unreachable: set[int] = set()
         self.route_repairs = 0
@@ -484,8 +485,6 @@ class PollingClusterMac:
         # turn; sensors sleep outside the ack phase and their own window.
         self.partition = None
         if use_sectors:
-            from ..core.sectors import partition_into_sectors
-
             self.partition = partition_into_sectors(self.routing, oracle=self.oracle)
         # Per-slot reception buffers the head process reads.
         self._arrived_requests: set[int] = set()
@@ -512,9 +511,17 @@ class PollingClusterMac:
             self.solver_cache.adopt_oracle(self.oracle)
 
     def _solve_routing(self) -> FlowSolution:
-        """Min-max solve for the current planning cluster, via the sweep's
-        warm-start cache when one is attached."""
-        planning = self._planning_cluster()
+        """The initial min-max solve, via the sweep's warm-start cache when
+        one is attached (later re-plans go through :meth:`_replan`).
+
+        Routing uses >=1 packet per reachable sensor so each gets a path;
+        sensors with no multi-hop path to the head (strays at cluster
+        borders) are planned at zero packets — they cannot be served.
+        """
+        cluster = self.active_cluster
+        hops = cluster.min_hop_counts()
+        packets = np.where(np.isfinite(hops), np.maximum(cluster.packets, 1), 0)
+        planning = cluster.with_packets(packets.astype(np.int64))
         if self.solver_cache is not None:
             return self.solver_cache.routing_for(planning)
         return solve_min_max_load(planning)
@@ -525,20 +532,6 @@ class PollingClusterMac:
         if self.solver_cache is not None:
             return self.solver_cache.backups_for(self.routing, self.backup_k)
         return compute_backup_routes(self.routing, self.backup_k)
-
-    def _planning_cluster(self) -> Cluster:
-        """Routing uses >=1 packet per reachable sensor so each gets a path.
-
-        Sensors with no multi-hop path to the head (strays at cluster
-        borders, survivors stranded by a repair) are planned at zero
-        packets — they cannot be served.  Planning always runs on
-        ``active_cluster``, which route repair prunes as sensors die.
-        """
-        cluster = self.active_cluster
-        packets = np.maximum(cluster.packets, 1)
-        hops = cluster.min_hop_counts()
-        packets = np.where(np.isfinite(hops), packets, 0)
-        return cluster.with_packets(packets.astype(np.int64))
 
     # -- public API -----------------------------------------------------------------
 
@@ -560,64 +553,57 @@ class PollingClusterMac:
             self.process.stop()
 
     def adopt_sensors(
-        self, new_phy: ClusterPhy, new_agents: list[PollingSensorAgent]
+        self,
+        new_phy: ClusterPhy,
+        agents: list[PollingSensorAgent],
+        blacklisted: set[int] = frozenset(),
+        departed: set[int] = frozenset(),
+        absent: set[int] = frozenset(),
+        suspect_misses: dict[int, int] | None = None,
     ) -> int:
         """Take over orphaned sensors after a neighbor head's crash.
 
         *new_phy* is this cluster's PHY extended with the orphans' existing
-        transceivers (head still last); *new_agents* are freshly built
-        agents for the orphans' new local ids — their construction already
+        transceivers (members keep their local ids, orphans append, head
+        still last) and *agents* the full roster: this head's own agents,
+        then fresh ones for the orphans — constructing those already
         re-bound each orphan radio's receive callback away from the dead
-        cluster's agents.  The merged demand is routed via
-        :func:`~repro.routing.repair.repair_routing` on the re-discovered
-        topology: blacklisted nodes stay pruned, orphans out of this head's
-        reach come back ``uncovered`` and are planned at zero (the standard
-        partial-coverage contract) rather than failing the takeover.
-        """
-        self.phy = new_phy
-        for agent in self.sensors:
-            agent.phy = new_phy
-        self.sensors = list(self.sensors) + list(new_agents)
-        self.oracle = phy_truth_oracle(new_phy, self.oracle.max_group_size)
-        self._adopt_oracle()
-        base = new_phy.cluster.with_packets(
-            np.maximum(new_phy.cluster.packets, 1)
-        )
-        result = repair_routing(base, set(self.blacklisted))
-        self.active_cluster = result.cluster
-        self.unreachable = set(result.uncovered)
-        self.routing = result.solution
-        self.rotator = PathRotator(self.routing)
-        self.ack_plan = plan_ack_collection(
-            self.active_cluster, self.routing.routing_plan()
-        )
-        if self.partition is not None:
-            from ..core.sectors import partition_into_sectors
+        cluster.  The exclusion evidence arrives remapped to the new local
+        ids with the dead head's included, so an orphan the dead head had
+        blacklisted stays blacklisted here.  Orphans out of this head's
+        reach come back unreachable and are logged like any other stranded
+        sensor.  Returns the number of orphans adopted.
 
-            self.partition = partition_into_sectors(self.routing, oracle=self.oracle)
-        self.backups = self._compute_backups()
-        self.route_history.append((self.sim.now, self.routing))
+        Unlike :meth:`reform_membership`, an adoption charges no roster
+        announcement to the next wakeup (DESIGN.md §9).
+        """
+        adopted = len(agents) - len(self.sensors)
+        self._take_roster(
+            new_phy, agents, blacklisted, departed, absent, suspect_misses
+        )
         self.route_repairs += 1
-        self.adoptions += len(new_agents)
-        return len(new_agents)
+        self.adoptions += adopted
+        self._replan(
+            new_phy.cluster,
+            f"cluster {self.cluster_id} adoption #{self.route_repairs}",
+        )
+        return adopted
 
     def reform_membership(
         self,
         new_phy: ClusterPhy,
-        new_agents: list[PollingSensorAgent],
+        agents: list[PollingSensorAgent],
         blacklisted: set[int] = frozenset(),
         departed: set[int] = frozenset(),
         absent: set[int] = frozenset(),
         suspect_misses: dict[int, int] | None = None,
     ) -> None:
-        """Replace this head's entire roster after a field-level re-form.
+        """Replace this head's roster after a field-level re-form.
 
-        Where :meth:`adopt_sensors` only *extends* a cluster (a dead
-        neighbor's orphans append, everyone keeps their local id), a
-        cross-cluster handoff both shrinks the source and grows the
-        destination, so local ids are reassigned wholesale: *new_agents* is
-        the complete new sensor list (one fresh agent per member, already
-        holding the transplanted queues with re-stamped origins), and the
+        A cross-cluster handoff both shrinks the source and grows the
+        destination, so local ids may be reassigned wholesale: *agents* is
+        the complete new sensor list (fresh agents holding the transplanted
+        queues with re-stamped origins whenever any id shifted), and the
         exclusion state — *blacklisted*, *departed*, *absent*,
         *suspect_misses* — arrives already remapped to the new local ids by
         the coordinator, which owns the global-id view.  Carrying that
@@ -626,74 +612,106 @@ class PollingClusterMac:
         so a dying node cannot launder its record by drifting over a
         Voronoi border (the per-cluster :meth:`_recluster` clears suspicion
         because *its* topology changed; here the sensor's evidence moved
-        with the sensor).
-
-        Demand migrates incrementally through
-        :func:`~repro.routing.repair.repair_routing` over the rediscovered
-        topology — never a cold re-solve — and backup bundles/ack plans are
-        rebuilt through the attached :class:`~repro.routing.warmcache.
-        SolverCache` when one is present (repeat topologies along a handoff
-        sequence answer from the cache bit-for-bit).
+        with the sensor).  The next wakeup re-announces the roster.
         """
+        self._take_roster(
+            new_phy, agents, blacklisted, departed, absent, suspect_misses
+        )
+        self.route_repairs += 1
+        self._replan(
+            new_phy.cluster,
+            f"cluster {self.cluster_id} field re-form #{self.route_repairs}",
+        )
+        # 2 bytes per present member, exactly like an in-cluster re-form.
+        self._reform_roster_bytes = 2 * (new_phy.n_sensors - len(self._excluded()))
+        if self._tel_enabled:
+            self._tel.metrics.counter("mac.field_reforms").inc()
+
+    def _take_roster(
+        self,
+        new_phy: ClusterPhy,
+        agents: list[PollingSensorAgent],
+        blacklisted: set[int],
+        departed: set[int],
+        absent: set[int],
+        suspect_misses: dict[int, int] | None,
+    ) -> None:
+        """Install a roster a field coordinator rebuilt (adoption, re-form).
+
+        A member whose agent object survived kept its local id; any other
+        id may now name a different sensor, so per-id state the evidence
+        does not carry — unreachability and pending joins — survives only
+        for kept ids.  Departures need no carrying either: the re-plan that
+        follows prunes every excluded node.
+        """
+        kept = {
+            i for i, (new, old) in enumerate(zip(agents, self.sensors)) if new is old
+        }
         self.phy = new_phy
-        self.sensors = list(new_agents)
+        self.sensors = list(agents)
         self.blacklisted = set(blacklisted)
         self.departed = set(departed)
         self.absent = set(absent)
         self._suspect_misses = dict(suspect_misses or {})
-        # Pending joins were keyed to the old local ids; field-scope
-        # re-forms re-evaluate membership wholesale, so the queue restarts.
-        self.pending_joins = set()
+        self.unreachable &= kept
+        self.pending_joins &= kept
         self._new_departures = set()
         self.oracle = phy_truth_oracle(new_phy, self.oracle.max_group_size)
         self._adopt_oracle()
-        base = new_phy.cluster.with_packets(
-            np.maximum(new_phy.cluster.packets, 1)
-        )
+
+    def _replan(self, topology: Cluster, hint: str) -> list[int]:
+        """Re-plan routing over *topology*: the one sequence every path runs.
+
+        Boundary repair, re-form, adoption and field re-form all land here.
+        Every excluded node is pruned and demand migrates through
+        :func:`~repro.routing.repair.repair_routing` (through the attached
+        :class:`~repro.routing.warmcache.SolverCache` when there is one);
+        survivors left without a path are planned at zero — partial
+        coverage instead of a routing failure.  The repair log records
+        exactly which sensors this re-plan cut off and the packets pending
+        at them, so dropped demand reconciles packet-for-packet.  Rotation,
+        ack cover, backups and the sector partition are then rebuilt on the
+        new plan, which is checked against the dynamic-membership invariant.
+        Returns the newly unreachable sensors.
+        """
         excluded = self._excluded()
-        result = repair_routing(base, excluded)
+        result = repair_routing(
+            topology.with_packets(np.maximum(topology.packets, 1)),
+            excluded,
+            cache=self.solver_cache,
+        )
+        # Pending packets are attributed to the re-plan that *first* cut
+        # the sensor off; keying on newly_unreachable means a sensor
+        # stranded across two consecutive re-plans is counted by exactly
+        # one of them (see reconcile_dropped_demand).
+        newly_unreachable = sorted(set(result.uncovered) - self.unreachable)
         self.active_cluster = result.cluster
         self.unreachable = set(result.uncovered)
         self.routing = result.solution
-        self.rotator = PathRotator(self.routing)
-        self.ack_plan = plan_ack_collection(
-            self.active_cluster, self.routing.routing_plan()
-        )
-        if self.partition is not None:
-            from ..core.sectors import partition_into_sectors
-
-            self.partition = partition_into_sectors(self.routing, oracle=self.oracle)
-        self.backups = self._compute_backups()
-        self.route_history.append((self.sim.now, self.routing))
-        self.route_repairs += 1
-        # Local ids changed, so "newly unreachable" cannot diff against the
-        # pre-reform set; log every currently stranded member's pending
-        # demand so dropped-demand reconciliation still sees the handoff.
         self.repair_log.append(
             {
                 "time": self.sim.now,
                 "blacklisted": sorted(self.blacklisted),
                 "departed": sorted(self.departed),
                 "unreachable": sorted(self.unreachable),
-                "newly_unreachable": sorted(self.unreachable),
+                "newly_unreachable": newly_unreachable,
                 "dropped_pending": {
-                    i: self.sensors[i].pending_count
-                    for i in sorted(self.unreachable)
+                    i: self.sensors[i].pending_count for i in newly_unreachable
                 },
             }
         )
-        # The next wakeup re-announces the roster and schedule (2 bytes per
-        # present member), exactly like an in-cluster re-form.
-        self._reform_roster_bytes = 2 * (new_phy.n_sensors - len(excluded))
-        _validate.check_dynamic_membership(
-            self.routing,
-            excluded,
-            sim_time=self.sim.now,
-            hint=f"cluster {self.cluster_id} field re-form "
-            f"#{self.route_repairs}",
+        self.rotator = PathRotator(self.routing)
+        self.ack_plan = plan_ack_collection(
+            self.active_cluster, self.routing.routing_plan()
         )
-        if self._tel_enabled:
-            self._tel.metrics.counter("mac.field_reforms").inc()
+        self.backups = self._compute_backups()
+        if self.partition is not None:
+            self.partition = partition_into_sectors(self.routing, oracle=self.oracle)
+        self.route_history.append((self.sim.now, self.routing))
+        _validate.check_dynamic_membership(
+            self.routing, excluded, sim_time=self.sim.now, hint=hint
+        )
+        return newly_unreachable
 
     # -- dynamic membership (churn) ---------------------------------------------------
 
@@ -1074,15 +1092,11 @@ class PollingClusterMac:
             self._repair_routing()
 
     def _repair_routing(self) -> None:
-        """Recompute routing on the surviving topology (duty-cycle boundary).
+        """Re-plan around newly declared deaths or announced departures.
 
-        Prunes blacklisted nodes from the planning cluster, re-solves the
-        min-max flow, rebuilds the rotation, ack cover, and (in sector
-        operation) the sector partition.  Survivors left without any path
-        are recorded in ``unreachable`` and planned at zero packets —
-        partial coverage instead of a routing failure.  Each repair appends
-        to ``repair_log`` exactly which sensors it cut off and the packets
-        pending at them, so dropped demand reconciles packet-for-packet.
+        Runs at the duty-cycle boundary on the PHY's current topology; the
+        pruning, partial-coverage fallback and repair log are
+        :meth:`_replan`'s.
         """
         repair_span = None
         if self._tel_enabled:
@@ -1094,60 +1108,19 @@ class PollingClusterMac:
                 cluster=self.cluster_id,
                 blacklisted=sorted(self.blacklisted),
             )
-        previously_unreachable = set(self.unreachable)
-        excluded = self._excluded()
-        self.active_cluster = prune_dead_nodes(self.phy.cluster, excluded)
-        hops = self.active_cluster.min_hop_counts()
-        self.unreachable = {
-            i
-            for i in range(self.active_cluster.n_sensors)
-            if i not in excluded and not np.isfinite(hops[i])
-        }
-        self.repair_log.append(
-            {
-                "time": self.sim.now,
-                "blacklisted": sorted(self.blacklisted),
-                "departed": sorted(self.departed),
-                "unreachable": sorted(self.unreachable),
-                "newly_unreachable": sorted(self.unreachable - previously_unreachable),
-                # Pending packets are attributed to the repair that *first*
-                # cut the sensor off; keying on newly_unreachable means a
-                # sensor stranded across two consecutive repairs is counted
-                # by exactly one of them (see reconcile_dropped_demand).
-                "dropped_pending": {
-                    i: self.sensors[i].pending_count
-                    for i in sorted(self.unreachable - previously_unreachable)
-                },
-            }
-        )
-        self.routing = self._solve_routing()
-        self.rotator = PathRotator(self.routing)
-        self.ack_plan = plan_ack_collection(
-            self.active_cluster, self.routing.routing_plan()
-        )
-        self.backups = self._compute_backups()
-        self.route_history.append((self.sim.now, self.routing))
-        if self.partition is not None:
-            from ..core.sectors import partition_into_sectors
-
-            self.partition = partition_into_sectors(self.routing, oracle=self.oracle)
         self.route_repairs += 1
+        newly_unreachable = self._replan(
+            self.phy.cluster,
+            f"cluster {self.cluster_id} route repair #{self.route_repairs}",
+        )
         if self._staleness is not None:
             self._staleness.note_repair()
-        _validate.check_dynamic_membership(
-            self.routing,
-            excluded,
-            sim_time=self.sim.now,
-            hint=f"cluster {self.cluster_id} route repair #{self.route_repairs}",
-        )
         if repair_span is not None:
             self._tel.finish(
                 repair_span,
                 self.sim.now,
                 unreachable=sorted(self.unreachable),
-                newly_unreachable=sorted(
-                    self.unreachable - previously_unreachable
-                ),
+                newly_unreachable=newly_unreachable,
             )
             self._tel.metrics.counter("mac.route_repairs").inc()
             self._tel.metrics.histogram("mac.repair_unreachable").observe(
@@ -1158,13 +1131,12 @@ class PollingClusterMac:
         """Online re-form at a duty-cycle boundary (DESIGN.md §11).
 
         Re-discovers connectivity from the live medium (so moved nodes bring
-        their moved links), admits pending joiners, and migrates demand
-        incrementally through the repair machinery — blacklist, announced
-        departures and still-absent sensors all stay excluded, and failover
-        state (backup routes, rotation, ack cover, sector partition) is
-        rebuilt on the new plan.  Queued application packets are untouched:
-        a re-form reshapes routing state only, and the conservation check
-        below enforces exactly that.
+        their moved links), admits pending joiners, and re-plans through
+        :meth:`_replan` — blacklist, announced departures and still-absent
+        sensors all stay excluded, and failover state is rebuilt on the new
+        plan.  Queued application packets are untouched: a re-form reshapes
+        routing state only, and the conservation check below enforces
+        exactly that.
         """
         span = None
         if self._tel_enabled:
@@ -1186,35 +1158,20 @@ class PollingClusterMac:
             i for i in range(self.phy.n_sensors) if i not in excluded
         ]
         pending_before = sum(self.sensors[i].pending_count for i in present)
-        previously_unreachable = set(self.unreachable)
-        result = reform_cluster(self.phy, excluded, admitted)
-        # The re-discovered cluster becomes the PHY's ground-truth topology;
-        # the repair's pruned twin is what planning runs on.
-        self.phy.cluster = result.cluster
-        self.active_cluster = result.repair.cluster
-        self.unreachable = set(result.repair.uncovered)
-        self.routing = result.repair.solution
-        # The planning oracle re-captures the medium's *current* receive
+        # The re-discovered cluster becomes the PHY's ground-truth topology,
+        # and the planning oracle re-captures the medium's *current* receive
         # powers — this is the one place mobility staleness is repaid.
+        self.phy.cluster = discovered_cluster(self.phy)
         self.oracle = phy_truth_oracle(self.phy, self.oracle.max_group_size)
         self._adopt_oracle()
-        self.rotator = PathRotator(self.routing)
-        self.ack_plan = plan_ack_collection(
-            self.active_cluster, self.routing.routing_plan()
-        )
-        self.backups = self._compute_backups()
-        if self.partition is not None:
-            from ..core.sectors import partition_into_sectors
-
-            self.partition = partition_into_sectors(self.routing, oracle=self.oracle)
         # Suspicion counters were evidence against the *old* topology.
         self._suspect_misses = {}
-        self.route_history.append((self.sim.now, self.routing))
+        self.reclusters += 1
+        hint = f"cluster {self.cluster_id} recluster #{self.reclusters} ({reason})"
+        self._replan(self.phy.cluster, hint)
         # Announcing the new roster + schedule costs the next wakeup
         # broadcast 2 bytes per present sensor (id + slot assignment).
         self._reform_roster_bytes = 2 * len(present)
-        self.reclusters += 1
-        newly_unreachable = sorted(self.unreachable - previously_unreachable)
         self.recluster_log.append(
             {
                 "time": self.sim.now,
@@ -1224,24 +1181,6 @@ class PollingClusterMac:
                 "unreachable": sorted(self.unreachable),
                 "roster_bytes": self._reform_roster_bytes,
             }
-        )
-        # Re-forms strand sensors exactly like repairs do; log through the
-        # same channel so reconcile_dropped_demand sees one unified stream.
-        self.repair_log.append(
-            {
-                "time": self.sim.now,
-                "blacklisted": sorted(self.blacklisted),
-                "departed": sorted(self.departed),
-                "unreachable": sorted(self.unreachable),
-                "newly_unreachable": newly_unreachable,
-                "dropped_pending": {
-                    i: self.sensors[i].pending_count for i in newly_unreachable
-                },
-            }
-        )
-        hint = f"cluster {self.cluster_id} recluster #{self.reclusters} ({reason})"
-        _validate.check_dynamic_membership(
-            self.routing, excluded, sim_time=self.sim.now, hint=hint
         )
         pending_after = sum(self.sensors[i].pending_count for i in present)
         _validate.check_reform_conservation(

@@ -24,6 +24,7 @@ import dataclasses
 from contextlib import nullcontext
 from dataclasses import dataclass
 from time import perf_counter
+from typing import Iterable
 
 import numpy as np
 
@@ -36,11 +37,12 @@ from ..mac.base import (
     MacTimings,
     sensor_power_for_range,
 )
-from ..mac.pollmac import PollingClusterMac, PollingSensorAgent, phy_truth_oracle
+from ..mac.pollmac import PollingClusterMac, PollingSensorAgent
 from ..radio.channel import RadioMedium
 from ..radio.energy import EnergyParams
 from ..radio.packet import DEFAULT_SIZES
 from ..radio.transceiver import Transceiver
+from ..routing.repair import prune_dead_nodes
 from ..routing.warmcache import SolverCache
 from ..faults.injector import FaultInjector
 from ..sim.kernel import Simulator
@@ -54,8 +56,11 @@ from ..topology.handoff import (
     plan_field_reform,
     serving_staleness,
 )
-from ..topology.recluster import StalenessTrigger, assignment_staleness
-from .cluster_sim import cluster_from_phy
+from ..topology.recluster import (
+    StalenessTrigger,
+    assignment_staleness,
+    discovered_cluster,
+)
 from .coloring import six_color_planar
 from ..topology.forming import cluster_adjacency
 from ..traffic.cbr import CbrSource, attach_cbr_sources
@@ -427,82 +432,19 @@ class HeadFailoverCoordinator:
             self._adopt(adopter, groups[adopter], dead_head)
 
     def _adopt(self, adopter: int, orphan_globals: list[int], dead_head: int) -> None:
+        """A rebuild in which every member stays, the orphans come in, and
+        the dead head is an evidence source: its blacklist and suspicion
+        follow the orphans to their adopter."""
         mac = self.macs[adopter]
-        old_phy = mac.phy
-        dead_phy = self.macs[dead_head].phy
-        assert old_phy.index_map is not None and dead_phy.index_map is not None
-        old_sensor_globals = list(old_phy.index_map[:-1])
-        head_global = old_phy.index_map[-1]
-        dead_local = {g: i for i, g in enumerate(dead_phy.index_map[:-1])}
-        # 1. Orphan radios retune to the adopter's channel *before* the
-        #    in-cluster connectivity rediscovery below sees them.
-        for g in orphan_globals:
-            self.medium.set_channel(g, int(self.channels[adopter]))
-        # 2. Extend the adopter's PHY: existing members keep their local
-        #    ids (and transceivers), orphans append, head stays last.
-        new_index_map = old_sensor_globals + orphan_globals + [head_global]
-        transceivers = (
-            list(old_phy.transceivers[:-1])
-            + [dead_phy.transceivers[dead_local[g]] for g in orphan_globals]
-            + [old_phy.transceivers[-1]]
+        members = [int(g) for g in mac.phy.index_map[:-1]]
+        new_phy, agents, evidence = _rebuild_roster(
+            mac,
+            members + orphan_globals,
+            set(orphan_globals),
+            _roster_view([mac, self.macs[dead_head]]),
+            self.source_by_global,
         )
-        old_cluster = old_phy.cluster
-        dead_cluster = dead_phy.cluster
-        n_new = len(new_index_map) - 1
-        packets = np.concatenate(
-            [
-                old_cluster.packets,
-                [dead_cluster.packets[dead_local[g]] for g in orphan_globals],
-            ]
-        ).astype(np.int64)
-        energy = np.concatenate(
-            [
-                old_cluster.energy,
-                [dead_cluster.energy[dead_local[g]] for g in orphan_globals],
-            ]
-        )
-        base = Cluster(
-            hears=np.zeros((n_new, n_new), dtype=bool),  # rediscovered below
-            head_hears=np.zeros(n_new, dtype=bool),
-            packets=packets,
-            energy=energy,
-            positions=self.sensor_positions[new_index_map[:-1]].copy(),
-            head_position=self.head_positions[adopter].copy(),
-        )
-        new_phy = ClusterPhy(
-            sim=self.sim,
-            cluster=base,
-            medium=self.medium,
-            transceivers=transceivers,
-            tracer=old_phy.tracer,
-            index_map=new_index_map,
-        )
-        new_phy.cluster = _discover_local_cluster(new_phy)
-        # 3. Fresh agents for the orphans' new local ids.  Constructing one
-        #    re-binds the orphan radio's receive callback — that *is* the
-        #    takeover: the dead cluster's agent never hears anything again.
-        dead_agents = {
-            dead_phy.index_map[a.sensor]: a for a in self.macs[dead_head].sensors
-        }
-        new_agents: list[PollingSensorAgent] = []
-        for local, g in enumerate(orphan_globals, start=len(old_sensor_globals)):
-            agent = PollingSensorAgent(
-                new_phy, local, mac.sizes, mac.timings, cluster_id=adopter
-            )
-            old_agent = dead_agents[g]
-            # Queued application data survives the takeover (relay buffers
-            # and in-cycle assignments belonged to the dead head's schedule
-            # and are unusable); re-stamp origins to the new local ids.
-            for pkt in old_agent.own_queue:
-                agent.own_queue.append(dataclasses.replace(pkt, origin=local))
-            old_agent.own_queue.clear()
-            # A sensor asleep on the dead head's schedule would miss the
-            # adopter's polls until its old wake timer fires; wake it now.
-            if agent.trx.is_sleeping:
-                agent.trx.wake()
-            self.source_by_global[g].deliver = agent.generate_packet
-            new_agents.append(agent)
-        mac.adopt_sensors(new_phy, new_agents)
+        mac.adopt_sensors(new_phy, agents, **evidence)
         self.adoption_events.append(
             AdoptionEvent(
                 time=self.sim.now,
@@ -750,23 +692,18 @@ class FieldReformCoordinator:
                     )
                 )
                 continue
+            src = self.macs[m.src]
             if m.src not in src_graph:
-                fresh = _discover_local_cluster(self.macs[m.src].phy)
-                hears = fresh.hears.copy()
-                head_hears = fresh.head_hears.copy()
-                for l in self.macs[m.src]._excluded():
-                    hears[l, :] = False
-                    hears[:, l] = False
-                    head_hears[l] = False
-                src_graph[m.src] = (hears, head_hears)
-            hears, head_hears = src_graph[m.src]
-            cov_before = _covered_set(hears, head_hears)
-            hears2 = hears.copy()
-            head_hears2 = head_hears.copy()
-            hears2[src_local, :] = False
-            hears2[:, src_local] = False
-            head_hears2[src_local] = False
-            if (cov_before - {src_local}) - _covered_set(hears2, head_hears2):
+                src_graph[m.src] = prune_dead_nodes(
+                    discovered_cluster(src.phy), src._excluded()
+                )
+            graph = src_graph[m.src]
+            without = prune_dead_nodes(graph, {src_local})
+            stranded = np.isfinite(graph.min_hop_counts()) & np.isinf(
+                without.min_hop_counts()
+            )
+            stranded[src_local] = False
+            if stranded.any():
                 # The mover is a cut vertex: covered members route to the
                 # head only through it.  The active-relay freeze catches
                 # planned relays; this catches *potential* bridges in the
@@ -777,7 +714,7 @@ class FieldReformCoordinator:
                     )
                 )
                 continue
-            src_graph[m.src] = (hears2, head_hears2)
+            src_graph[m.src] = without
             roster_left[m.src] -= 1
             roster_left[m.dst] += 1
             # PREPARE: retune while the field sleeps.  Commit re-checks
@@ -862,54 +799,28 @@ class FieldReformCoordinator:
             self.medium.update_positions(all_pos)
 
     def _execute(self, committable) -> None:
-        cfg = self.config
         affected = sorted({m.src for m in committable} | {m.dst for m in committable})
         pending_before = self._field_pending()
-        # Global views across the affected heads: agents, radios, demand
-        # rows and the per-cluster liveness evidence (evidence follows the
-        # sensor through the handoff — a blacklist is about the node, not
-        # about who polls it).
-        bl_g: set[int] = set()
-        dep_g: set[int] = set()
-        abs_g: set[int] = set()
-        susp_g: dict[int, int] = {}
-        agent_by_global: dict[int, PollingSensorAgent] = {}
-        trx_by_global: dict[int, Transceiver] = {}
-        row_by_global: dict[int, tuple[int, float]] = {}
-        for h in affected:
-            mac = self.macs[h]
-            im = mac.phy.index_map
-            bl_g |= {int(im[l]) for l in mac.blacklisted}
-            dep_g |= {int(im[l]) for l in mac.departed}
-            abs_g |= {int(im[l]) for l in mac.absent}
-            for l, c in mac._suspect_misses.items():
-                susp_g[int(im[l])] = c
-            for l, g in enumerate(im[:-1]):
-                agent_by_global[int(g)] = mac.sensors[l]
-                trx_by_global[int(g)] = mac.phy.transceivers[l]
-                row_by_global[int(g)] = (
-                    int(mac.phy.cluster.packets[l]),
-                    float(mac.phy.cluster.energy[l]),
-                )
-        moved_out: dict[int, set[int]] = {h: set() for h in affected}
+        # One global-id view across the affected heads, taken before any of
+        # them is rebuilt.
+        view = _roster_view(self.macs[h] for h in affected)
+        moved_out = {m.sensor for m in committable}
         moved_in: dict[int, list[int]] = {h: [] for h in affected}
         for m in committable:
-            moved_out[m.src].add(m.sensor)
             moved_in[m.dst].append(m.sensor)
             self.serving[m.sensor] = m.dst
         for h in affected:
-            self._rebuild_head(
-                h,
-                moved_out[h],
-                sorted(moved_in[h]),
-                agent_by_global,
-                trx_by_global,
-                row_by_global,
-                bl_g,
-                dep_g,
-                abs_g,
-                susp_g,
+            mac = self.macs[h]
+            # Retained members keep their old relative order (stable local
+            # ids for the common case); incoming append in global-id order.
+            retained = [
+                int(g) for g in mac.phy.index_map[:-1] if int(g) not in moved_out
+            ]
+            incoming = sorted(moved_in[h])
+            new_phy, agents, evidence = _rebuild_roster(
+                mac, retained + incoming, set(incoming), view, self.source_by_global
             )
+            mac.reform_membership(new_phy, agents, **evidence)
         pending_after = self._field_pending()
         hint = f"field re-form t={self.sim.now:g}"
         _validate.check_handoff_conservation(
@@ -932,91 +843,116 @@ class FieldReformCoordinator:
             for m in committable
         )
 
-    def _rebuild_head(
-        self,
-        h: int,
-        out_set: set[int],
-        incoming: list[int],
-        agent_by_global: dict,
-        trx_by_global: dict,
-        row_by_global: dict,
-        bl_g: set[int],
-        dep_g: set[int],
-        abs_g: set[int],
-        susp_g: dict[int, int],
-    ) -> None:
-        mac = self.macs[h]
-        old_phy = mac.phy
-        assert old_phy.index_map is not None
-        head_global = int(old_phy.index_map[-1])
-        # Retained members keep their old relative order (stable local ids
-        # for the common case); incoming append in global-id order.
-        retained = [int(g) for g in old_phy.index_map[:-1] if int(g) not in out_set]
-        roster = retained + incoming
-        new_index_map = roster + [head_global]
-        transceivers = [trx_by_global[g] for g in roster] + [old_phy.transceivers[-1]]
-        n_new = len(roster)
-        base = Cluster(
-            hears=np.zeros((n_new, n_new), dtype=bool),  # rediscovered below
-            head_hears=np.zeros(n_new, dtype=bool),
-            packets=np.array([row_by_global[g][0] for g in roster], dtype=np.int64),
-            energy=np.array([row_by_global[g][1] for g in roster], dtype=np.float64),
-            positions=self.medium.positions[
-                np.asarray(roster, dtype=np.int64)
-            ].copy(),
-            head_position=self.head_positions[h].copy(),
+
+@dataclass
+class _RosterView:
+    """Global-id view of the clusters a roster rebuild draws members from:
+    each sensor's agent, radio and demand row, plus the exclusion evidence
+    (evidence is about the node, not about who polls it)."""
+
+    agents: dict[int, PollingSensorAgent]
+    radios: dict[int, Transceiver]
+    rows: dict[int, tuple[int, float]]  # (packets, energy)
+    blacklisted: set[int]
+    departed: set[int]
+    absent: set[int]
+    suspect_misses: dict[int, int]
+
+
+def _roster_view(macs: Iterable[PollingClusterMac]) -> _RosterView:
+    view = _RosterView({}, {}, {}, set(), set(), set(), {})
+    for mac in macs:
+        im = [int(g) for g in mac.phy.index_map]
+        view.blacklisted |= {im[l] for l in mac.blacklisted}
+        view.departed |= {im[l] for l in mac.departed}
+        view.absent |= {im[l] for l in mac.absent}
+        view.suspect_misses.update(
+            (im[l], c) for l, c in mac._suspect_misses.items()
         )
-        new_phy = ClusterPhy(
-            sim=self.sim,
-            cluster=base,
-            medium=self.medium,
-            transceivers=transceivers,
-            tracer=old_phy.tracer,
-            index_map=new_index_map,
-        )
-        new_phy.cluster = _discover_local_cluster(new_phy)
-        incoming_set = set(incoming)
-        bl_l: set[int] = set()
-        dep_l: set[int] = set()
-        abs_l: set[int] = set()
-        susp_l: dict[int, int] = {}
-        new_agents: list[PollingSensorAgent] = []
-        for local, g in enumerate(roster):
-            # Constructing the agent re-binds the radio's receive callback —
-            # for a mover, that *is* the handoff.
-            agent = PollingSensorAgent(
-                new_phy, local, mac.sizes, mac.timings, cluster_id=h
+        for l, g in enumerate(im[:-1]):
+            view.agents[g] = mac.sensors[l]
+            view.radios[g] = mac.phy.transceivers[l]
+            view.rows[g] = (
+                int(mac.phy.cluster.packets[l]),
+                float(mac.phy.cluster.energy[l]),
             )
-            old_agent = agent_by_global[g]
-            # Queued application data survives (re-stamped to the new local
-            # id); relay buffers and in-cycle assignments belonged to the
-            # old schedule.  Any request in flight when the plan was made
-            # re-issues from this queue at the new head — never dropped.
+    return view
+
+
+def _rebuild_roster(
+    mac: PollingClusterMac,
+    roster: list[int],
+    incoming: set[int],
+    view: _RosterView,
+    source_by_global: dict[int, CbrSource],
+) -> tuple[ClusterPhy, list[PollingSensorAgent], dict]:
+    """Rebuild head *mac*'s PHY and agents around a global-id *roster*.
+
+    The one roster rebuild behind both failover adoption and field
+    handoff.  *incoming* radios retune to the head's channel and wake if
+    they sleep on their old head's schedule; connectivity is rediscovered
+    from the live medium.  When no member's local id changes, existing
+    agents stay — an adoption can land mid-cycle, and in-flight relay
+    buffers and assigned packets must survive it — and only incoming
+    sensors get fresh agents.  Otherwise every member gets a fresh agent,
+    so no state keyed by an old local id (``known_dead``, the buffers)
+    outlives the shift.  Constructing an agent re-binds its radio's
+    receive callback — for an incoming sensor, that *is* the takeover —
+    and takes over the queued application data, re-stamped to the new
+    local id, and the sensor's CBR source.  Returns the PHY, the agents
+    and the evidence remapped to new local ids, ready for the MAC.
+    """
+    old_phy = mac.phy
+    medium = old_phy.medium
+    head_global = int(old_phy.index_map[-1])
+    for g in incoming:
+        medium.set_channel(g, int(medium.channels[head_global]))
+    n = len(roster)
+    new_phy = ClusterPhy(
+        sim=mac.sim,
+        cluster=Cluster(
+            hears=np.zeros((n, n), dtype=bool),  # rediscovered below
+            head_hears=np.zeros(n, dtype=bool),
+            packets=np.array([view.rows[g][0] for g in roster], dtype=np.int64),
+            energy=np.array([view.rows[g][1] for g in roster], dtype=np.float64),
+        ),
+        medium=medium,
+        transceivers=[view.radios[g] for g in roster] + [old_phy.transceivers[-1]],
+        tracer=old_phy.tracer,
+        index_map=roster + [head_global],
+    )
+    new_phy.cluster = discovered_cluster(new_phy)
+    old_local = {int(g): l for l, g in enumerate(old_phy.index_map[:-1])}
+    ids_kept = all(old_local.get(g, l) == l for l, g in enumerate(roster))
+    agents: list[PollingSensorAgent] = []
+    for local, g in enumerate(roster):
+        old_agent = view.agents[g]
+        if ids_kept and g in old_local:
+            agent = old_agent
+            agent.phy = new_phy
+        else:
+            agent = PollingSensorAgent(
+                new_phy, local, mac.sizes, mac.timings, cluster_id=mac.cluster_id
+            )
             for pkt in old_agent.own_queue:
                 agent.own_queue.append(dataclasses.replace(pkt, origin=local))
             old_agent.own_queue.clear()
-            # A mover asleep on its old head's schedule would miss the new
-            # head's polls until the stale wake timer fires; wake it now.
-            if g in incoming_set and agent.trx.is_sleeping:
-                agent.trx.wake()
-            self.source_by_global[g].deliver = agent.generate_packet
-            if g in bl_g:
-                bl_l.add(local)
-            if g in dep_g:
-                dep_l.add(local)
-            if g in abs_g:
-                abs_l.add(local)
-            if g in susp_g:
-                susp_l[local] = susp_g[g]
-            new_agents.append(agent)
-        mac.reform_membership(
-            new_phy,
-            new_agents,
-            blacklisted=bl_l,
-            departed=dep_l,
-            absent=abs_l,
-            suspect_misses=susp_l,
-        )
+            source_by_global[g].deliver = agent.generate_packet
+        if g in incoming and agent.trx.is_sleeping:
+            agent.trx.wake()
+        agents.append(agent)
+    local_of = {g: l for l, g in enumerate(roster)}
+    evidence = {
+        "blacklisted": {local_of[g] for g in view.blacklisted if g in local_of},
+        "departed": {local_of[g] for g in view.departed if g in local_of},
+        "absent": {local_of[g] for g in view.absent if g in local_of},
+        "suspect_misses": {
+            l: view.suspect_misses[g]
+            for l, g in enumerate(roster)
+            if g in view.suspect_misses
+        },
+    }
+    return new_phy, agents, evidence
 
 
 def run_multicluster_simulation(
@@ -1145,7 +1081,7 @@ def _run_multicluster(
             index_map=index_map,
         )
         # discover in-cluster connectivity from the shared radio
-        local_cluster = _discover_local_cluster(phy)
+        local_cluster = discovered_cluster(phy)
         if not local_cluster.is_connected():
             # strays beyond reach transmit nothing this run
             hops = local_cluster.min_hop_counts()
@@ -1280,17 +1216,6 @@ def _run_multicluster(
     )
 
 
-def _covered_set(hears: np.ndarray, head_hears: np.ndarray) -> set[int]:
-    """Locals with some hop path to the head (BFS over the hearing graph)."""
-    known = head_hears.copy()
-    frontier = head_hears.copy()
-    while frontier.any():
-        newly = hears[frontier, :].any(axis=0) & ~known
-        known |= newly
-        frontier = newly
-    return set(int(i) for i in np.flatnonzero(known))
-
-
 def _field_coverage(macs: list[PollingClusterMac], n_sensors: int) -> float:
     """Ground-truth serviceable fraction of the field at this instant.
 
@@ -1311,44 +1236,12 @@ def _field_coverage(macs: list[PollingClusterMac], n_sensors: int) -> float:
         phy = mac.phy
         if phy.index_map is None or phy.n_sensors == 0:
             continue
-        fresh = _discover_local_cluster(phy)
-        excluded = mac._excluded()
-        hears = fresh.hears.copy()
-        head_hears = fresh.head_hears.copy()
-        for l in excluded:
-            hears[l, :] = False
-            hears[:, l] = False
-            head_hears[l] = False
-        hops = dataclasses.replace(
-            fresh, hears=hears, head_hears=head_hears
+        # Pruned (excluded) members are heard by nothing: never finite.
+        hops = prune_dead_nodes(
+            discovered_cluster(phy), mac._excluded()
         ).min_hop_counts()
-        for l in range(phy.n_sensors):
-            if l not in excluded and np.isfinite(hops[l]):
-                served.add(int(phy.index_map[l]))
+        served.update(int(phy.index_map[l]) for l in np.flatnonzero(np.isfinite(hops)))
     return len(served) / n_sensors
-
-
-def _discover_local_cluster(phy: ClusterPhy) -> Cluster:
-    """In-cluster hearing from the shared medium, honoring channels."""
-    medium = phy.medium
-    n = phy.n_sensors
-    hears = np.zeros((n, n), dtype=bool)
-    head_hears = np.zeros(n, dtype=bool)
-    for i in range(n):
-        gi = phy.phy_index(i)
-        head_hears[i] = medium.hears(phy.phy_index(-1), gi)
-        for j in range(n):
-            if i != j:
-                hears[i, j] = medium.hears(gi, phy.phy_index(j))
-    base = phy.cluster
-    return Cluster(
-        hears=hears,
-        head_hears=head_hears,
-        packets=base.packets.copy(),
-        energy=base.energy.copy(),
-        positions=None if base.positions is None else base.positions.copy(),
-        head_position=None if base.head_position is None else base.head_position.copy(),
-    )
 
 
 def _start_delayed(sim: Simulator, mac: PollingClusterMac, n_cycles: int, delay: float) -> None:

@@ -16,14 +16,16 @@ still reachable gets a fresh min-max-load flow over the surviving topology.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
-
-from typing import Iterable
 
 from ..obs import profile_span as _profile_span
 from ..topology.cluster import Cluster
 from .minmax import FlowSolution, solve_min_max_load
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from .warmcache import SolverCache
 
 __all__ = [
     "RepairResult",
@@ -119,6 +121,7 @@ def repair_routing(
     energy_aware: bool = False,
     engine: str = "warm",
     method: str | None = None,
+    cache: "SolverCache | None" = None,
 ) -> RepairResult:
     """Recompute min-max-load routing with *dead* nodes excluded.
 
@@ -128,7 +131,9 @@ def repair_routing(
     flow on what remains.  Repairs run at duty-cycle boundaries where
     latency matters, so the solve defaults to the warm-start engine
     (``engine``/``method`` are forwarded to
-    :func:`~repro.routing.minmax.solve_min_max_load`).
+    :func:`~repro.routing.minmax.solve_min_max_load`).  With a *cache* the
+    solve goes through :meth:`~repro.routing.warmcache.SolverCache.
+    routing_for`, which answers a repeat topology bit-for-bit from memory.
     """
     with _profile_span(
         "routing.repair", histogram="routing.repair_wall_s", dead=len(dead)
@@ -145,7 +150,8 @@ def repair_routing(
             packets = pruned.packets.copy()
             packets[sorted(uncovered)] = 0
             pruned = pruned.with_packets(packets)
-        solution = solve_min_max_load(
+        solve = solve_min_max_load if cache is None else cache.routing_for
+        solution = solve(
             pruned, energy_aware=energy_aware, engine=engine, method=method
         )
         return RepairResult(

@@ -14,9 +14,10 @@ over the exact bytes of ``hears`` / ``head_hears`` / ``packets`` /
 deterministic (no RNG anywhere in the flow engines), a cache hit returns a
 solution that is **bit-for-bit identical** to what a fresh solve would
 produce — enabling the cache can never change simulation results, only
-skip redundant work.  Mid-run re-solves (route repair, re-clustering)
-fingerprint their pruned cluster the same way, so trials replaying the
-same fault plan share those solves too.
+skip redundant work.  Mid-run re-solves — route repair, re-clustering,
+failover adoption and field re-forms, which all reach the solver through
+``repair_routing(..., cache=...)`` — fingerprint their pruned cluster the
+same way, so trials replaying the same fault plan share those solves too.
 
 Sharing is safe because both artefacts are treated as immutable
 everywhere: :class:`~repro.routing.minmax.FlowSolution` is only read after

@@ -6,6 +6,8 @@ be exactly repeatable, and — crucially — an empty plan must reproduce the
 unfaulted run bit for bit.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.faults import BurstyLinks, FaultPlan, NodeCrash, TransientStun
@@ -126,6 +128,24 @@ def test_bursty_links_degrade_but_complete():
     assert res.packets_delivered > 0
     again = run_polling_simulation(cfg)
     assert again.packets_delivered == res.packets_delivered
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known bug (DESIGN.md §5b): a relay that misses both the SLEEP "
+    "and the next WAKEUP keeps its relay_buffer, whose request ids restart "
+    "every phase, and relays a stale packet again next cycle",
+)
+def test_bursty_links_never_deliver_a_packet_twice():
+    plan = FaultPlan(bursty_links=BurstyLinks())
+    res = run_polling_simulation(
+        PollingSimConfig(n_sensors=10, n_cycles=3, seed=749, fault_plan=plan)
+    )
+    # seq comes from a process-global counter: identify packets by
+    # (origin, created) instead.  Sensor 6's packet arrives twice, both
+    # times as request 6, hop 2, from relay 2 (t≈10.10 and t≈20.08).
+    delivered = Counter((p.origin, p.created) for p in res.mac.delivered_packets())
+    assert max(delivered.values()) == 1
 
 
 def test_degradation_report_function_matches_property(crashed):

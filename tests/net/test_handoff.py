@@ -163,6 +163,43 @@ def test_committed_sensors_change_cluster_and_queues_survive():
             owners[int(g)] = mac.cluster_id
 
 
+def test_rebuild_keeps_agents_only_while_local_ids_hold(monkeypatch):
+    """A re-form that renumbers no member keeps every member's agent; one
+    that renumbers any member gives every member a fresh agent, so no state
+    keyed by an old local id (``known_dead``, the buffers) survives it."""
+    from repro.mac.pollmac import PollingClusterMac
+    from repro.topology import StalenessTrigger
+
+    seen = {"kept": 0, "fresh": 0}
+    reform = PollingClusterMac.reform_membership
+
+    def spy(mac, new_phy, agents, **evidence):
+        old = {
+            int(g): (l, mac.sensors[l])
+            for l, g in enumerate(mac.phy.index_map[:-1])
+        }
+        stayed = [
+            (l, int(g))
+            for l, g in enumerate(new_phy.index_map[:-1])
+            if int(g) in old
+        ]
+        ids_hold = all(old[g][0] == l for l, g in stayed)
+        reused = [agents[l] is old[g][1] for l, g in stayed]
+        assert all(reused) if ids_hold else not any(reused)
+        seen["kept" if ids_hold else "fresh"] += 1
+        return reform(mac, new_phy, agents, **evidence)
+
+    monkeypatch.setattr(PollingClusterMac, "reform_membership", spy)
+    cfg = MultiClusterConfig(
+        n_cycles=8, seed=2, mobility_speed_mps=3.0,
+        handoff="staleness", failure_detection=True,
+        handoff_trigger=StalenessTrigger(membership_delta=1, repair_fallbacks=0),
+    )
+    with validate.strict():
+        run_multicluster_simulation(cfg)
+    assert seen["kept"] and seen["fresh"]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_chaos_mobility_crash_mid_handoff_strict_clean(seed):
     """Head crashes inside the prepare->commit window, strict invariants on.

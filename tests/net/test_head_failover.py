@@ -147,3 +147,96 @@ def test_head_failover_run_is_deterministic():
         (e.time, e.dead_head, e.adopter, e.sensors)
         for e in b.coordinator.adoption_events
     ]
+
+
+# -- adoption re-plans like every other roster change -------------------------
+# Head 1 dies at t=33 holding evidence: it had blacklisted seven of its
+# sensors.  Its orphans' records must follow them to their adopters, and the
+# orphans an adopter cannot reach must be logged so their demand reconciles.
+
+EVIDENCE = dict(
+    n_cycles=8,
+    seed=2,
+    mobility_speed_mps=3.0,
+    failure_detection=True,
+    head_failover=True,
+    head_crashes=((1, 33.0),),
+)
+
+
+@pytest.fixture(scope="module")
+def adopted_with_evidence():
+    from repro.mac.pollmac import PollingClusterMac
+
+    # Watch each adoption from inside: the adopter's agents and roster
+    # announcement before and after the takeover.
+    calls = []
+    adopt = PollingClusterMac.adopt_sensors
+
+    def spy(mac, new_phy, agents, **evidence):
+        before = (list(mac.sensors), mac._reform_roster_bytes)
+        out = adopt(mac, new_phy, agents, **evidence)
+        calls.append((mac, before, (list(mac.sensors), mac._reform_roster_bytes)))
+        return out
+
+    mp = pytest.MonkeyPatch()
+    mp.setattr(PollingClusterMac, "adopt_sensors", spy)
+    try:
+        with validate.strict():  # the whole run stays strict-clean
+            res = run_multicluster_simulation(MultiClusterConfig(**EVIDENCE))
+    finally:
+        mp.undo()
+    return res, calls
+
+
+def _local(mac, g):
+    return [int(x) for x in mac.phy.index_map].index(g)
+
+
+def test_adoption_carries_the_dead_heads_blacklist(adopted_with_evidence):
+    res, _ = adopted_with_evidence
+    dead = res.macs[1]
+    dead_ids = [int(g) for g in dead.phy.index_map]
+    dead_blacklist = {dead_ids[l] for l in dead.blacklisted}
+    carried = 0
+    for ev in res.coordinator.adoption_events:
+        adopter = res.macs[ev.adopter]
+        for g in dead_blacklist & set(ev.sensors):
+            # under its new local id at the adopter, not its old one
+            assert _local(adopter, g) in adopter.blacklisted
+            carried += _local(adopter, g) != dead_ids.index(g)
+    assert carried, "no blacklisted orphan changed local id"
+
+
+def test_adoption_logs_the_orphans_it_strands(adopted_with_evidence):
+    from repro.metrics.degradation import reconcile_dropped_demand
+
+    res, _ = adopted_with_evidence
+    events = res.coordinator.adoption_events
+    assert {ev.adopter for ev in events} == {0, 2}
+    for ev in events:
+        mac = res.macs[ev.adopter]
+        entries = [e for e in mac.repair_log if e["time"] == ev.time]
+        assert len(entries) == 1
+        (entry,) = entries
+        orphans = {_local(mac, g) for g in ev.sensors}
+        stranded = orphans & set(entry["unreachable"])
+        assert stranded, "the config must strand some orphans"
+        assert stranded <= set(entry["newly_unreachable"])
+        assert sum(entry["dropped_pending"][l] for l in stranded) > 0
+        # reconcile_dropped_demand bills each stranded orphan's packets
+        # to this adoption
+        reconciled = reconcile_dropped_demand(mac.repair_log)
+        for l in stranded:
+            assert reconciled[l] == entry["dropped_pending"][l]
+
+
+def test_adoption_keeps_agents_and_announces_no_roster(adopted_with_evidence):
+    _, calls = adopted_with_evidence
+    assert calls
+    for mac, (agents_before, bytes_before), (agents_after, bytes_after) in calls:
+        # no local id changes in an adoption: the adopter's own agents stay
+        # (an adoption can land mid-cycle) and the orphans append
+        assert all(a is b for a, b in zip(agents_after, agents_before))
+        assert len(agents_after) > len(agents_before)
+        assert bytes_after == bytes_before

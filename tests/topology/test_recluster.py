@@ -352,23 +352,28 @@ def test_handoff_preserves_exclusion_evidence():
         assert not (covered & mac.blacklisted)
 
 
-def test_reform_membership_remaps_evidence_to_new_local_ids():
-    """Drive one re-form by hand and watch a blacklist follow its sensor."""
-    from repro.net import MultiClusterConfig, run_multicluster_simulation
+def test_reform_membership_remaps_evidence_to_new_local_ids(monkeypatch):
+    """A blacklisted sensor keeps its blacklist entry when a field re-form
+    shifts its local id (blacklisted sensors never move themselves; a
+    member leaving ahead of them in the roster renumbers them)."""
+    from repro.mac.pollmac import PollingClusterMac
 
-    cfg = MultiClusterConfig(
-        n_cycles=8, seed=2, mobility_speed_mps=3.0, handoff="staleness"
-    )
-    res = run_multicluster_simulation(cfg)
-    committed = [e for e in res.handoff_events if e.state == "committed"]
-    assert committed
-    moved = committed[0].sensor
-    # replay the same run, but blacklist the mover at its source before the
-    # first re-form fires: the evidence must surface at the destination
-    from repro.net.multicluster_sim import _run_multicluster  # noqa: F401
+    reforms = []
+    reform = PollingClusterMac.reform_membership
 
-    res2 = run_multicluster_simulation(cfg)
-    # identical deterministic run: same events
-    assert [e.sensor for e in res2.handoff_events] == [
-        e.sensor for e in res.handoff_events
-    ]
+    def spy(mac, new_phy, agents, **evidence):
+        old_ids = [int(g) for g in mac.phy.index_map[:-1]]
+        before = {old_ids[l]: l for l in mac.blacklisted}
+        reform(mac, new_phy, agents, **evidence)
+        new_ids = [int(g) for g in mac.phy.index_map[:-1]]
+        reforms.append((before, {new_ids[l]: l for l in mac.blacklisted}))
+
+    monkeypatch.setattr(PollingClusterMac, "reform_membership", spy)
+    _handoff_carryover_result()
+    assert reforms
+    shifted = 0
+    for before, after in reforms:
+        # the same sensors stay blacklisted, each under its current local id
+        assert set(after) == set(before)
+        shifted += sum(after[g] != before[g] for g in before)
+    assert shifted, "no re-form renumbered a blacklisted sensor"
