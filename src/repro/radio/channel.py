@@ -2,8 +2,9 @@
 
 One :class:`RadioMedium` serves all nodes of a simulation.  Node *i*'s
 position and transmit power live in arrays; pairwise receive powers are the
-vectorized product of tx power and propagation gain (computed once — nodes
-are static, as in the paper).
+vectorized product of tx power and propagation gain, recomputed whenever
+:meth:`RadioMedium.update_positions` moves the nodes (mobility, head
+placement).
 
 Reception semantics (matching ns-2's capture behavior closely enough for
 the reproduced shapes):
@@ -18,12 +19,19 @@ the reproduced shapes):
 * the medium is oblivious to addressing: every listener that decodes gets
   the frame, and the MAC filters by destination (overhearing costs energy,
   exactly the waste the paper attributes to contention MACs).
+
+Channels scope the work (Sec. V-G): a listener's in-air sum reads only
+same-channel senders, so a transmission start or end re-evaluates only the
+radios tuned to the sender's channel, and a frame is decoded only at radios
+whose receive power clears the sensitivity.  A retune, a move or a new
+radio marks the medium stale instead; the next start or end anywhere then
+re-evaluates every radio, exactly when an unscoped medium would have.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -31,6 +39,9 @@ from ..sim.kernel import Simulator
 from ..sim.trace import Tracer
 from ..sim.units import transmission_time
 from .packet import Frame
+
+if TYPE_CHECKING:
+    from .transceiver import Transceiver
 
 __all__ = ["RadioMedium", "ActiveTransmission"]
 
@@ -43,8 +54,8 @@ class ActiveTransmission:
     frame: Frame
     start: float
     end: float
-    # node -> accumulated overlapping interference power (filled as other
-    # transmissions start/stop while this one is in the air)
+    # Every transmission that overlapped this one in the air, on any channel
+    # (the decode filters by the channels current at frame end).
     interferers: list["ActiveTransmission"] = field(default_factory=list)
 
 
@@ -83,20 +94,28 @@ class RadioMedium:
         # Kept so mobility can recompute rx_power from moved positions.
         self.tx_power_w = tx_power_w
         self.propagation = propagation
-        # rx_power[r, s]: what r sees when s transmits.
-        self.rx_power = self._compute_rx_power()
+        # sender -> [(node, transceiver)] of registered radios that can hear
+        # it above sensitivity, in registration order (built lazily).
+        self._decoders: dict[int, list[tuple[int, Transceiver]]] = {}
+        self._stale = False
+        self._set_rx_power(self._compute_rx_power())
         if not 0.0 <= frame_error_rate < 1.0:
             raise ValueError(f"frame error rate must be in [0,1), got {frame_error_rate}")
         self.frame_error_rate = float(frame_error_rate)
         self._error_rng = np.random.default_rng(error_seed)
         # Radio channel per node (Sec. V-G: adjacent clusters on different
         # channels).  Same-channel transmissions interfere; cross-channel
-        # ones are mutually invisible.
-        self.channels = np.zeros(self.n_nodes, dtype=np.int64)
+        # ones are mutually invisible.  ``channels`` is a read-only view of
+        # the array only :meth:`set_channel` writes, so every retune marks
+        # the medium stale.
+        self._channel_array = np.zeros(self.n_nodes, dtype=np.int64)
+        self.channels = self._channel_array.view()
+        self.channels.flags.writeable = False
         self._active: list[ActiveTransmission] = []
-        self._transceivers: dict[int, "object"] = {}
-        # Hooks the transceivers register to learn about medium activity.
-        self._activity_listeners: list[Callable[[], None]] = []
+        self._transceivers: dict[int, Transceiver] = {}
+        # Per-channel rosters of registered radios, in registration order;
+        # rebuilt by the full refresh a stale medium owes.
+        self._rosters: dict[int, list[Transceiver]] = {}
         # Optional per-link loss process (e.g. Gilbert–Elliott bursty fading)
         # consulted in the decode path: anything with
         # ``frame_fails(receiver, sender, now) -> bool``.  None = clean links.
@@ -109,6 +128,15 @@ class RadioMedium:
         rx = gains * self.tx_power_w[np.newaxis, :]
         np.fill_diagonal(rx, 0.0)
         return rx
+
+    def _set_rx_power(self, rx: np.ndarray) -> None:
+        # rx_power[r, s]: what r sees when s transmits.  Replaced whole, never
+        # written: the vector engine's geometry cache keys on the array's
+        # identity, and the decode lists derive from it.
+        rx.flags.writeable = False
+        self.rx_power = rx
+        self._decoders.clear()
+        self._stale = True
 
     def update_positions(self, positions: np.ndarray) -> None:
         """Move nodes: replace positions and receive powers (mobility).
@@ -128,35 +156,39 @@ class RadioMedium:
                 f"got {positions.shape}"
             )
         self.positions = positions.copy()
-        self.rx_power = self._compute_rx_power()
+        self._set_rx_power(self._compute_rx_power())
 
     # -- registration -------------------------------------------------------------
 
-    def register(self, node: int, transceiver) -> None:
+    def register(self, node: int, transceiver: Transceiver) -> None:
         if node in self._transceivers:
             raise ValueError(f"node {node} already registered")
         self._transceivers[node] = transceiver
-
-    def add_activity_listener(self, fn: Callable[[], None]) -> None:
-        self._activity_listeners.append(fn)
+        self._decoders.clear()
+        self._stale = True
 
     def set_channel(self, node: int, channel: int) -> None:
-        """Assign a node's radio channel (default: everyone on channel 0)."""
+        """Assign a node's radio channel (default: everyone on channel 0).
+
+        Takes effect on RX/IDLE states at the next transmission start or end
+        anywhere on the medium, never at the retune itself.
+        """
         if not 0 <= node < self.n_nodes:
             raise ValueError(f"node {node} out of range")
-        self.channels[node] = int(channel)
+        self._channel_array[node] = int(channel)
+        self._stale = True
 
     # -- queries -------------------------------------------------------------------
 
     def airtime(self, frame: Frame) -> float:
         return transmission_time(frame.size_bytes, self.bitrate)
 
-    def in_air_power_at(self, node: int, exclude_sender: int | None = None) -> float:
+    def in_air_power_at(self, node: int) -> float:
         """Total power node currently sees from active same-channel senders."""
         total = 0.0
         ch = self.channels[node]
         for tx in self._active:
-            if tx.sender == node or tx.sender == exclude_sender:
+            if tx.sender == node:
                 continue
             if self.channels[tx.sender] != ch:
                 continue
@@ -195,37 +227,54 @@ class RadioMedium:
         self._active.append(record)
         self.tracer.emit(now, "phy_tx_start", node=sender, frame=frame.ftype.value)
         self.sim.at(record.end, self._end_transmission, record)
-        self._notify_activity()
+        self._refresh_rx_states(sender)
         return record
 
     def _end_transmission(self, record: ActiveTransmission) -> None:
         self._active.remove(record)
         now = self.sim.now
-        self.tracer.emit(now, "phy_tx_end", node=record.sender, frame=record.frame.ftype.value)
+        sender = record.sender
+        self.tracer.emit(now, "phy_tx_end", node=sender, frame=record.frame.ftype.value)
         # Deliver to every node that could decode it.
-        for node, trx in self._transceivers.items():
-            if node == record.sender:
-                continue
+        decoders = self._decoders.get(sender)
+        if decoders is None:
+            decoders = self._decoders[sender] = self._audible_from(sender)
+        for node, trx in decoders:
             outcome = self._decode_outcome(node, record, trx)
             if outcome == "ok":
                 self.tracer.emit(
                     now, "phy_rx_ok", node=node, frame=record.frame.ftype.value
                 )
-                trx.deliver(record.frame, float(self.rx_power[node, record.sender]))
+                trx.deliver(record.frame, float(self.rx_power[node, sender]))
             elif outcome == "collision":
                 self.tracer.emit(
                     now, "phy_rx_collision", node=node, frame=record.frame.ftype.value
                 )
                 trx.deliver_garbled(record.frame)
-        self._notify_activity()
+        self._refresh_rx_states(sender)
+
+    def _audible_from(self, sender: int) -> list[tuple[int, Transceiver]]:
+        """Registered radios other than *sender* hearing it above sensitivity.
+
+        Every other radio decodes the sender's frames as 'inaudible' before
+        any RNG draw, so skipping them leaves the draw order unchanged.
+        """
+        column = self.rx_power[:, sender]
+        sens = self.rx_sensitivity
+        return [
+            (node, trx)
+            for node, trx in self._transceivers.items()
+            if node != sender and column[node] >= sens
+        ]
 
     def _decode_outcome(self, node: int, record: ActiveTransmission, trx) -> str:
-        """'ok', 'collision' (audible but broken), or 'inaudible'."""
+        """'ok', 'collision' (audible but broken), or 'inaudible'.
+
+        Only called for radios above sensitivity (:meth:`_audible_from`).
+        """
         if self.channels[node] != self.channels[record.sender]:
             return "inaudible"  # tuned to a different channel
         signal = float(self.rx_power[node, record.sender])
-        if signal < self.rx_sensitivity:
-            return "inaudible"
         if not trx.listened_through(record.start, record.end):
             return "inaudible"  # asleep or transmitting; never heard it
         interference = sum(
@@ -243,6 +292,22 @@ class RadioMedium:
             return "collision"  # bursty fade: audible but undecodable
         return "ok"
 
-    def _notify_activity(self) -> None:
-        for fn in self._activity_listeners:
-            fn()
+    def _refresh_rx_states(self, sender: int) -> None:
+        """Re-evaluate RX/IDLE after *sender*'s transmission started or ended.
+
+        Only radios on the sender's channel can have seen their in-air sum
+        change.  A stale medium (retune, move or new radio since the last
+        call) re-evaluates every radio and rebuilds the channel rosters.
+        """
+        if self._stale:
+            self._stale = False
+            rosters: dict[int, list[Transceiver]] = {}
+            ch = self.channels.tolist()
+            for node, trx in self._transceivers.items():
+                rosters.setdefault(ch[node], []).append(trx)
+            self._rosters = rosters
+            roster = self._transceivers.values()
+        else:
+            roster = self._rosters.get(int(self.channels[sender]), ())
+        for trx in roster:
+            trx._refresh_rx_state()

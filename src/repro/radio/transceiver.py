@@ -57,7 +57,6 @@ class Transceiver:
         self.frames_received = 0
         self.frames_garbled = 0
         medium.register(node, self)
-        medium.add_activity_listener(self._refresh_rx_state)
 
     # -- MAC-facing API -----------------------------------------------------------
 

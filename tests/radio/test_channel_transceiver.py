@@ -218,3 +218,76 @@ def test_medium_validation():
             propagation=TwoRayGround(),
             frame_error_rate=1.5,
         )
+
+
+def test_cross_channel_frame_is_invisible():
+    # A channel-1 frame 20 m from a channel-0 listener: no delivery, no
+    # garble, no RX dwell, and carrier sense never hears it.
+    sim, medium, trx = make_medium([[0, 0], [20, 0]])
+    medium.set_channel(0, 1)
+    inbox = collect(trx[1])
+    busy = []
+    trx[0].transmit(data_frame(0))
+    sim.schedule(1e-3, lambda: busy.append(trx[1].carrier_busy()))
+    sim.run()
+    trx[1].finalize()
+    assert inbox == [] and trx[1].frames_garbled == 0
+    assert trx[1].meter.dwell_s[RadioState.RX] == 0.0
+    assert busy == [False]
+
+
+@pytest.mark.parametrize("split", [True, False])
+def test_equidistant_senders_collide_only_on_a_shared_channel(split):
+    # Receivers 2 and 3 sit halfway between senders 0 and 1 (SINR ~1 when
+    # both are heard, as in test_collision_of_equal_power_senders).  On two
+    # channels each receiver decodes its own channel's frame.
+    sim, medium, trx = make_medium([[0, 0], [100, 0], [50, 0], [50, 2]])
+    if split:
+        medium.set_channel(1, 1)
+        medium.set_channel(3, 1)
+    inbox2, inbox3 = collect(trx[2]), collect(trx[3])
+    trx[0].transmit(data_frame(0))
+    trx[1].transmit(data_frame(1))
+    sim.run()
+    if split:
+        assert [f.src for f in inbox2] == [0] and [f.src for f in inbox3] == [1]
+        assert trx[2].frames_garbled == trx[3].frames_garbled == 0
+    else:
+        assert inbox2 == inbox3 == []
+        assert trx[2].frames_garbled == trx[3].frames_garbled == 2
+
+
+def test_retune_onto_busy_channel_waits_for_next_medium_event():
+    # The medium applies a retune to RX/IDLE states lazily, at the next
+    # transmission start or end anywhere on the medium, never at the retune
+    # itself.  That timing moves energy meters, and the stored field-mobile
+    # benchmark digests depend on it.
+    sim, medium, trx = make_medium([[0, 0], [20, 0], [400, 0]])
+    medium.set_channel(0, 1)
+    medium.set_channel(2, 2)  # far away, alone on its channel
+    states = []
+
+    def probe():
+        states.append(trx[1].state)
+
+    trx[0].transmit(data_frame(0, size=250))  # 10 ms on channel 1
+    sim.schedule(1e-3, probe)
+    sim.schedule(2e-3, medium.set_channel, 1, 1)  # onto the busy channel
+    sim.schedule(3e-3, probe)
+    sim.schedule(4e-3, lambda: trx[2].transmit(data_frame(2, size=12)))
+    sim.schedule(5e-3, probe)
+    sim.run()
+    assert states == [RadioState.IDLE, RadioState.IDLE, RadioState.RX]
+
+
+def test_channels_and_powers_are_read_only():
+    # Retunes go through set_channel and moves through update_positions,
+    # which mark the medium stale so that its per-channel rosters and
+    # per-sender decode lists are rebuilt.
+    sim, medium, trx = make_medium([[0, 0], [20, 0]])
+    with pytest.raises(ValueError):
+        medium.channels[1] = 1
+    with pytest.raises(ValueError):
+        medium.rx_power[0, 1] = 0.0
+    medium.set_channel(1, 1)
+    assert medium.channels.tolist() == [0, 1]
