@@ -8,8 +8,9 @@ Four acts, all on a reduced fault-ablation grid (12 sensors, 4 cycles):
 2. the ``python -m repro.obs.campaign`` report renders progress, per-
    experiment health, and triages the failure with a copy-paste repro
    hint (trial config + cache key);
-3. a checkpointed sweep is SIGKILLed mid-flight and resumed — the
-   resumed run re-emits each journaled trial into the feed exactly once,
+3. a sweep is SIGKILLed mid-flight and resumed from its own campaign
+   feed (a fresh directory: act 1 already settled these trials) — the
+   resumed run re-emits each finished trial into the feed exactly once,
    so the merged feed reconciles duplicate-free with the trial count;
 4. a doctored wall-time outlier is appended and the MAD anomaly scanner
    flags exactly that trial, again with a repro hint.
@@ -29,7 +30,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.experiments.runner import SweepCheckpoint, Trial, TrialFailure, run_sweep
+from repro.experiments.runner import Trial, TrialFailure, run_sweep
 from repro.obs.campaign import (
     CampaignFeed,
     campaign_status,
@@ -65,29 +66,33 @@ def act_two_health_report(campaign: Path) -> None:
     assert "FAILED" in report and "run_trial(Trial(" in report
 
 
+def journaled(campaign: Path) -> int:
+    """Trials whose result the campaign feed holds: what a resume replays."""
+    slots = reduce_trials(load_feed(campaign)).values()
+    return sum(1 for slot in slots if "result" in (slot["terminal"] or {}))
+
+
 def act_three_kill_resume_exactly_once(campaign: Path) -> None:
-    print("== act 3: SIGKILL mid-sweep, resume re-emits journaled trials once ==")
-    journal = campaign / "sweep.jsonl"
+    print("== act 3: SIGKILL mid-sweep, resume re-emits finished trials once ==")
     script = (
         "from repro.experiments.runner import Trial, run_sweep\n"
         f"kwargs = {[t.kwargs for t in TRIALS]!r}\n"
         "trials = [Trial('fault_ablation', k) for k in kwargs]\n"
-        f"run_sweep(trials, checkpoint={str(journal)!r},\n"
-        f"          campaign_dir={str(campaign)!r})\n"
+        f"run_sweep(trials, campaign_dir={str(campaign)!r})\n"
     )
     proc = subprocess.Popen([sys.executable, "-c", script])
     deadline = time.monotonic() + 120.0
     while time.monotonic() < deadline:
-        if len(SweepCheckpoint(journal).load()) >= 1 or proc.poll() is not None:
+        if journaled(campaign) >= 1 or proc.poll() is not None:
             break
         time.sleep(0.05)
     if proc.poll() is None:
         os.kill(proc.pid, signal.SIGKILL)
     proc.wait(timeout=30)
-    survived = len(SweepCheckpoint(journal).load())
-    print(f"killed the sweep with {survived}/{len(TRIALS)} trials checkpointed")
+    survived = journaled(campaign)
+    print(f"killed the sweep with {survived}/{len(TRIALS)} trials in its feed")
 
-    run_sweep(TRIALS, checkpoint=journal, resume=True, campaign_dir=campaign)
+    run_sweep(TRIALS, resume=True, campaign_dir=campaign)
     records = load_feed(campaign)
     cached = [r for r in records if r["event"] == "cached"]
     assert len(cached) == survived, (len(cached), survived)
@@ -129,7 +134,7 @@ def main() -> None:
         campaign = Path(tmp) / "campaign"
         act_one_streaming_feed(campaign)
         act_two_health_report(campaign)
-        act_three_kill_resume_exactly_once(campaign)
+        act_three_kill_resume_exactly_once(Path(tmp) / "resumed")
         act_four_anomaly_forensics(campaign)
     print("\ncampaign feed: every trial accounted for, every anomaly traceable")
 

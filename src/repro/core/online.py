@@ -575,10 +575,6 @@ class OnlinePollingScheduler:
     def all_done(self) -> bool:
         return self._undelivered == 0
 
-    def expected_arrivals(self, t: int) -> list[PollRequest]:
-        """Requests whose packet should reach the head during slot *t*."""
-        return [r for r in self.pool.idle() if r.arrival_slot() == t]
-
     def _process_arrivals(self, t: int) -> None:
         """Resolve requests whose expected arrival slot has just completed."""
         self._slot_cursor = t

@@ -30,36 +30,45 @@ rides through kwargs like any grid knob (``Trial("fig7b", {"engine":
 "scalar"})``); because the engines are bit-identical (DESIGN.md §12) it
 never perturbs cached rows — only how fast misses compute.
 
-Self-healing execution
-----------------------
-Long randomized sweeps survive worker failure instead of losing hours of
-progress (DESIGN.md §8):
+Execution
+---------
+Two executors run the trials the cache and the resume journal do not hold,
+and both report the same events (``launched`` / ``retry`` / ``timeout`` /
+``completed`` / ``failed``):
 
-* ``timeout=`` / ``retries=`` run every pending trial in its **own** worker
-  process with a per-trial deadline.  A worker that raises, hangs past its
-  deadline, or dies outright (segfault, OOM-kill) is detected, its process
-  reaped, and the trial retried after bounded exponential backoff; a trial
-  that exhausts its retries is *skipped* with a structured
-  :class:`TrialFailure` in its result slot, never poisoning its neighbours.
-* ``checkpoint=`` appends every completed trial to a JSONL journal
-  (content-addressed by the trial's cache key); ``resume=True`` reloads it
-  and re-runs only what is missing.  Because a trial's rows depend only on
-  its kwargs, a sweep killed mid-flight and resumed is **bit-for-bit**
-  identical to an uninterrupted run.  A line truncated by the kill is
-  tolerated (skipped) on load.
+* **Fail-fast** (neither ``timeout=`` nor ``retries=`` set): trials run
+  in-process, or on a fork :class:`multiprocessing.pool.Pool` when
+  ``processes`` > 1.  The pool gets a trial only when one of its workers
+  is free.  The first trial that raises stops the sweep, and its own
+  exception propagates, as ``Pool.map`` would raise it.
+* **Healing** (``timeout=`` or ``retries=`` set, DESIGN.md §8): every
+  attempt forks its own worker process with a per-trial deadline.  A
+  worker that raises, hangs past its deadline, or dies outright
+  (segfault, OOM-kill) is reaped and the trial retried after bounded
+  exponential backoff; a trial that exhausts its retries settles as a
+  structured :class:`TrialFailure` in its result slot, never poisoning its
+  neighbours.
 
-Campaign observability
-----------------------
-``campaign_dir=`` streams one fsynced JSONL record per trial event
-(``launched`` / ``retry`` / ``timeout`` / ``cached`` / ``completed`` /
-``failed``) into a :class:`repro.obs.campaign.CampaignFeed` so a running
-sweep can be watched, health-checked, and forensically examined without
-touching its results (``python -m repro.obs.campaign <dir>``).  Every
-execution path emits: the parent for cache hits, journal resume, and the
-resilient executor; each pool worker writes its **own** feed shard.  A
-trial satisfied from the cache *and* the journal emits its ``cached``
-record exactly once (the slot's done-flag guards both sources), so a
-killed-and-resumed campaign feed stays duplicate-free per run.
+Campaign feed and resume
+------------------------
+``campaign_dir=`` streams one fsynced JSONL record per trial event into a
+:class:`repro.obs.campaign.CampaignFeed`, so a running sweep can be
+watched, health-checked, and forensically examined
+(``python -m repro.obs.campaign <dir>``).  The parent process writes every
+record.  The feed is also the sweep's resume journal: ``completed`` and
+``cached`` records carry the trial's result and its telemetry summary,
+and a failure the healing executor settled is marked ``settled``.
+``resume=True`` replays each trial whose latest terminal record holds a
+result or a settled failure and runs every other trial, including one
+whose fail-fast run raised.  Keys are content-addressed and a trial's
+rows depend only on its kwargs, so a sweep killed mid-flight and resumed
+is **bit-for-bit** identical to an uninterrupted one; a line torn by the
+kill is skipped on load.
+
+Every outcome (cache hit, resume replay, fresh completion, settled
+failure) is settled in one place, which fills the result slot, caches a
+fresh result, writes the feed record and folds the telemetry summary.  A
+trial found in both the cache and the journal is settled once.
 ``campaign_dir=None`` (default) constructs nothing — the bit-for-bit
 contract of the rest of :mod:`repro.obs` applies.
 """
@@ -70,6 +79,7 @@ import hashlib
 import importlib
 import json
 import os
+import queue
 import sys
 import tempfile
 import time
@@ -84,7 +94,6 @@ __all__ = [
     "Trial",
     "TrialFailure",
     "SweepCache",
-    "SweepCheckpoint",
     "code_version",
     "resolve_experiment",
     "run_trial",
@@ -306,61 +315,6 @@ class TrialFailure:
         )
 
 
-class SweepCheckpoint:
-    """Append-only JSONL journal of completed trials for crash-safe resume.
-
-    One line per completed trial: ``{"key": <cache key>, "result": ...}`` or
-    ``{"key": ..., "failure": {...}}``.  Appends are single ``write`` calls
-    flushed to disk, so a SIGKILL can truncate at most the final line —
-    :meth:`load` skips unparsable lines, sacrificing at worst one trial of
-    progress.  Keys are content-addressed (experiment, kwargs, code
-    version), so a checkpoint never resumes stale results across code edits
-    and is indifferent to trial order.
-    """
-
-    def __init__(self, path: str | os.PathLike):
-        self.path = Path(path)
-
-    def load(self) -> dict[str, dict[str, Any]]:
-        """Map of cache key -> journal record, tolerating a truncated tail."""
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return {}
-        entries: dict[str, dict[str, Any]] = {}
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # the line the kill cut short
-            if isinstance(record, dict) and isinstance(record.get("key"), str):
-                entries[record["key"]] = record
-        return entries
-
-    def append(
-        self,
-        key: str,
-        result: Any = None,
-        failure: TrialFailure | None = None,
-        telemetry: dict[str, Any] | None = None,
-    ) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        record: dict[str, Any] = {"key": key}
-        if failure is not None:
-            record["failure"] = failure.as_dict()
-        else:
-            record["result"] = result
-            if telemetry is not None:
-                record["telemetry"] = telemetry
-        line = json.dumps(record, sort_keys=True) + "\n"
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line)
-            fh.flush()
-            os.fsync(fh.fileno())
-
-
 def run_trial(trial: Trial) -> Any:
     """Execute one trial in-process and return its normalized result.
 
@@ -373,7 +327,7 @@ def run_trial(trial: Trial) -> Any:
 def _peak_rss_kb() -> int | None:
     """This process's memory high-water mark in KiB (None off-Unix).
 
-    In a resilient fork the number is trial-accurate (one trial per
+    In a healing fork the number is trial-accurate (one trial per
     process); in a reused pool worker it is the worker's running maximum —
     still enough for the campaign monitor to spot a leaking trial family.
     """
@@ -412,49 +366,71 @@ def run_trial_with_summary(trial: Trial) -> tuple[Any, dict[str, Any]]:
     return result, summary
 
 
-def _run_trial_feed(args: tuple[Trial, str, str]) -> tuple[Any, dict[str, Any]]:
-    """Pool/in-process worker body that streams its own campaign records.
+def _describe(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
-    Each worker process constructs its own :class:`CampaignFeed` (own shard
-    file — concurrent writers never share a file descriptor) and brackets
-    the trial with ``launched`` / ``completed``, or a ``failed`` record if
-    the trial raises (the exception still propagates, preserving the
-    non-resilient path's fail-fast semantics).
 
-    Top-level so it pickles for pool workers.
+def _run_fail_fast(
+    pending: list[tuple[int, Trial]],
+    processes: int | None,
+    run: Callable[[Trial], Any],
+    report: Callable[..., None],
+) -> None:
+    """Run trials in-process, or on a fork pool when ``processes`` > 1.
+
+    The pool is handed a trial only when one of its workers is free, and
+    ``launched`` is reported as the trial is handed over.  The first trial
+    that raises is reported ``failed`` and its own exception re-raised;
+    the trials still in flight are reported ``failed`` too, because
+    leaving the pool terminates them.
     """
-    from ..obs.campaign import CampaignFeed
+    if processes is None or processes <= 1 or len(pending) <= 1:
+        for slot, trial in pending:
+            report("launched", slot, 1)
+            try:
+                outcome = run(trial)
+            except BaseException as exc:  # noqa: BLE001 - record, then re-raise
+                report("failed", slot, 1, error=_describe(exc), attempts=1)
+                raise
+            report("completed", slot, 1, outcome=outcome)
+        return
+    finished: queue.SimpleQueue = queue.SimpleQueue()
+    todo = deque(pending)
+    in_flight: set[int] = set()
+    with get_context("fork").Pool(processes=processes) as pool:
+        try:
+            while todo or in_flight:
+                while todo and len(in_flight) < processes:
+                    slot, trial = todo.popleft()
+                    report("launched", slot, 1)
+                    in_flight.add(slot)
+                    pool.apply_async(
+                        run,
+                        (trial,),
+                        callback=lambda out, slot=slot: finished.put((slot, True, out)),
+                        error_callback=lambda exc, slot=slot: finished.put((slot, False, exc)),
+                    )
+                slot, ok, payload = finished.get()
+                in_flight.discard(slot)
+                if not ok:
+                    report("failed", slot, 1, error=_describe(payload), attempts=1)
+                    raise payload
+                report("completed", slot, 1, outcome=payload)
+        except BaseException as exc:  # noqa: BLE001 - record, then re-raise
+            for slot in sorted(in_flight):
+                report("failed", slot, 1, error=f"stopped by {_describe(exc)}", attempts=1)
+            raise
 
-    trial, feed_root, run_id = args
-    feed = CampaignFeed(feed_root, run_id=run_id)
-    key = trial.cache_key()
-    kwargs = _jsonify(trial.kwargs)
-    feed.emit_trial("launched", key, trial.experiment, kwargs, attempt=1)
-    try:
-        result, summary = run_trial_with_summary(trial)
-    except BaseException as exc:  # noqa: BLE001 - record, then re-raise
-        feed.emit_trial(
-            "failed",
-            key,
-            trial.experiment,
-            kwargs,
-            error=f"{type(exc).__name__}: {exc}",
-            attempts=1,
-        )
-        raise
-    feed.emit_trial("completed", key, trial.experiment, kwargs, summary=summary)
-    return result, summary
 
-
-def _resilient_child(conn, trial: Trial, with_summary: bool = False) -> None:
-    """Worker body for the self-healing executor (top-level: must pickle)."""
+def _healing_child(conn, trial: Trial, with_summary: bool) -> None:
+    """Worker body for the healing executor (top-level: must pickle)."""
     try:
         result = (
             run_trial_with_summary(trial) if with_summary else run_trial(trial)
         )
     except BaseException as exc:  # noqa: BLE001 - report, parent decides
         try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
+            conn.send(("error", _describe(exc)))
         finally:
             conn.close()
         return
@@ -462,45 +438,35 @@ def _resilient_child(conn, trial: Trial, with_summary: bool = False) -> None:
     conn.close()
 
 
-def _run_resilient(
+def _run_healing(
     pending: list[tuple[int, Trial]],
     processes: int,
     timeout: float | None,
     retries: int,
     backoff_base: float,
     backoff_max: float,
-    on_complete: Callable[[int, Trial, Any, int], None],
-    with_summary: bool = False,
-    on_event: Callable[..., None] | None = None,
-) -> dict[int, Any]:
+    with_summary: bool,
+    report: Callable[..., None],
+) -> None:
     """Run trials in single-trial worker processes with healing.
 
-    Each trial forks its own worker, so a crash or SIGKILL takes down one
+    Each attempt forks its own worker, so a crash or SIGKILL takes down one
     attempt, not a shared pool; a hung worker is terminated at its deadline.
     Failures are retried up to *retries* times with bounded exponential
     backoff (``backoff_base * 2**(attempt-1)``, capped at ``backoff_max``
-    seconds), then settled as :class:`TrialFailure`.  ``on_complete`` fires
-    as each slot settles (the checkpoint/cache hook); ``on_event`` fires on
-    every lifecycle transition (``launched`` / ``timeout`` / ``retry`` —
-    the campaign-feed hook).  Returns slot -> result-or-failure.
+    seconds), then reported ``failed`` with the settled
+    :class:`TrialFailure`.
     """
     ctx = get_context("fork")
-
-    def event(name: str, slot: int, trial: Trial, attempt: int, **info) -> None:
-        if on_event is not None:
-            on_event(name, slot, trial, attempt, **info)
-    ready: deque[tuple[int, Trial, int]] = deque(
-        (slot, trial, 1) for slot, trial in pending
-    )
+    ready = deque((slot, trial, 1) for slot, trial in pending)
     parked: list[tuple[float, int, Trial, int]] = []  # (not_before, slot, trial, attempt)
     running: dict[Any, tuple[Any, int, Trial, int, float | None]] = {}
-    out: dict[int, Any] = {}
     workers = max(1, processes)
 
     def launch(slot: int, trial: Trial, attempt: int) -> None:
         parent_conn, child_conn = ctx.Pipe(duplex=False)
         proc = ctx.Process(
-            target=_resilient_child,
+            target=_healing_child,
             args=(child_conn, trial, with_summary),
             daemon=True,
         )
@@ -508,31 +474,20 @@ def _run_resilient(
         child_conn.close()
         deadline = None if timeout is None else time.monotonic() + timeout
         running[parent_conn] = (proc, slot, trial, attempt, deadline)
-        event("launched", slot, trial, attempt)
+        report("launched", slot, attempt)
 
-    def settle_failure(slot: int, trial: Trial, attempt: int, error: str, timed_out: bool) -> None:
+    def retry_or_give_up(
+        slot: int, trial: Trial, attempt: int, error: str, timed_out: bool
+    ) -> None:
         if attempt <= retries:
             delay = min(backoff_max, backoff_base * (2 ** (attempt - 1)))
             parked.append((time.monotonic() + delay, slot, trial, attempt + 1))
-            event(
-                "retry",
-                slot,
-                trial,
-                attempt,
-                error=error,
-                timed_out=timed_out,
-                next_delay_s=delay,
-            )
+            report("retry", slot, attempt, error=error, timed_out=timed_out, next_delay_s=delay)
             return
         failure = TrialFailure(
-            experiment=trial.experiment,
-            kwargs=_jsonify(trial.kwargs),
-            error=error,
-            attempts=attempt,
-            timed_out=timed_out,
+            trial.experiment, _jsonify(trial.kwargs), error, attempts=attempt, timed_out=timed_out
         )
-        out[slot] = failure
-        on_complete(slot, trial, failure, attempt)
+        report("failed", slot, attempt, failure=failure)
 
     while ready or parked or running:
         now = time.monotonic()
@@ -568,10 +523,9 @@ def _run_resilient(
             conn.close()
             proc.join()
             if status == "ok":
-                out[slot] = payload
-                on_complete(slot, trial, payload, attempt)
+                report("completed", slot, attempt, outcome=payload)
             else:
-                settle_failure(slot, trial, attempt, payload, timed_out=False)
+                retry_or_give_up(slot, trial, attempt, payload, timed_out=False)
         now = time.monotonic()
         for conn, (proc, slot, trial, attempt, deadline) in list(running.items()):
             if deadline is not None and now >= deadline:
@@ -579,15 +533,9 @@ def _run_resilient(
                 proc.terminate()
                 proc.join()
                 conn.close()
-                event("timeout", slot, trial, attempt, timeout_s=timeout)
-                settle_failure(
-                    slot,
-                    trial,
-                    attempt,
-                    f"timed out after {timeout}s",
-                    timed_out=True,
-                )
-    return out
+                report("timeout", slot, attempt, timeout_s=timeout)
+                error = f"timed out after {timeout}s"
+                retry_or_give_up(slot, trial, attempt, error, timed_out=True)
 
 
 def run_sweep(
@@ -599,7 +547,6 @@ def run_sweep(
     retries: int = 0,
     backoff_base: float = 0.5,
     backoff_max: float = 8.0,
-    checkpoint: str | os.PathLike | SweepCheckpoint | None = None,
     resume: bool = False,
     telemetry: Any | None = None,
     campaign_dir: str | os.PathLike | None = None,
@@ -611,7 +558,7 @@ def run_sweep(
     runs them in-process.  Passing ``cache_dir`` (or a prebuilt ``cache``)
     enables the on-disk result cache; hits skip execution entirely.
 
-    Self-healing knobs (any of which switch execution to isolated
+    Self-healing knobs (either switches execution to isolated
     single-trial worker processes — see the module docstring):
 
     timeout:
@@ -621,242 +568,145 @@ def run_sweep(
         extra attempts per trial after a raise / hang / worker death, with
         bounded exponential backoff; an exhausted trial settles as a
         :class:`TrialFailure` in its result slot.
-    checkpoint:
-        path (or prebuilt :class:`SweepCheckpoint`) of the JSONL journal
-        recording each completed trial as it finishes.
     resume:
-        reload the checkpoint and skip trials it already holds.  Results
-        depend only on trial kwargs, so a killed-and-resumed sweep is
-        bit-for-bit identical to an uninterrupted one.
+        replay the trials ``campaign_dir``'s feed already settled (a result
+        or a settled failure) and run the rest.  Results depend only on
+        trial kwargs, so a killed-and-resumed sweep is bit-for-bit
+        identical to an uninterrupted one.  Requires ``campaign_dir``.
     telemetry:
         an enabled :class:`repro.obs.Telemetry` collector to aggregate the
         sweep into.  Each trial then runs under its own fresh collector
         (workers included — summaries cross the fork pipe as plain JSON)
         and its digest is folded into this one with ``merge_summary``;
-        cached and checkpointed trials contribute the summary stored with
+        cached and resumed trials contribute the summary stored with
         their entry, so aggregation is stable across cache hits and
         resumes.  Adds ``runner.trials`` / ``runner.cache_hits`` /
         ``runner.failures`` counters and a ``runner.trial_wall_s``
         histogram.  ``None`` (the default) changes nothing.
     campaign_dir:
-        directory for the streaming campaign feed (see the module
-        docstring and :mod:`repro.obs.campaign`).  One fsynced JSONL
-        record per trial event, watchable live with
-        ``python -m repro.obs.campaign <dir>``.  ``None`` (the default)
-        emits nothing and is bit-for-bit free.
+        directory for the streaming campaign feed, which is also the
+        resume journal (see the module docstring and
+        :mod:`repro.obs.campaign`).  One fsynced JSONL record per trial
+        event, watchable live with ``python -m repro.obs.campaign <dir>``.
+        ``None`` (the default) emits nothing and is bit-for-bit free.
     """
     if cache is None and cache_dir is not None:
         cache = SweepCache(cache_dir)
-    if resume and checkpoint is None:
-        raise ValueError("resume=True requires a checkpoint path")
-    journal: SweepCheckpoint | None = None
-    if checkpoint is not None:
-        journal = (
-            checkpoint
-            if isinstance(checkpoint, SweepCheckpoint)
-            else SweepCheckpoint(checkpoint)
-        )
+    if resume and campaign_dir is None:
+        raise ValueError("resume=True requires a campaign_dir to resume from")
     feed = None
     if campaign_dir is not None:
         from ..obs.campaign import CampaignFeed
 
         feed = CampaignFeed(campaign_dir)
-    resilient = timeout is not None or retries > 0 or journal is not None
     collect = telemetry is not None and getattr(telemetry, "enabled", False)
     # The feed wants per-trial wall/RSS/metric snapshots even when no
     # sweep-level collector is aggregating, so summaries ride along in
     # either case (telemetry inside a trial never perturbs its results).
     want_summary = collect or feed is not None
 
-    def absorb(summary: dict[str, Any] | None, cached: bool = False) -> None:
-        """Fold one trial's digest into the sweep collector."""
-        if not collect:
-            return
-        metrics = telemetry.metrics
-        metrics.counter("runner.trials").inc()
-        if cached:
-            metrics.counter("runner.cache_hits").inc()
-        if summary:
-            telemetry.merge_summary(summary)
-            wall = summary.get("wall_s")
-            if wall is not None:
-                metrics.histogram("runner.trial_wall_s").observe(float(wall))
-
     results: list[Any] = [None] * len(trials)
-    need_keys = cache is not None or journal is not None or feed is not None
-    code = code_version() if need_keys else None
+    done = [False] * len(trials)
+    code = code_version() if cache is not None or feed is not None else None
     keys: list[str | None] = [
-        trial.cache_key(code) if need_keys else None for trial in trials
+        None if code is None else trial.cache_key(code) for trial in trials
     ]
+
+    def record(event: str, idx: int, **fields: Any) -> None:
+        """Append one trial-scoped record to the feed, when there is one."""
+        if feed is not None:
+            trial = trials[idx]
+            feed.emit_trial(event, keys[idx], trial.experiment, _jsonify(trial.kwargs), **fields)
+
+    def settle(
+        idx: int,
+        event: str,
+        result: Any = None,
+        summary: dict[str, Any] | None = None,
+        failure: TrialFailure | None = None,
+        **fields: Any,
+    ) -> None:
+        """Settle one trial: fill its slot, cache a fresh result, write its
+        feed record and fold its summary into the collector."""
+        done[idx] = True
+        metrics = telemetry.metrics if collect else None
+        if metrics is not None:
+            metrics.counter("runner.trials").inc()
+        if failure is not None:
+            results[idx] = failure
+            if metrics is not None:
+                metrics.counter("runner.failures").inc()
+            if feed is not None:
+                feed.emit("failed", keys[idx], **failure.as_dict(), settled=True, **fields)
+            return
+        results[idx] = result
+        if event == "completed" and cache is not None:
+            cache.put(keys[idx], trials[idx], result, telemetry=summary)
+        if metrics is not None:
+            if event == "cached":
+                metrics.counter("runner.cache_hits").inc()
+            if summary:
+                telemetry.merge_summary(summary)
+                wall = summary.get("wall_s")
+                if wall is not None:
+                    metrics.histogram("runner.trial_wall_s").observe(float(wall))
+        # The raw summary goes in too, so that a resume can replay it.
+        record(event, idx, summary=summary, result=result, telemetry=summary, **fields)
+
+    def report(
+        event: str,
+        idx: int,
+        attempt: int,
+        outcome: Any = None,
+        failure: TrialFailure | None = None,
+        **info: Any,
+    ) -> None:
+        """The executors' event sink: outcomes settle, the rest is fed."""
+        if event == "completed":
+            result, summary = outcome if want_summary else (outcome, None)
+            settle(idx, event, result, summary, attempt=attempt)
+        elif failure is not None:
+            settle(idx, event, failure=failure)
+        else:
+            record(event, idx, attempt=attempt, **info)
 
     if feed is not None:
         feed.emit(
-            "sweep-start",
-            None,
-            trials=len(trials),
-            experiments=sorted({t.experiment for t in trials}),
-            resume=bool(resume),
+            "sweep-start", None, trials=len(trials),
+            experiments=sorted({t.experiment for t in trials}), resume=bool(resume),
         )
-
-    # A trial satisfied by the cache *and* the journal must contribute to
-    # aggregation — and emit its campaign ``cached`` record — exactly once:
-    # the done-flag set by the cache pass guards the resume pass below.
-    done = [False] * len(trials)
+    # The cache pass runs first; the done flags it sets guard the resume
+    # pass, so a trial found in both is settled (and fed) exactly once.
     if cache is not None:
         for idx, key in enumerate(keys):
             entry = cache.get_entry(key)
             if entry is not None:
-                results[idx] = entry["result"]
-                done[idx] = True
-                absorb(entry.get("telemetry"), cached=True)
-                if feed is not None:
-                    feed.emit_trial(
-                        "cached",
-                        key,
-                        trials[idx].experiment,
-                        _jsonify(trials[idx].kwargs),
-                        summary=entry.get("telemetry"),
-                        source="cache",
-                    )
-    if journal is not None and resume:
-        completed = journal.load()
+                settle(idx, "cached", entry["result"], entry.get("telemetry"), source="cache")
+    if resume:
+        from ..obs.campaign import load_feed, reduce_trials
+
+        journal = reduce_trials(load_feed(campaign_dir))
         for idx, key in enumerate(keys):
-            if done[idx] or key not in completed:
+            term = journal[key]["terminal"] if key in journal else None
+            if done[idx] or term is None:
                 continue
-            record = completed[key]
-            if "failure" in record:
-                failure = TrialFailure.from_dict(record["failure"])
-                results[idx] = failure
-                if collect:
-                    telemetry.metrics.counter("runner.trials").inc()
-                    telemetry.metrics.counter("runner.failures").inc()
-                if feed is not None:
-                    feed.emit_trial(
-                        "failed",
-                        key,
-                        failure.experiment,
-                        failure.kwargs,
-                        error=failure.error,
-                        attempts=failure.attempts,
-                        timed_out=failure.timed_out,
-                        source="journal",
-                    )
-            else:
-                results[idx] = record["result"]
-                absorb(record.get("telemetry"), cached=True)
-                if feed is not None:
-                    feed.emit_trial(
-                        "cached",
-                        key,
-                        trials[idx].experiment,
-                        _jsonify(trials[idx].kwargs),
-                        summary=record.get("telemetry"),
-                        source="journal",
-                    )
-            done[idx] = True
+            if "result" in term:
+                settle(idx, "cached", term["result"], term.get("telemetry"), source="journal")
+            elif term.get("settled"):
+                settle(idx, "failed", failure=TrialFailure.from_dict(term), source="journal")
 
-    pending = [(idx, trials[idx]) for idx in range(len(trials)) if not done[idx]]
-
-    if resilient:
-        def on_complete(idx: int, trial: Trial, outcome: Any, attempt: int = 1) -> None:
-            if isinstance(outcome, TrialFailure):
-                if journal is not None:
-                    journal.append(keys[idx], failure=outcome)
-                if collect:
-                    telemetry.metrics.counter("runner.trials").inc()
-                    telemetry.metrics.counter("runner.failures").inc()
-                if feed is not None:
-                    feed.emit_trial(
-                        "failed",
-                        keys[idx],
-                        outcome.experiment,
-                        outcome.kwargs,
-                        error=outcome.error,
-                        attempts=outcome.attempts,
-                        timed_out=outcome.timed_out,
-                    )
-                return
-            summary: dict[str, Any] | None = None
-            if want_summary:
-                outcome, summary = outcome
-                absorb(summary)
-            if cache is not None:
-                cache.put(keys[idx], trial, outcome, telemetry=summary)
-            if journal is not None:
-                journal.append(keys[idx], result=outcome, telemetry=summary)
-            if feed is not None:
-                feed.emit_trial(
-                    "completed",
-                    keys[idx],
-                    trial.experiment,
-                    _jsonify(trial.kwargs),
-                    summary=summary,
-                    attempt=attempt,
-                )
-
-        def on_event(name: str, idx: int, trial: Trial, attempt: int, **info) -> None:
-            if feed is not None:
-                feed.emit_trial(
-                    name,
-                    keys[idx],
-                    trial.experiment,
-                    _jsonify(trial.kwargs),
-                    attempt=attempt,
-                    **info,
-                )
-
-        fresh_by_idx = _run_resilient(
-            pending,
-            processes=processes or 1,
-            timeout=timeout,
-            retries=retries,
-            backoff_base=backoff_base,
-            backoff_max=backoff_max,
-            on_complete=on_complete,
-            with_summary=want_summary,
-            on_event=on_event if feed is not None else None,
+    pending = [(idx, trial) for idx, trial in enumerate(trials) if not done[idx]]
+    if timeout is not None or retries > 0:
+        _run_healing(
+            pending, processes or 1, timeout, retries, backoff_base, backoff_max,
+            want_summary, report,
         )
-        for idx, outcome in fresh_by_idx.items():
-            if want_summary and not isinstance(outcome, TrialFailure):
-                outcome = outcome[0]
-            results[idx] = outcome
-        if feed is not None:
-            feed.emit(
-                "sweep-end",
-                None,
-                trials=len(trials),
-                failures=sum(1 for r in results if isinstance(r, TrialFailure)),
-            )
-        return results
-
-    todo = [trial for _, trial in pending]
-    if feed is not None:
-        feed_args = [(trial, str(feed.root), feed.run_id) for trial in todo]
-        if processes is not None and processes > 1 and len(todo) > 1:
-            ctx = get_context("fork")
-            with ctx.Pool(processes=processes) as pool:
-                fresh = pool.map(_run_trial_feed, feed_args)
-        else:
-            fresh = [_run_trial_feed(args) for args in feed_args]
     else:
-        runner = run_trial_with_summary if want_summary else run_trial
-        if processes is not None and processes > 1 and len(todo) > 1:
-            ctx = get_context("fork")
-            with ctx.Pool(processes=processes) as pool:
-                fresh = pool.map(runner, todo)
-        else:
-            fresh = [runner(trial) for trial in todo]
-
-    for (idx, trial), outcome in zip(pending, fresh):
-        summary = None
-        if want_summary:
-            outcome, summary = outcome
-            absorb(summary)
-        results[idx] = outcome
-        if cache is not None:
-            cache.put(keys[idx], trial, outcome, telemetry=summary)
+        run = run_trial_with_summary if want_summary else run_trial
+        _run_fail_fast(pending, processes, run, report)
     if feed is not None:
-        feed.emit("sweep-end", None, trials=len(trials), failures=0)
+        failures = sum(1 for r in results if isinstance(r, TrialFailure))
+        feed.emit("sweep-end", None, trials=len(trials), failures=failures)
     return results
 
 
@@ -869,7 +719,6 @@ def run_figure(
     cache: SweepCache | None = None,
     timeout: float | None = None,
     retries: int = 0,
-    checkpoint: str | os.PathLike | SweepCheckpoint | None = None,
     resume: bool = False,
     telemetry: Any | None = None,
     campaign_dir: str | os.PathLike | None = None,
@@ -882,7 +731,7 @@ def run_figure(
     do), so ``run_figure("fig7b", "offered_loads", [a, b], seed=0)`` is
     row-for-row identical to ``fig7b.run(offered_loads=(a, b), seed=0)``.
 
-    ``timeout``/``retries``/``checkpoint``/``resume`` pass through to
+    ``timeout``/``retries``/``resume``/``campaign_dir`` pass through to
     :func:`run_sweep`; a grid point whose trial settles as a
     :class:`TrialFailure` raises here because a figure cannot be flattened
     with a hole in it.
@@ -898,7 +747,6 @@ def run_figure(
         cache=cache,
         timeout=timeout,
         retries=retries,
-        checkpoint=checkpoint,
         resume=resume,
         telemetry=telemetry,
         campaign_dir=campaign_dir,

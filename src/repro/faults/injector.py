@@ -318,11 +318,3 @@ class FaultInjector:
             for e in self.events
             if e.kind in ("crash", "battery-death")
         }
-
-    def churn_times(self) -> dict[int, tuple[str, float]]:
-        """node -> ("join" | "leave", time) for every churn event."""
-        return {
-            e.node: (e.kind, e.time)
-            for e in self.events
-            if e.kind in ("join", "leave")
-        }

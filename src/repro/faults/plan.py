@@ -315,11 +315,6 @@ class FaultPlan:
             and self.channel_drift is None
         )
 
-    @property
-    def is_dynamic(self) -> bool:
-        """Does the plan change the network graph itself (churn/mobility)?"""
-        return bool(self.joins or self.leaves or self.mobility is not None)
-
     def faulted_nodes(self) -> set[int]:
         """Every sensor the plan can possibly kill, stun, or remove."""
         return (

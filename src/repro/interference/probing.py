@@ -44,10 +44,6 @@ class GroupTableOracle(CompatibilityOracle):
     def _group_compatible(self, links: Sequence[Link]) -> bool:
         return self._table.get(frozenset(map(tuple, links)), False)
 
-    @property
-    def table_size(self) -> int:
-        return len(self._table)
-
 
 def probe_connectivity(
     truth: CompatibilityOracle, n_sensors: int

@@ -79,11 +79,6 @@ class ActiveTimeResult:
         total_span = sum(r.period for r in recs)
         return min(1.0, total_duty / total_span) if total_span > 0 else 1.0
 
-    @property
-    def mean_data_slots(self) -> float:
-        recs = self.cycles[self.config.warmup_cycles :] or self.cycles
-        return float(np.mean([r.data_slots for r in recs])) if recs else 0.0
-
 
 def simulate_active_time(config: ActiveTimeConfig = ActiveTimeConfig()) -> ActiveTimeResult:
     """Run the slot-level protocol model for *n_cycles* duty cycles."""

@@ -122,15 +122,6 @@ class AvailabilityReport:
             return math.inf
         return self.median_time_to_recover / self.cycle_length
 
-    @property
-    def total_downtime(self) -> float:
-        """Summed per-fault downtime (inf if any fault never recovered)."""
-        return sum(r.downtime for r in self.recoveries)
-
-    @property
-    def unrecovered(self) -> int:
-        return sum(1 for r in self.recoveries if r.recovered_at is None)
-
 
 def availability_report(
     mac: "PollingClusterMac",

@@ -25,10 +25,6 @@ class EnergyReport:
     head_consumed_j: float
 
     @property
-    def total_sensor_energy_j(self) -> float:
-        return float(self.consumed_j.sum())
-
-    @property
     def max_sensor_energy_j(self) -> float:
         return float(self.consumed_j.max()) if self.consumed_j.size else 0.0
 

@@ -9,14 +9,16 @@ that read it:
 * :class:`CampaignFeed` — the **writer**.  ``run_sweep(...,
   campaign_dir=...)`` appends one fsynced JSONL record per trial event
   (``launched`` / ``retry`` / ``timeout`` / ``cached`` / ``completed`` /
-  ``failed``) plus ``sweep-start`` / ``sweep-end`` brackets.  Every writer
-  (the parent runner, each pool worker) owns its **own shard file** named
-  by host fingerprint and pid, so concurrent writers — including workers
-  on different machines sharing a network filesystem — never interleave a
-  line.  Appends are single ``write`` calls flushed and fsynced, exactly
-  the :class:`~repro.experiments.runner.SweepCheckpoint` discipline: a
-  SIGKILL can tear at most the final line of one shard, and
-  :func:`load_feed` skips torn lines on read.
+  ``failed``) plus ``sweep-start`` / ``sweep-end`` brackets, all written
+  by the sweep's parent process.  The feed is also the sweep's resume
+  journal: ``completed`` and ``cached`` records carry the trial's
+  ``result`` and raw ``telemetry`` summary, and a failure the runner
+  settled is marked ``settled``.  Every writer owns its **own shard
+  file** named by host fingerprint and pid, so concurrent sweeps —
+  including runners on different machines sharing a network filesystem —
+  never interleave a line.  Appends are single ``write`` calls flushed
+  and fsynced: a SIGKILL can tear at most the final line of one shard,
+  and :func:`load_feed` skips torn lines on read.
 * :func:`load_feed` / :func:`campaign_status` — the **monitor**.  Loading
   merges every shard under one (or several) campaign directories and the
   status rollup reduces the event stream to per-trial terminal states:
@@ -160,20 +162,18 @@ class CampaignFeed:
     """Append-only, crash-tolerant event log for one campaign directory.
 
     Each instance appends to a shard private to this (host, pid), so any
-    number of concurrent writers — pool workers, resilient forks, runners
-    on other machines pointed at the same directory — stay torn-tail
+    number of concurrent writers — sweeps in other processes, runners on
+    other machines pointed at the same directory — stay torn-tail
     isolated from each other.  Records carry ``(t, seq, run, host, pid)``
     so a merged read can order them and attribute every event.
     """
 
-    def __init__(self, root: str | os.PathLike, run_id: str | None = None):
+    def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.host = host_fingerprint()["id"]
         self.pid = os.getpid()
-        if run_id is None:
-            run_id = f"{int(time.time() * 1e3):012x}-{self.pid}"
-        self.run_id = run_id
+        self.run_id = f"{int(time.time() * 1e3):012x}-{self.pid}"
         self.path = self.root / f"feed-{self.host}-{self.pid}.jsonl"
         self._seq = 0
 
@@ -222,7 +222,7 @@ def load_feed(
     """Merge every ``feed-*.jsonl`` shard under one or more campaign dirs.
 
     Tolerates torn tails (a line cut short by SIGKILL mid-write), blank
-    lines, and junk records, mirroring :meth:`SweepCheckpoint.load`.
+    lines, and junk records, so a killed sweep's feed still resumes.
     Records come back sorted by ``(t, seq)`` — a stable global order good
     enough for progress accounting (writers stamp wall clocks that may skew
     across hosts; per-key reduction tolerates that).

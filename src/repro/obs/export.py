@@ -83,7 +83,7 @@ def load_jsonl(path: str | os.PathLike) -> dict[str, Any]:
     """Load a JSONL trace back into ``{"meta", "spans", "timeline", "cycles"}``.
 
     Unparsable lines (a tail truncated by a crash) are skipped, mirroring
-    the sweep checkpoint's tolerance.
+    the campaign feed's tolerance.
     """
     meta: dict[str, Any] = {}
     spans: list[dict[str, Any]] = []

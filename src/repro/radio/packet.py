@@ -77,7 +77,3 @@ class Frame:
     size_bytes: int
     payload: Any = None
     frame_id: int = field(default_factory=lambda: next(_frame_ids))
-
-    @property
-    def is_broadcast(self) -> bool:
-        return self.dst == BROADCAST_ADDR

@@ -220,8 +220,3 @@ class AodvAgent:
         for dest in list(self.routes):
             if self.routes[dest].expires_at <= now:
                 del self.routes[dest]
-
-    def forget_rreqs(self, keep_last: int = 256) -> None:
-        """Bound the duplicate-suppression cache (long simulations)."""
-        if len(self._seen_rreqs) > keep_last:
-            self._seen_rreqs = set(list(self._seen_rreqs)[-keep_last:])

@@ -70,11 +70,6 @@ class BackupRoutes:
                 return path
         return None
 
-    @property
-    def n_covered(self) -> int:
-        """Sensors that actually have at least one backup path."""
-        return sum(1 for paths in self.backups.values() if paths)
-
 
 def _build_unit_network(
     cluster: Cluster,

@@ -100,10 +100,6 @@ class FlowNetwork:
     def edge_flow(self, edge_id: int) -> int:
         return self._edges[edge_id].flow
 
-    def edge_residual(self, edge_id: int) -> int:
-        e = self._edges[edge_id]
-        return e.cap - e.flow
-
     def out_edges(self, u: int) -> list[int]:
         """Ids of *forward* edges leaving u (even ids only).
 

@@ -67,3 +67,16 @@ def flaky(counter_path: str, fail_times: int = 1, value: int = 0) -> dict:
     if attempts <= fail_times:
         raise RuntimeError(f"flaky attempt {attempts} of {fail_times} failing")
     return {"value": value, "attempts": attempts}
+
+
+def interrupted(counter_path: str, interrupt_times: int = 1, value: int = 0) -> dict:
+    """Raise ``KeyboardInterrupt`` (a Ctrl-C inside the trial) on the first
+    *interrupt_times* attempts, then succeed; attempts are counted in
+    *counter_path* as in :func:`flaky`."""
+    with open(counter_path, "ab") as fh:
+        fh.write(b"x")
+        fh.flush()
+    attempts = os.path.getsize(counter_path)
+    if attempts <= interrupt_times:
+        raise KeyboardInterrupt(f"interrupted attempt {attempts}")
+    return {"value": value, "attempts": attempts}

@@ -1,7 +1,7 @@
 """Campaign feed integration with the sweep runner (every execution path).
 
 The feed must capture trial lifecycles from the in-process loop, the fork
-pool (each worker writing its own shard), the resilient executor (retries,
+pool (every record written by the parent), the healing executor (retries,
 timeouts, settled failures), cache hits, and journal resume — with the
 exactly-once cached-emission contract and a duplicate-free merged feed
 across a SIGKILL + resume, reconciling with what run_sweep returned.
@@ -15,12 +15,7 @@ import time
 from pathlib import Path
 
 from repro import obs
-from repro.experiments.runner import (
-    SweepCheckpoint,
-    Trial,
-    TrialFailure,
-    run_sweep,
-)
+from repro.experiments.runner import Trial, TrialFailure, run_sweep
 from repro.obs.campaign import campaign_status, load_feed, reduce_trials
 
 W = "tests.experiments._resilience_workers"
@@ -36,6 +31,22 @@ def _env():
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     return env
+
+
+def _journaled(camp) -> set[str]:
+    """Keys whose latest terminal feed record carries a result."""
+    return {
+        key
+        for key, slot in reduce_trials(load_feed(camp)).items()
+        if "result" in (slot["terminal"] or {})
+    }
+
+
+def _last_run(camp) -> list[dict]:
+    """The records of the latest sweep into *camp*."""
+    records = load_feed(camp)
+    start = max(i for i, r in enumerate(records) if r["event"] == "sweep-start")
+    return records[start:]
 
 
 def test_feed_off_and_on_results_identical(tmp_path):
@@ -58,13 +69,13 @@ def test_in_process_sweep_streams_lifecycle(tmp_path):
     assert status.completed == 3 and status.declared == 3 and status.sweep_ended
 
 
-def test_pool_workers_write_their_own_shards(tmp_path):
+def test_pool_sweep_records_come_from_the_parent(tmp_path):
     camp = tmp_path / "camp"
     results = run_sweep(ECHOES, processes=2, campaign_dir=camp)
     assert results == run_sweep(ECHOES)
-    shards = list(camp.glob("feed-*.jsonl"))
-    assert len(shards) >= 2  # parent + at least one worker pid
-    status = campaign_status(load_feed(camp))
+    records = load_feed(camp)
+    assert {r["pid"] for r in records} == {os.getpid()}  # one writer
+    status = campaign_status(records)
     assert status.completed == 3 and status.sweep_ended
 
 
@@ -134,25 +145,24 @@ def test_trial_in_cache_and_journal_emits_cached_exactly_once(tmp_path):
     resume journal must contribute one feed record and one aggregation
     increment, not two."""
     cache_dir = tmp_path / "cache"
-    journal = tmp_path / "sweep.jsonl"
-    run_sweep(ECHOES, cache_dir=cache_dir, checkpoint=journal)
-    assert len(SweepCheckpoint(journal).load()) == 3  # journaled AND cached
-
     camp = tmp_path / "camp"
+    run_sweep(ECHOES, cache_dir=cache_dir, campaign_dir=camp)
+    journaled = _journaled(camp)
+    assert len(journaled) == 3  # journaled AND cached
+
     tel = obs.Telemetry()
     results = run_sweep(
         ECHOES,
         cache_dir=cache_dir,
-        checkpoint=journal,
         resume=True,
         campaign_dir=camp,
         telemetry=tel,
     )
     assert results == [{"value": v, "square": v * v} for v in range(3)]
-    records = load_feed(camp)
+    records = _last_run(camp)
     cached = [r for r in records if r["event"] == "cached"]
     assert len(cached) == 3  # once per trial, not once per source
-    assert {r["key"] for r in cached} == set(SweepCheckpoint(journal).load())
+    assert {r["key"] for r in cached} == journaled
     # Aggregation agrees: each trial counted once.
     snap = tel.metrics.snapshot()
     assert snap["runner.trials"]["value"] == 3
@@ -164,7 +174,6 @@ def test_sigkill_mid_sweep_then_resume_feed_is_duplicate_free(tmp_path):
     dir: the merged feed must reconcile every trial exactly once and agree
     with what run_sweep returned."""
     camp = tmp_path / "camp"
-    journal = tmp_path / "sweep.jsonl"
     values = list(range(5))
     kwargs = [{"value": v, "seconds": 0.25} for v in values]
     trials = [Trial(f"{W}:slow_echo", k) for k in kwargs]
@@ -173,26 +182,23 @@ def test_sigkill_mid_sweep_then_resume_feed_is_duplicate_free(tmp_path):
         "from repro.experiments.runner import Trial, run_sweep\n"
         f"kwargs = {kwargs!r}\n"
         f"trials = [Trial({W!r} + ':slow_echo', k) for k in kwargs]\n"
-        f"run_sweep(trials, checkpoint={str(journal)!r},\n"
-        f"          campaign_dir={str(camp)!r})\n"
+        f"run_sweep(trials, campaign_dir={str(camp)!r})\n"
     )
     proc = subprocess.Popen(
         [sys.executable, "-c", script], env=_env(), cwd=str(REPO_ROOT)
     )
     deadline = time.monotonic() + 60.0
     while time.monotonic() < deadline:
-        if len(SweepCheckpoint(journal).load()) >= 2 or proc.poll() is not None:
+        if len(_journaled(camp)) >= 2 or proc.poll() is not None:
             break
         time.sleep(0.05)
     if proc.poll() is None:
         os.kill(proc.pid, signal.SIGKILL)
     proc.wait(timeout=30)
-    journaled_at_kill = set(SweepCheckpoint(journal).load())
+    journaled_at_kill = _journaled(camp)
     assert journaled_at_kill
 
-    results = run_sweep(
-        trials, checkpoint=journal, resume=True, campaign_dir=camp
-    )
+    results = run_sweep(trials, resume=True, campaign_dir=camp)
     assert results == [{"value": v, "square": v * v} for v in values]
 
     records = load_feed(camp)

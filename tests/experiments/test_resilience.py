@@ -5,7 +5,7 @@ module, addressable as ``"tests.experiments._resilience_workers:fn"``)
 because the resilient executor re-resolves the experiment inside each forked
 worker.  The kill/resume test SIGKILLs a *real* sweep subprocess mid-flight
 and asserts the resumed run is bit-for-bit identical to an uninterrupted one
-— the acceptance criterion for the checkpoint journal.
+— the acceptance criterion for the campaign feed as the resume journal.
 """
 
 import json
@@ -20,12 +20,12 @@ import pytest
 
 from repro.experiments.runner import (
     SweepCache,
-    SweepCheckpoint,
     Trial,
     TrialFailure,
     code_version,
     run_sweep,
 )
+from repro.obs.campaign import load_feed, reduce_trials
 
 W = "tests.experiments._resilience_workers"
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -38,6 +38,20 @@ def _env():
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     return env
+
+
+def _terminals(camp) -> dict[str, dict]:
+    """Latest terminal feed record per trial key."""
+    return {
+        key: slot["terminal"]
+        for key, slot in reduce_trials(load_feed(camp)).items()
+        if slot["terminal"] is not None
+    }
+
+
+def _journaled(camp) -> set[str]:
+    """Keys whose latest terminal feed record carries a result."""
+    return {key for key, term in _terminals(camp).items() if "result" in term}
 
 
 # ------------------------------------------------------- cache crash safety
@@ -78,28 +92,36 @@ def test_cache_evicts_wrong_shape_payload(tmp_path):
     assert cache.evictions == 1
 
 
-# ------------------------------------------------------- checkpoint journal
+# ------------------------------------------- the campaign feed as checkpoint
 
 
 def test_checkpoint_roundtrip_and_truncated_tail(tmp_path):
-    journal = SweepCheckpoint(tmp_path / "sweep.jsonl")
-    journal.append("k1", result={"v": 1})
-    journal.append("k2", result={"v": 2})
-    with open(journal.path, "a", encoding="utf-8") as fh:
-        fh.write('{"key": "k3", "result"')  # a SIGKILL mid-write
-    loaded = journal.load()
-    assert set(loaded) == {"k1", "k2"}  # torn line skipped, rest intact
-    assert loaded["k1"]["result"] == {"v": 1}
+    camp = tmp_path / "camp"
+    trials = [Trial(f"{W}:echo", {"value": v}) for v in (1, 2, 3)]
+    k1, k2, k3 = (t.cache_key() for t in trials)
+    run_sweep(trials[:2], campaign_dir=camp)
+    # The shard of a writer SIGKILLed mid-write ends in a torn line.
+    torn = camp / "feed-killed-0.jsonl"
+    torn.write_text(f'{{"event": "completed", "key": "{k3}", "result"', encoding="utf-8")
+    assert _journaled(camp) == {k1, k2}  # torn line skipped, rest intact
+    assert _terminals(camp)[k1]["result"] == {"value": 1, "square": 1}
+
+    resumed = run_sweep(trials, campaign_dir=camp, resume=True)
+    assert resumed == run_sweep(trials)
+    records = load_feed(camp)
+    replayed = {r["key"] for r in records if r.get("source") == "journal"}
+    assert replayed == {k1, k2}  # k3's torn record did not count: it ran
+    assert [r["key"] for r in records if r["event"] == "launched"] == [k1, k2, k3]
 
 
 def test_checkpoint_records_failures(tmp_path):
-    journal = SweepCheckpoint(tmp_path / "sweep.jsonl")
-    failure = TrialFailure(
-        experiment=f"{W}:boom", kwargs={"value": 1}, error="boom", attempts=3
-    )
-    journal.append("k1", failure=failure)
-    loaded = journal.load()
-    assert TrialFailure.from_dict(loaded["k1"]["failure"]) == failure
+    camp = tmp_path / "camp"
+    trial = Trial(f"{W}:boom", {"value": 1})
+    (failure,) = run_sweep([trial], timeout=30.0, campaign_dir=camp)
+    assert isinstance(failure, TrialFailure)
+    term = _terminals(camp)[trial.cache_key()]
+    assert term["settled"] is True  # the healing executor gave up on it
+    assert TrialFailure.from_dict(term) == failure
 
 
 # ------------------------------------------------- retry / timeout / crash
@@ -153,20 +175,21 @@ def test_silently_dying_worker_is_detected():
     assert "died" in failure.error and failure.attempts == 2
 
 
-def test_resume_requires_checkpoint():
-    with pytest.raises(ValueError, match="checkpoint"):
+def test_resume_requires_campaign_dir():
+    with pytest.raises(ValueError, match="campaign_dir"):
         run_sweep([Trial(f"{W}:echo", {})], resume=True)
 
 
 def test_failures_are_checkpointed_not_retried_on_resume(tmp_path):
-    journal_path = tmp_path / "sweep.jsonl"
+    camp = tmp_path / "camp"
     trials = [Trial(f"{W}:boom", {"value": 1})]
-    first = run_sweep(trials, retries=0, checkpoint=journal_path)
+    first = run_sweep(trials, timeout=30.0, campaign_dir=camp)
     assert isinstance(first[0], TrialFailure)
-    counter_before = len(SweepCheckpoint(journal_path).load())
-    second = run_sweep(trials, retries=0, checkpoint=journal_path, resume=True)
+    launches_before = [r["event"] for r in load_feed(camp)].count("launched")
+    second = run_sweep(trials, timeout=30.0, campaign_dir=camp, resume=True)
     assert second[0] == first[0]  # replayed from the journal ...
-    assert len(SweepCheckpoint(journal_path).load()) == counter_before  # ... not re-run
+    launches = [r["event"] for r in load_feed(camp)].count("launched")
+    assert launches == launches_before  # ... not re-run
 
 
 # --------------------------------------------------------- kill + resume
@@ -176,7 +199,7 @@ def test_sigkill_mid_sweep_then_resume_is_bit_for_bit(tmp_path):
     """Kill a real sweep subprocess mid-flight; resume must (a) not re-run
     checkpointed trials and (b) produce results identical to a run that was
     never interrupted."""
-    journal_path = tmp_path / "sweep.jsonl"
+    camp = tmp_path / "camp"
     marker_dir = tmp_path / "markers"
     marker_dir.mkdir()
     values = list(range(6))
@@ -189,7 +212,7 @@ def test_sigkill_mid_sweep_then_resume_is_bit_for_bit(tmp_path):
         "from repro.experiments.runner import Trial, run_sweep\n"
         f"kwargs = {kwargs!r}\n"
         f"trials = [Trial({W!r} + ':slow_echo', k) for k in kwargs]\n"
-        f"run_sweep(trials, checkpoint={str(journal_path)!r})\n"
+        f"run_sweep(trials, campaign_dir={str(camp)!r})\n"
     )
     proc = subprocess.Popen(
         [sys.executable, "-c", script], env=_env(), cwd=str(REPO_ROOT)
@@ -197,7 +220,7 @@ def test_sigkill_mid_sweep_then_resume_is_bit_for_bit(tmp_path):
     # Wait until at least two trials are checkpointed, then pull the plug.
     deadline = time.monotonic() + 60.0
     while time.monotonic() < deadline:
-        done = len(SweepCheckpoint(journal_path).load())
+        done = len(_journaled(camp))
         if done >= 2:
             break
         if proc.poll() is not None:  # finished before we could kill it
@@ -207,7 +230,7 @@ def test_sigkill_mid_sweep_then_resume_is_bit_for_bit(tmp_path):
         os.kill(proc.pid, signal.SIGKILL)
     proc.wait(timeout=30)
 
-    completed_at_kill = set(SweepCheckpoint(journal_path).load())
+    completed_at_kill = _journaled(camp)
     assert completed_at_kill  # the sweep made some progress before dying
     code = code_version()
     value_by_key = {t.cache_key(code): t.kwargs["value"] for t in trials}
@@ -217,7 +240,7 @@ def test_sigkill_mid_sweep_then_resume_is_bit_for_bit(tmp_path):
         if (marker_dir / f"exec-{v}").exists()
     }
 
-    resumed = run_sweep(trials, checkpoint=journal_path, resume=True)
+    resumed = run_sweep(trials, campaign_dir=camp, resume=True)
     uninterrupted = run_sweep(
         [Trial(f"{W}:slow_echo", dict(k, marker_dir=None)) for k in kwargs]
     )

@@ -1,8 +1,8 @@
 """Sweep-runner telemetry aggregation: fork isolation, caches, resume.
 
 Per-trial summaries must survive every execution path the runner has —
-in-process, process pool, resilient single-trial forks, content-addressed
-cache hits, and checkpoint-journal resume — and fold into the parent
+in-process, process pool, healing single-trial forks, content-addressed
+cache hits, and resume from the campaign feed — and fold into the parent
 collector identically in each case.
 """
 
@@ -70,8 +70,8 @@ def test_pool_workers_ship_summaries(tmp_path):
 
 def test_resilient_path_ships_summaries(tmp_path):
     tel = obs.Telemetry()
-    journal = tmp_path / "sweep.jsonl"
-    results = run_sweep(TRIALS, retries=1, checkpoint=journal, telemetry=tel)
+    camp = tmp_path / "camp"
+    results = run_sweep(TRIALS, retries=1, campaign_dir=camp, telemetry=tel)
     assert results == run_sweep(TRIALS)
     snap = _snap(tel)
     assert snap["runner.trials"]["value"] == 2
@@ -79,7 +79,7 @@ def test_resilient_path_ships_summaries(tmp_path):
 
     resumed = obs.Telemetry()
     r2 = run_sweep(
-        TRIALS, retries=1, checkpoint=journal, resume=True, telemetry=resumed
+        TRIALS, retries=1, campaign_dir=camp, resume=True, telemetry=resumed
     )
     assert r2 == results
     snap2 = _snap(resumed)
