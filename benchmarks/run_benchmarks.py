@@ -42,10 +42,16 @@ CHEAP_BENCHES = {
 
 
 def stamp_host(path: pathlib.Path) -> None:
-    """Embed the host fingerprint so comparisons can tell drift from regression."""
+    """Embed the host fingerprint so comparisons can tell drift from regression.
+
+    Also drops pytest-benchmark's raw per-round samples (``stats["data"]``):
+    every reader of a BENCH file uses only the summary statistics.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     payload["host_fingerprint"] = host_fingerprint()
+    for bench in payload["benchmarks"]:
+        bench["stats"].pop("data", None)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=False)
         fh.write("\n")

@@ -20,6 +20,15 @@ Each directed link owns an independent chain whose generator is derived from
 ``(seed, "faults", "link", rx, tx)`` on the dedicated fault stream, so the
 order in which links are queried cannot leak randomness between them and
 enabling the model never perturbs any other stream of a seeded run.
+
+A duty-cycled link sits silent for hundreds of coherence intervals between
+frames, so its chain is advanced in blocks (DESIGN.md §7).  While both flip
+probabilities are positive every step draws exactly one uniform, and
+``Generator.random(n)`` returns the same doubles as ``n`` scalar calls and
+leaves the generator in the same state.  An advance of at least
+``_BLOCK_MIN_STEPS`` steps therefore draws its uniforms in one call and
+reads the final state off them in closed form: the chain passes through the
+same states and every later draw is unchanged.
 """
 
 from __future__ import annotations
@@ -34,6 +43,9 @@ from ..sim.rng import fault_rng
 __all__ = ["GilbertElliottLoss", "LinkChainState"]
 
 _GOOD, _BAD = 0, 1
+
+#: Advances at least this long draw their uniforms in one block.
+_BLOCK_MIN_STEPS = 16
 
 
 @dataclass
@@ -123,11 +135,35 @@ class GilbertElliottLoss(LossModel):
         return chain
 
     def _step(self, chain: LinkChainState, n_steps: int) -> None:
-        for _ in range(n_steps):
-            flip = self.p_gb if chain.state == _GOOD else self.p_bg
-            if flip > 0.0 and chain.rng.random() < flip:
-                chain.state = _BAD if chain.state == _GOOD else _GOOD
-            chain.steps_taken += 1
+        p_gb, p_bg = self.p_gb, self.p_bg
+        if n_steps < _BLOCK_MIN_STEPS or p_gb == 0.0 or p_bg == 0.0:
+            # A zero flip skips its draw, so the draw count depends on the path.
+            for _ in range(n_steps):
+                flip = p_gb if chain.state == _GOOD else p_bg
+                if flip > 0.0 and chain.rng.random() < flip:
+                    chain.state = _BAD if chain.state == _GOOD else _GOOD
+                chain.steps_taken += 1
+            return
+        # Both probabilities are positive, so every step draws once and one
+        # block draw reads the stream exactly as far as the loop.  A draw below
+        # both flip probabilities flips either state.  A draw between them flips
+        # only the state with the larger one, so either way it settles the chain
+        # in the other state (the sink).  Any other draw changes nothing.  The
+        # final state is the sink after the last settling draw (the entry state
+        # if there is none), flipped once per low draw after it.
+        draws = chain.rng.random(n_steps)
+        if p_gb <= p_bg:
+            low, high, sink = p_gb, p_bg, _GOOD
+        else:
+            low, high, sink = p_bg, p_gb, _BAD
+        flips = draws < low
+        settles = np.flatnonzero((draws < high) ^ flips)
+        state = chain.state
+        if settles.size:
+            state = sink
+            flips = flips[settles[-1] + 1 :]
+        chain.state = state ^ (int(np.count_nonzero(flips)) & 1)
+        chain.steps_taken += n_steps
 
     def _draw_loss(self, chain: LinkChainState) -> bool:
         chain.frames_seen += 1
