@@ -61,10 +61,11 @@ for name, knobs in POLICIES.items():
           f"{s.reform_announce_bytes:>10}")
 
 stale = results["staleness"].staleness
-for entry in results["staleness"].mac.recluster_log:
-    print(f"  t={entry['time']:>5.1f} s  re-form ({entry['reason']}): "
-          f"admitted {entry['admitted']}, excluded {len(entry['excluded'])}, "
-          f"{entry['roster_bytes']} roster bytes")
+for r in results["staleness"].mac.replans:
+    if r.cause == "recluster":
+        print(f"  t={r.time:>5.1f} s  re-form ({r.reason}): "
+              f"admitted {list(r.admitted)}, excluded {len(r.excluded)}, "
+              f"{r.roster_bytes} roster bytes")
 
 assert results["off"].staleness.joins_admitted == 0
 assert stale.joins_admitted == 2

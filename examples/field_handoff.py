@@ -41,10 +41,10 @@ for name, knobs in POLICIES.items():
           f"{res.field_reforms:>7} {res.field_handoffs:>8}")
 
 coord = results["staleness"].field_coordinator
-for entry in coord.reform_log:
-    print(f"  t={entry['time']:>5.1f} s  re-form ({entry['reason']}): "
-          f"committed {entry['committed']}, aborted {entry['aborted']}, "
-          f"staleness was {entry['staleness']:.3f}")
+for ev in coord.reform_events:
+    print(f"  t={ev.time:>5.1f} s  re-form ({ev.reason}): "
+          f"committed {ev.committed}, aborted {ev.aborted}, "
+          f"staleness was {ev.staleness:.3f}")
 
 off, on = results["off"], results["staleness"]
 assert on.field_handoffs >= 1

@@ -15,6 +15,7 @@ from .pollmac import (
     PollingClusterMac,
     PollingSensorAgent,
     PollInstruction,
+    Replan,
     phy_truth_oracle,
 )
 
@@ -30,6 +31,7 @@ __all__ = [
     "PollInstruction",
     "AppPacket",
     "CycleStats",
+    "Replan",
     "phy_truth_oracle",
     "DiscoveryProtocol",
     "DiscoveryOutcome",

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from time import perf_counter
 
 import numpy as np
@@ -33,7 +33,7 @@ import numpy as np
 from .. import obs as _obs
 from .. import validate as _validate
 from ..core.ack import plan_ack_collection
-from ..core.online import OnlinePollingScheduler
+from ..core.online import FailoverEvent, OnlinePollingScheduler
 from ..core.requests import RequestState
 from ..core.sectors import partition_into_sectors
 from ..interference.physical import PhysicalModelOracle
@@ -61,6 +61,7 @@ __all__ = [
     "PollingSensorAgent",
     "PollingClusterMac",
     "CycleStats",
+    "Replan",
     "phy_truth_oracle",
 ]
 
@@ -305,6 +306,30 @@ class PollingSensorAgent:
             self.phy.sim.at(wake_at, self.trx.wake)
 
 
+@dataclass(frozen=True)
+class Replan:
+    """One routing plan the head put in force, and why (DESIGN.md §11).
+
+    ``cause`` is ``"initial"``, ``"repair"``, ``"recluster"``,
+    ``"adoption"`` or ``"field-reform"``.  ``dropped_pending`` maps each
+    sensor this plan newly cut off to the packets queued at it.
+    """
+
+    time: float
+    cause: str
+    routing: FlowSolution = field(compare=False)
+    excluded: tuple[int, ...] = ()  # blacklisted, departed and absent
+    unreachable: tuple[int, ...] = ()  # survivors left without a path
+    dropped_pending: dict[int, int] = field(default_factory=dict)
+    reason: str | None = None  # the staleness trigger behind a re-cluster
+    admitted: tuple[int, ...] = ()  # joiners admitted / orphans adopted
+    roster_bytes: int = 0  # announcement charged to the next wakeup
+
+    @property
+    def newly_unreachable(self) -> tuple[int, ...]:
+        return tuple(self.dropped_pending)
+
+
 @dataclass
 class CycleStats:
     """What one duty cycle accomplished."""
@@ -403,12 +428,8 @@ class PollingClusterMac:
         self.departed: set[int] = set()
         self.pending_joins: set[int] = set()
         self._new_departures: set[int] = set()
-        self.reclusters = 0
-        self.recluster_log: list[dict] = []
-        # Roster announcement cost: a re-form re-announces membership and the
-        # polling schedule in the next wakeup broadcast (2 bytes per present
-        # sensor), charged once and reset.  Zero when no re-form happened, so
-        # static wakeups keep their exact size.
+        # The last re-form's roster announcement, charged to the next wakeup
+        # once (zero otherwise, so static wakeups keep their exact size).
         self._reform_roster_bytes = 0
         self._staleness: StalenessTracker | None = None
         if recluster != "off":
@@ -434,11 +455,6 @@ class PollingClusterMac:
         self.active_cluster = prune_dead_nodes(phy.cluster, self.absent)
         self.blacklisted: set[int] = set()
         self.unreachable: set[int] = set()
-        self.route_repairs = 0
-        # One record per repair: which sensors each repair cut off and how
-        # many packets were pending at them at that moment, so degradation
-        # metrics can reconcile dropped demand exactly (DESIGN.md §8).
-        self.repair_log: list[dict] = []
         self._suspect_misses: dict[int, int] = {}
         self.oracle = phy_truth_oracle(phy, max_group_size)
         self.sensors = [
@@ -461,9 +477,14 @@ class PollingClusterMac:
         # per sensor, recomputed alongside every routing (re-)solve, handed
         # to the data-phase scheduler for in-cycle failover.
         self.backups = self._compute_backups()
-        self.failover_log: list[dict] = []
-        self.in_cycle_failovers = 0
-        self.adoptions = 0
+        # The run's records, each fact written once: every plan put in force,
+        # every in-cycle failover and every (arrival time, packet) the head
+        # accepted.  Counters and metrics reports are reductions over them.
+        self.replans: list[Replan] = [
+            Replan(self.sim.now, "initial", self.routing, tuple(sorted(self._excluded())))
+        ]
+        self.failovers: list[FailoverEvent] = []
+        self.deliveries: list[tuple[float, AppPacket]] = []
         self.halted = False
         # True while the head process is inside a duty cycle (between the
         # wakeup broadcast and the post-sleep idle wait).  External
@@ -472,15 +493,6 @@ class PollingClusterMac:
         # straddle the shared boundary — instead of yanking the PHY out from
         # under a running phase.
         self.mid_cycle = False
-        # (sim time, origin) per delivered data packet — availability
-        # metrics derive time-to-recover from this; append-only bookkeeping
-        # with no event or RNG impact, so backup_k=0 stays bit-for-bit.
-        self.delivery_times: list[tuple[float, int]] = []
-        # Which FlowSolution was in force when: availability metrics use it
-        # to decide which origins a fault actually disturbed.
-        self.route_history: list[tuple[float, FlowSolution]] = [
-            (self.sim.now, self.routing)
-        ]
         # Sector operation (Sec. IV): fixed relay trees per sector, polled in
         # turn; sensors sleep outside the ack phase and their own window.
         self.partition = None
@@ -490,7 +502,6 @@ class PollingClusterMac:
         self._arrived_requests: set[int] = set()
         self._ack_counts: dict[int, int] = {}
         self._phase_schedulers: list[tuple[str, OnlinePollingScheduler]] = []
-        self._delivered_packets: list[AppPacket] = []
         self.cycle_stats: list[CycleStats] = []
         self.process: Process | None = None
         # Telemetry (repro.obs): the ambient collector is cached once and
@@ -577,17 +588,12 @@ class PollingClusterMac:
         Unlike :meth:`reform_membership`, an adoption charges no roster
         announcement to the next wakeup (DESIGN.md §9).
         """
-        adopted = len(agents) - len(self.sensors)
+        orphans = tuple(range(len(self.sensors), len(agents)))
         self._take_roster(
             new_phy, agents, blacklisted, departed, absent, suspect_misses
         )
-        self.route_repairs += 1
-        self.adoptions += adopted
-        self._replan(
-            new_phy.cluster,
-            f"cluster {self.cluster_id} adoption #{self.route_repairs}",
-        )
-        return adopted
+        self._replan(new_phy.cluster, "adoption", admitted=orphans)
+        return len(orphans)
 
     def reform_membership(
         self,
@@ -617,13 +623,7 @@ class PollingClusterMac:
         self._take_roster(
             new_phy, agents, blacklisted, departed, absent, suspect_misses
         )
-        self.route_repairs += 1
-        self._replan(
-            new_phy.cluster,
-            f"cluster {self.cluster_id} field re-form #{self.route_repairs}",
-        )
-        # 2 bytes per present member, exactly like an in-cluster re-form.
-        self._reform_roster_bytes = 2 * (new_phy.n_sensors - len(self._excluded()))
+        self._replan(new_phy.cluster, "field-reform")
         if self._tel_enabled:
             self._tel.metrics.counter("mac.field_reforms").inc()
 
@@ -659,7 +659,13 @@ class PollingClusterMac:
         self.oracle = phy_truth_oracle(new_phy, self.oracle.max_group_size)
         self._adopt_oracle()
 
-    def _replan(self, topology: Cluster, hint: str) -> list[int]:
+    def _replan(
+        self,
+        topology: Cluster,
+        cause: str,
+        reason: str | None = None,
+        admitted: tuple[int, ...] = (),
+    ) -> Replan:
         """Re-plan routing over *topology*: the one sequence every path runs.
 
         Boundary repair, re-form, adoption and field re-form all land here.
@@ -667,13 +673,14 @@ class PollingClusterMac:
         :func:`~repro.routing.repair.repair_routing` (through the attached
         :class:`~repro.routing.warmcache.SolverCache` when there is one);
         survivors left without a path are planned at zero — partial
-        coverage instead of a routing failure.  The repair log records
-        exactly which sensors this re-plan cut off and the packets pending
-        at them, so dropped demand reconciles packet-for-packet.  Rotation,
-        ack cover, backups and the sector partition are then rebuilt on the
-        new plan, which is checked against the dynamic-membership invariant.
-        Returns the newly unreachable sensors.
+        coverage instead of a routing failure.  The :class:`Replan` record
+        notes which sensors this re-plan cut off and the packets pending at
+        them, and a re-form's roster announcement (2 bytes per present
+        member).  Rotation, ack cover, backups and the sector partition are
+        then rebuilt on the new plan, which is checked against the
+        dynamic-membership invariant.  Returns the record.
         """
+        announce = cause in ("recluster", "field-reform")
         excluded = self._excluded()
         result = repair_routing(
             topology.with_packets(np.maximum(topology.packets, 1)),
@@ -681,25 +688,27 @@ class PollingClusterMac:
             cache=self.solver_cache,
         )
         # Pending packets are attributed to the re-plan that *first* cut
-        # the sensor off; keying on newly_unreachable means a sensor
+        # the sensor off; keying on newly unreachable sensors means one
         # stranded across two consecutive re-plans is counted by exactly
         # one of them (see reconcile_dropped_demand).
         newly_unreachable = sorted(set(result.uncovered) - self.unreachable)
         self.active_cluster = result.cluster
         self.unreachable = set(result.uncovered)
         self.routing = result.solution
-        self.repair_log.append(
-            {
-                "time": self.sim.now,
-                "blacklisted": sorted(self.blacklisted),
-                "departed": sorted(self.departed),
-                "unreachable": sorted(self.unreachable),
-                "newly_unreachable": newly_unreachable,
-                "dropped_pending": {
-                    i: self.sensors[i].pending_count for i in newly_unreachable
-                },
-            }
+        record = Replan(
+            time=self.sim.now,
+            cause=cause,
+            routing=self.routing,
+            excluded=tuple(sorted(excluded)),
+            unreachable=tuple(sorted(self.unreachable)),
+            dropped_pending={i: self.sensors[i].pending_count for i in newly_unreachable},
+            reason=reason,
+            admitted=admitted,
+            roster_bytes=2 * (topology.n_sensors - len(excluded)) if announce else 0,
         )
+        self.replans.append(record)
+        if announce:
+            self._reform_roster_bytes = record.roster_bytes
         self.rotator = PathRotator(self.routing)
         self.ack_plan = plan_ack_collection(
             self.active_cluster, self.routing.routing_plan()
@@ -707,11 +716,39 @@ class PollingClusterMac:
         self.backups = self._compute_backups()
         if self.partition is not None:
             self.partition = partition_into_sectors(self.routing, oracle=self.oracle)
-        self.route_history.append((self.sim.now, self.routing))
+        hint = f"cluster {self.cluster_id} {cause} re-plan #{len(self.replans) - 1}"
         _validate.check_dynamic_membership(
             self.routing, excluded, sim_time=self.sim.now, hint=hint
         )
-        return newly_unreachable
+        return record
+
+    # -- reductions over the run's records ---------------------------------------------
+
+    @property
+    def route_repairs(self) -> int:
+        """Boundary repairs, adoptions and field re-forms."""
+        causes = ("repair", "adoption", "field-reform")
+        return sum(r.cause in causes for r in self.replans)
+
+    @property
+    def reclusters(self) -> int:
+        return sum(r.cause == "recluster" for r in self.replans)
+
+    @property
+    def adoptions(self) -> int:
+        """Orphans adopted from crashed neighbour heads."""
+        return sum(len(r.admitted) for r in self.replans if r.cause == "adoption")
+
+    @property
+    def in_cycle_failovers(self) -> int:
+        return len(self.failovers)
+
+    @property
+    def packets_delivered(self) -> int:
+        return len(self.deliveries)
+
+    def delivered_packets(self) -> list[AppPacket]:
+        return [packet for _, packet in self.deliveries]
 
     # -- dynamic membership (churn) ---------------------------------------------------
 
@@ -754,13 +791,6 @@ class PollingClusterMac:
         if self._tel_enabled:
             self._tel.metrics.counter("mac.leaves_seen").inc()
 
-    @property
-    def packets_delivered(self) -> int:
-        return len(self._delivered_packets)
-
-    def delivered_packets(self) -> list[AppPacket]:
-        return list(self._delivered_packets)
-
     # -- head frame reception ----------------------------------------------------------
 
     def _head_on_frame(self, frame: Frame, rx_power: float) -> None:
@@ -780,9 +810,7 @@ class PollingClusterMac:
             ins: PollInstruction = frame.payload["instruction"]
             if ins.receiver == HEAD:
                 self._arrived_requests.add(ins.request_id)
-                packet = frame.payload["packet"]
-                self._delivered_packets.append(packet)
-                self.delivery_times.append((now, packet.origin))
+                self.deliveries.append((now, frame.payload["packet"]))
         elif frame.ftype is FrameType.ACK_REPORT:
             ins = frame.payload["instruction"]
             if ins.receiver == HEAD:
@@ -912,15 +940,7 @@ class PollingClusterMac:
         # Per-request, not pool-total: a request abandoned under faults with
         # zero attempts would otherwise push the count negative.
         retx = sum(max(0, r.attempts - 1) for r in scheduler.pool.requests)
-        if scheduler.failover_events:
-            self.in_cycle_failovers += len(scheduler.failover_events)
-            self.failover_log.append(
-                {
-                    "time": self.sim.now,
-                    "phase": phase,
-                    "events": list(scheduler.failover_events),
-                }
-            )
+        self.failovers.extend(scheduler.failover_events)
         # Phase invariants on the schedule the radio actually executed:
         # conservation of requests and the per-slot ≤M/compatibility rules.
         scheduler.validate_invariants(
@@ -1095,7 +1115,7 @@ class PollingClusterMac:
         """Re-plan around newly declared deaths or announced departures.
 
         Runs at the duty-cycle boundary on the PHY's current topology; the
-        pruning, partial-coverage fallback and repair log are
+        pruning, partial-coverage fallback and re-plan record are
         :meth:`_replan`'s.
         """
         repair_span = None
@@ -1108,11 +1128,7 @@ class PollingClusterMac:
                 cluster=self.cluster_id,
                 blacklisted=sorted(self.blacklisted),
             )
-        self.route_repairs += 1
-        newly_unreachable = self._replan(
-            self.phy.cluster,
-            f"cluster {self.cluster_id} route repair #{self.route_repairs}",
-        )
+        record = self._replan(self.phy.cluster, "repair")
         if self._staleness is not None:
             self._staleness.note_repair()
         if repair_span is not None:
@@ -1120,7 +1136,7 @@ class PollingClusterMac:
                 repair_span,
                 self.sim.now,
                 unreachable=sorted(self.unreachable),
-                newly_unreachable=newly_unreachable,
+                newly_unreachable=list(record.newly_unreachable),
             )
             self._tel.metrics.counter("mac.route_repairs").inc()
             self._tel.metrics.histogram("mac.repair_unreachable").observe(
@@ -1154,9 +1170,7 @@ class PollingClusterMac:
         self.absent -= admitted
         self.pending_joins.clear()
         excluded = self._excluded()
-        present = [
-            i for i in range(self.phy.n_sensors) if i not in excluded
-        ]
+        present = [i for i in range(self.phy.n_sensors) if i not in excluded]
         pending_before = sum(self.sensors[i].pending_count for i in present)
         # The re-discovered cluster becomes the PHY's ground-truth topology,
         # and the planning oracle re-captures the medium's *current* receive
@@ -1166,23 +1180,11 @@ class PollingClusterMac:
         self._adopt_oracle()
         # Suspicion counters were evidence against the *old* topology.
         self._suspect_misses = {}
-        self.reclusters += 1
-        hint = f"cluster {self.cluster_id} recluster #{self.reclusters} ({reason})"
-        self._replan(self.phy.cluster, hint)
-        # Announcing the new roster + schedule costs the next wakeup
-        # broadcast 2 bytes per present sensor (id + slot assignment).
-        self._reform_roster_bytes = 2 * len(present)
-        self.recluster_log.append(
-            {
-                "time": self.sim.now,
-                "reason": reason,
-                "admitted": sorted(admitted),
-                "excluded": sorted(excluded),
-                "unreachable": sorted(self.unreachable),
-                "roster_bytes": self._reform_roster_bytes,
-            }
-        )
+        # The record charges the new roster + schedule to the next wakeup:
+        # 2 bytes per present sensor (id + slot assignment).
+        record = self._replan(self.phy.cluster, "recluster", reason, tuple(sorted(admitted)))
         pending_after = sum(self.sensors[i].pending_count for i in present)
+        hint = f"cluster {self.cluster_id} recluster ({reason})"
         _validate.check_reform_conservation(
             pending_before, pending_after, sim_time=self.sim.now, hint=hint
         )
@@ -1194,7 +1196,7 @@ class PollingClusterMac:
                 self.sim.now,
                 admitted=sorted(admitted),
                 unreachable=sorted(self.unreachable),
-                roster_bytes=self._reform_roster_bytes,
+                roster_bytes=record.roster_bytes,
             )
             self._tel.metrics.counter("mac.reclusters").inc()
 
@@ -1333,12 +1335,9 @@ class PollingClusterMac:
                 reform_reason = self._staleness.due(self.routing.loads)
             if reform_reason is not None:
                 self._recluster(reform_reason)
-            elif self._new_departures and not (
-                # Detection's repair at this same boundary already pruned
-                # the departures (it excludes self._excluded() wholesale).
-                self.repair_log
-                and self.repair_log[-1]["time"] == sim.now
-            ):
+            elif self._new_departures and self.replans[-1].time != sim.now:
+                # (A re-plan at this same boundary already pruned the
+                # departures: it excludes self._excluded() wholesale.)
                 self._repair_routing()
             self._new_departures.clear()
             # 4. sleep broadcast.

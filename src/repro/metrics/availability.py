@@ -7,10 +7,11 @@ takeover — all cashes out as the same observable: the head resumes taking
 delivery of data packets.  So each fault's **time-to-recover** is measured
 from its injection time to the first data delivery after it, and **delivery
 continuity** is the fraction of duty cycles with offered traffic in which at
-least one packet actually arrived.  Both come straight from the MAC's
-append-only delivery log, which costs nothing to record and exists whether
-or not any survivability feature is armed — making reactive-vs-proactive
-comparisons (``backup_k=0`` vs ``k>=1``) apples to apples.
+least one packet actually arrived.  Both come straight from the MAC's run
+records — its deliveries, re-plans and failovers, which cost nothing to
+record and exist whether or not any survivability feature is armed —
+making reactive-vs-proactive comparisons (``backup_k=0`` vs ``k>=1``)
+apples to apples.
 """
 
 from __future__ import annotations
@@ -39,11 +40,10 @@ def _affected_origins(
     would turn every fatal fault into infinite downtime by definition.
     """
     solution = None
-    for t, sol in mac.route_history:
-        if t <= at:
-            solution = sol
-        else:
+    for record in mac.replans:
+        if record.time > at:
             break
+        solution = record.routing
     if solution is None:
         return set()
     return {
@@ -150,8 +150,8 @@ def availability_report(
                 recovered = next(
                     (
                         t
-                        for t, origin in mac.delivery_times
-                        if t > event.time and origin in affected
+                        for t, packet in mac.deliveries
+                        if t > event.time and packet.origin in affected
                     ),
                     None,
                 )

@@ -3,19 +3,20 @@
 When sensors die mid-run the paper's throughput/active-time metrics stop
 telling the whole story: packets strand inside dead relays, survivors lose
 their last route, and the head's blacklist may not match ground truth.
-:func:`degradation_report` cross-references the MAC's recovery state with the
-fault injector's ground truth (when one ran) into a single report the
-evaluation benches and the fault-ablation experiment print.
+:func:`degradation_report` cross-references the MAC's end state (blacklist,
+unreachable survivors, buffers) and its re-plan records with the fault
+injector's ground truth (when one ran) into a single report the evaluation
+benches and the fault-ablation experiment print.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..faults.injector import FaultInjector
-    from ..mac.pollmac import PollingClusterMac
+    from ..mac.pollmac import PollingClusterMac, Replan
 
 __all__ = [
     "DegradationReport",
@@ -24,22 +25,20 @@ __all__ = [
 ]
 
 
-def reconcile_dropped_demand(repair_log: list[dict]) -> dict[int, int]:
-    """Per-sensor pending packets dropped by route repair, counted once.
+def reconcile_dropped_demand(replans: Iterable[Replan]) -> dict[int, int]:
+    """Per-sensor pending packets dropped by re-planning, counted once.
 
-    The MAC's ``repair_log`` records each repair's cut-off sensors; because
-    pruning only grows, a sensor stranded before repair N is still stranded
-    at repair N+1, and summing the raw per-repair dicts would bill the same
-    pending packets to every later repair.  Attribution is therefore to the
-    *first* repair that dropped the sensor — later entries (present in logs
-    written before ``dropped_pending`` switched to newly-unreachable keys)
-    never add to it.
+    Each of the MAC's :class:`~repro.mac.pollmac.Replan` records lists the
+    sensors it cut off; because pruning only grows, a sensor stranded before
+    re-plan N is still stranded at re-plan N+1, and summing every record
+    would bill the same pending packets to every later re-plan.  Attribution
+    is therefore to the *first* re-plan that dropped the sensor; later
+    records never add to it.
     """
     merged: dict[int, int] = {}
-    for entry in repair_log:
-        for sensor, pending in entry.get("dropped_pending", {}).items():
-            if sensor not in merged:
-                merged[sensor] = pending
+    for record in replans:
+        for sensor, pending in record.dropped_pending.items():
+            merged.setdefault(sensor, pending)
     return merged
 
 
@@ -59,10 +58,11 @@ class DegradationReport:
     undeliverable_pending: int = 0  # packets queued at unreachable survivors
     """Packets sitting at live-but-routeless sensors when the run ended —
     the demand route repair explicitly planned away (per-sensor detail in
-    ``mac.repair_log``).  Together with ``stranded_packets`` this closes the
-    conservation ledger: every generated packet is delivered, failed,
-    stranded in a dead node, undeliverable at a cut-off survivor, or still
-    queued awaiting its next polling opportunity."""
+    the ``dropped_pending`` of the MAC's re-plan records, ``mac.replans``).
+    Together with ``stranded_packets`` this closes the conservation ledger:
+    every generated packet is delivered, failed, stranded in a dead node,
+    undeliverable at a cut-off survivor, or still queued awaiting its next
+    polling opportunity."""
 
     @property
     def delivery_ratio(self) -> float:

@@ -6,9 +6,9 @@ the interesting quantities are different: how *old* was the plan each cycle
 ran on, what did keeping it fresh cost (re-form announcements on the air,
 re-forms themselves), and what fraction of the members that were actually
 present ended up served.  :func:`staleness_report` derives all of it from
-the MAC's existing bookkeeping (``route_history``, ``recluster_log``,
-``cycle_stats``) and the injector's ground truth — pure post-processing,
-no simulation-time hooks, so computing the report can never perturb a run.
+the MAC's re-plan records (``mac.replans``), its ``cycle_stats`` and end
+state, and the injector's ground truth — pure post-processing, no
+simulation-time hooks, so computing the report can never perturb a run.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ class StalenessReport:
 
     n_cycles: int
     reclusters: int
-    """Re-form passes the head executed (`recluster_log` entries)."""
+    """Re-form passes the head executed (``"recluster"`` re-plans)."""
     recluster_reasons: dict[str, int] = field(default_factory=dict)
     """Re-forms by trigger reason ("membership" / "repairs" / ...)."""
     route_repairs: int = 0
@@ -72,21 +72,21 @@ def staleness_report(mac, injector=None, cycle_length: float | None = None) -> S
     """
     cycle_length = float(cycle_length or mac.cycle_length)
     stats = mac.cycle_stats
-    history = mac.route_history
+    replans = mac.replans
 
     # Plan age per executed cycle: full cycles between the newest plan in
     # force at the cycle's start and the cycle itself.
     ages: list[int] = []
     for s in stats:
         plan_time = max(
-            (t for t, _ in history if t <= s.started_at), default=0.0
+            (r.time for r in replans if r.time <= s.started_at), default=0.0
         )
         ages.append(int(round((s.started_at - plan_time) / cycle_length)))
     reasons: dict[str, int] = {}
-    announce_bytes = 0
-    for entry in mac.recluster_log:
-        reasons[entry["reason"]] = reasons.get(entry["reason"], 0) + 1
-        announce_bytes += int(entry.get("roster_bytes", 0))
+    for r in replans:
+        if r.cause == "recluster":
+            reasons[r.reason] = reasons.get(r.reason, 0) + 1
+    announce_bytes = sum(r.roster_bytes for r in replans)
     bitrate = float(mac.phy.medium.bitrate)
 
     n = mac.phy.n_sensors

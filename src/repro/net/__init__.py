@@ -3,7 +3,6 @@
 from .cluster_sim import (
     PollingSimConfig,
     PollingSimResult,
-    cluster_from_phy,
     run_polling_simulation,
 )
 from .coloring import greedy_coloring, is_proper_coloring, six_color_planar
@@ -12,6 +11,7 @@ from .multicluster_sim import (
     AdoptionEvent,
     FieldHandoffEvent,
     FieldReformCoordinator,
+    FieldReformEvent,
     HeadFailoverCoordinator,
     MultiClusterConfig,
     MultiClusterResult,
@@ -23,7 +23,6 @@ __all__ = [
     "PollingSimConfig",
     "PollingSimResult",
     "run_polling_simulation",
-    "cluster_from_phy",
     "SmacSimConfig",
     "SmacSimResult",
     "run_smac_simulation",
@@ -36,6 +35,7 @@ __all__ = [
     "AdoptionEvent",
     "FieldHandoffEvent",
     "FieldReformCoordinator",
+    "FieldReformEvent",
     "HeadFailoverCoordinator",
     "run_multicluster_simulation",
     "assign_channels",

@@ -30,32 +30,10 @@ from ..routing.warmcache import SolverCache
 from ..sim.kernel import Simulator
 from ..topology.cluster import Cluster
 from ..topology.deployment import Deployment, uniform_square
-from ..topology.recluster import StalenessTrigger
+from ..topology.recluster import StalenessTrigger, discovered_cluster
 from ..traffic.cbr import attach_cbr_sources
 
-__all__ = ["PollingSimConfig", "PollingSimResult", "run_polling_simulation", "cluster_from_phy"]
-
-
-def cluster_from_phy(phy_cluster: Cluster, phy: ClusterPhy) -> Cluster:
-    """Rebuild the cluster's hearing relations from the actual medium.
-
-    Mirrors Sec. V-B connectivity discovery: the links routing may use are
-    exactly the links the radio can decode, not the geometric disc the
-    deployment assumed.  (For monotone propagation the two coincide; tests
-    assert that, and shadowing ablations rely on the difference.)
-    """
-    hearing = phy.medium.hearing_matrix()
-    n = phy.n_sensors
-    return Cluster(
-        hears=hearing[:n, :n],
-        head_hears=hearing[n, :n],
-        packets=phy_cluster.packets.copy(),
-        energy=phy_cluster.energy.copy(),
-        positions=None if phy_cluster.positions is None else phy_cluster.positions.copy(),
-        head_position=None
-        if phy_cluster.head_position is None
-        else phy_cluster.head_position.copy(),
-    )
+__all__ = ["PollingSimConfig", "PollingSimResult", "run_polling_simulation"]
 
 
 @dataclass(frozen=True)
@@ -165,14 +143,9 @@ class PollingSimResult:
         in-progress cycle haven't had a polling opportunity yet, so the
         denominator excludes anything still queued at the sensors."""
         eligible = self.packets_delivered + self.mac.packets_failed
-        still_queued = self.packets_generated - eligible - self._pending()
-        del still_queued  # (kept for clarity; eligible is the denominator)
         if eligible == 0:
             return 1.0
         return self.packets_delivered / eligible
-
-    def _pending(self) -> int:
-        return sum(agent.pending_count for agent in self.mac.sensors)
 
     @property
     def throughput_bps(self) -> float:
@@ -261,8 +234,9 @@ def run_polling_simulation(
             frame_error_rate=config.frame_error_rate,
             error_seed=config.seed,
         )
-        # Discover connectivity from the radio, then route on what was heard.
-        phy.cluster = cluster_from_phy(geo_cluster, phy)
+        # Discover connectivity from the radio (Sec. V-B), then route on
+        # what was heard, not on the geometric disc the deployment assumed.
+        phy.cluster = discovered_cluster(phy)
         # Fault injection arms first so bursty-link loss shapes the run from
         # t=0; an empty/absent plan schedules nothing and draws no RNG, keeping
         # the fault-free path bit-for-bit identical.

@@ -53,6 +53,7 @@ from ..topology.forming import FormedNetwork, form_clusters
 from ..topology.handoff import (
     FieldReformPlan,
     FieldStalenessTracker,
+    HandoffMove,
     plan_field_reform,
     serving_staleness,
 )
@@ -70,6 +71,7 @@ __all__ = [
     "MultiClusterResult",
     "AdoptionEvent",
     "FieldHandoffEvent",
+    "FieldReformEvent",
     "HeadFailoverCoordinator",
     "FieldReformCoordinator",
     "run_multicluster_simulation",
@@ -178,6 +180,19 @@ class FieldHandoffEvent:
     state: str
 
 
+@dataclass(frozen=True)
+class FieldReformEvent:
+    """One field re-form that reached commit; each of its moves is a
+    :class:`FieldHandoffEvent`."""
+
+    time: float
+    reason: str  # why the field-scope trigger fired
+    staleness: float  # serving staleness at plan time
+    committed: int  # sensors handed off
+    aborted: int  # staged moves undone at commit (dead or busy endpoint)
+    deferred: int  # misassignments left beyond the move budget
+
+
 @dataclass
 class MultiClusterResult:
     config: MultiClusterConfig
@@ -237,14 +252,14 @@ class MultiClusterResult:
 
     @property
     def field_reforms(self) -> int:
-        return 0 if self.field_coordinator is None else self.field_coordinator.reforms
+        if self.field_coordinator is None:
+            return 0
+        return len(self.field_coordinator.reform_events)
 
     @property
     def field_handoffs(self) -> int:
         """Committed cross-cluster sensor moves over the whole run."""
-        if self.field_coordinator is None:
-            return 0
-        return self.field_coordinator.handoffs
+        return sum(ev.state == "committed" for ev in self.handoff_events)
 
 
 def _head_layout(k: int, field: float, rng) -> np.ndarray:
@@ -529,9 +544,7 @@ class FieldReformCoordinator:
             trigger = StalenessTrigger(membership_delta=3, repair_fallbacks=0)
         self.tracker = FieldStalenessTracker(trigger=trigger)
         self.events: list[FieldHandoffEvent] = []
-        self.reform_log: list[dict] = []
-        self.reforms = 0  # plans that reached commit
-        self.handoffs = 0  # committed sensor moves
+        self.reform_events: list[FieldReformEvent] = []
         self._pending: tuple[FieldReformPlan, list] | None = None
         lead = min(float(config.handoff_commit_lead), 0.5 * config.cycle_length)
         for k in range(1, int(config.n_cycles)):
@@ -606,6 +619,12 @@ class FieldReformCoordinator:
                 return True
         return False
 
+    def _record(self, move: HandoffMove, state: str) -> None:
+        """Write the per-move record: *move* ended in *state* now."""
+        self.events.append(
+            FieldHandoffEvent(self.sim.now, move.sensor, move.src, move.dst, state)
+        )
+
     def current_staleness(self) -> float:
         """Serving staleness against live heads and the live serving map."""
         self._refresh_serving()
@@ -665,20 +684,12 @@ class FieldReformCoordinator:
             if self.macs[m.src].mid_cycle or self.macs[m.dst].mid_cycle:
                 # Token-mode overrun: an endpoint is inside a duty cycle.
                 # Roster surgery only happens between cycles; wait.
-                self.events.append(
-                    FieldHandoffEvent(
-                        self.sim.now, m.sensor, m.src, m.dst, "deferred-busy"
-                    )
-                )
+                self._record(m, "deferred-busy")
                 continue
             if roster_left[m.src] <= 1:
                 # Never empty a cluster: a head with no members has no duty
                 # cycle to announce the next re-form through.
-                self.events.append(
-                    FieldHandoffEvent(
-                        self.sim.now, m.sensor, m.src, m.dst, "deferred-src-empty"
-                    )
-                )
+                self._record(m, "deferred-src-empty")
                 continue
             src_local = list(self.macs[m.src].phy.index_map[:-1]).index(m.sensor)
             covered_at_src = src_local not in self.macs[m.src].unreachable
@@ -686,11 +697,7 @@ class FieldReformCoordinator:
                 # Nearer in meters, unreachable by radio: moving would trade
                 # working multihop service for none.  A sensor already
                 # uncovered at its source has nothing to lose and moves.
-                self.events.append(
-                    FieldHandoffEvent(
-                        self.sim.now, m.sensor, m.src, m.dst, "deferred-unreachable"
-                    )
-                )
+                self._record(m, "deferred-unreachable")
                 continue
             src = self.macs[m.src]
             if m.src not in src_graph:
@@ -708,11 +715,7 @@ class FieldReformCoordinator:
                 # head only through it.  The active-relay freeze catches
                 # planned relays; this catches *potential* bridges in the
                 # raw hearing graph.
-                self.events.append(
-                    FieldHandoffEvent(
-                        self.sim.now, m.sensor, m.src, m.dst, "deferred-bridge"
-                    )
-                )
+                self._record(m, "deferred-bridge")
                 continue
             src_graph[m.src] = without
             roster_left[m.src] -= 1
@@ -741,49 +744,33 @@ class FieldReformCoordinator:
         now = self.sim.now
         committable = []
         for m in staged:
+            # A source dead inside the window leaves its sensors to the
+            # failover watchdog as a dead head's orphans (one mover per
+            # sensor); every undone move retunes home so bookkeeping holds.
             if self.macs[m.src].halted:
-                # Source died inside the window: its sensors are a dead
-                # head's orphans — the failover watchdog owns them (one
-                # mover per sensor).  Retune home so its bookkeeping holds.
-                self.medium.set_channel(m.sensor, int(self.channels[m.src]))
-                self.events.append(
-                    FieldHandoffEvent(now, m.sensor, m.src, m.dst, "aborted-src-dead")
-                )
+                state = "aborted-src-dead"
+            elif self.macs[m.dst].halted:
+                state = "aborted-dst-dead"
+            elif self.macs[m.src].mid_cycle or self.macs[m.dst].mid_cycle:
+                state = "deferred-busy"
+            else:
+                committable.append(m)
                 continue
-            if self.macs[m.dst].halted:
-                self.medium.set_channel(m.sensor, int(self.channels[m.src]))
-                self.events.append(
-                    FieldHandoffEvent(now, m.sensor, m.src, m.dst, "aborted-dst-dead")
-                )
-                continue
-            if self.macs[m.src].mid_cycle or self.macs[m.dst].mid_cycle:
-                self.medium.set_channel(m.sensor, int(self.channels[m.src]))
-                self.events.append(
-                    FieldHandoffEvent(now, m.sensor, m.src, m.dst, "deferred-busy")
-                )
-                continue
-            committable.append(m)
+            self.medium.set_channel(m.sensor, int(self.channels[m.src]))
+            self._record(m, state)
         if self.config.handoff_head_step_m > 0.0:
             self._apply_head_placement(plan)
         self.tracker.fired()
-        self.reforms += 1
         if committable:
             self._execute(committable)
-        self.reform_log.append(
-            {
-                "time": now,
-                "reason": plan.reason,
-                "staleness": plan.staleness,
-                "committed": len(committable),
-                "aborted": len(staged) - len(committable),
-                "deferred": len(plan.deferred),
-            }
+        committed, aborted = len(committable), len(staged) - len(committable)
+        self.reform_events.append(
+            FieldReformEvent(
+                now, plan.reason, plan.staleness, committed, aborted, len(plan.deferred)
+            )
         )
         _obs.current().timeline_event(
-            now,
-            "field-reform-commit",
-            committed=len(committable),
-            aborted=len(staged) - len(committable),
+            now, "field-reform-commit", committed=committed, aborted=aborted
         )
 
     def _apply_head_placement(self, plan: FieldReformPlan) -> None:
@@ -837,11 +824,8 @@ class FieldReformCoordinator:
         _validate.check_single_membership(
             live_rosters, sim_time=self.sim.now, hint=hint
         )
-        self.handoffs += len(committable)
-        self.events.extend(
-            FieldHandoffEvent(self.sim.now, m.sensor, m.src, m.dst, "committed")
-            for m in committable
-        )
+        for m in committable:
+            self._record(m, "committed")
 
 
 @dataclass

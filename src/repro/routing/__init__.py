@@ -5,7 +5,7 @@ from .backup import BackupRoutes, compute_backup_routes
 from .maxflow import INF, FlowNetwork
 from .minmax import FlowSolution, RoutingInfeasible, solve_min_max_load
 from .paths import RelayingPath, RoutingPlan, validate_path
-from .repair import RepairResult, merge_dropped_demand, prune_dead_nodes, repair_routing
+from .repair import RepairResult, prune_dead_nodes, repair_routing
 from .rotation import PathRotator
 from .tables import (
     OneHopTables,
@@ -35,7 +35,6 @@ __all__ = [
     "RepairResult",
     "prune_dead_nodes",
     "repair_routing",
-    "merge_dropped_demand",
     "RelayTree",
     "merge_flow_to_tree",
     "OneHopTables",

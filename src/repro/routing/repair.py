@@ -16,7 +16,7 @@ still reachable gets a fresh min-max-load flow over the surviving topology.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "RepairResult",
     "prune_dead_nodes",
     "repair_routing",
-    "merge_dropped_demand",
 ]
 
 
@@ -94,25 +93,6 @@ class RepairResult:
         if n == 0:
             return 1.0
         return 1.0 - (len(self.dead) + len(self.uncovered)) / n
-
-
-def merge_dropped_demand(results: Iterable[RepairResult]) -> dict[int, int]:
-    """Reconcile dropped demand across consecutive repairs of one run.
-
-    Pruning only ever grows, so a sensor uncovered by repair N stays
-    uncovered in repair N+1 and reappears in its ``dropped_demand`` —
-    naively summing the dicts counts the same never-served packets once per
-    repair.  Each sensor's demand is dropped exactly once, at the repair
-    that first cut it off, so later entries overwrite instead of add (the
-    value is unchanged anyway: once zeroed, a sensor's planned demand never
-    grows back).
-    """
-    merged: dict[int, int] = {}
-    for result in results:
-        for sensor, packets in result.dropped_demand.items():
-            if sensor not in merged:
-                merged[sensor] = packets
-    return merged
 
 
 def repair_routing(

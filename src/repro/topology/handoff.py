@@ -108,12 +108,8 @@ class FieldStalenessTracker:
         return self.tracker.due()
 
     def fired(self) -> None:
-        """A re-form executed: reset the counters, count the re-form."""
+        """A re-form executed: reset the counters."""
         self.tracker.reset()
-
-    @property
-    def reforms(self) -> int:
-        return self.tracker.reforms
 
 
 def serving_staleness(

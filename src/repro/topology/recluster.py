@@ -107,7 +107,6 @@ class StalenessTracker:
     leaves_pending: int = 0
     repairs_pending: int = 0
     cycles_since_reform: int = 0
-    reforms: int = 0
 
     def note_join(self, node: int) -> None:
         self.joins_pending += 1
@@ -151,7 +150,6 @@ class StalenessTracker:
         self.leaves_pending = 0
         self.repairs_pending = 0
         self.cycles_since_reform = 0
-        self.reforms += 1
 
 
 def discovered_cluster(phy) -> Cluster:

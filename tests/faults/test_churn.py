@@ -77,11 +77,11 @@ def test_chaos_churn_strict_clean(seed, policy):
         assert not (set(path) & gone)
     # The head learned every announced departure without detection cycles.
     assert res.injector.departed <= mac.departed
-    # Re-forms actually happened and were logged with their reasons.
-    assert mac.reclusters == len(mac.recluster_log)
+    # Re-forms actually happened and were recorded with their reasons.
     assert mac.reclusters >= 1
-    for entry in mac.recluster_log:
-        assert entry["reason"] in ("membership", "repairs", "overload", "periodic")
+    for record in mac.replans:
+        if record.cause == "recluster":
+            assert record.reason in ("membership", "repairs", "overload", "periodic")
 
 
 @pytest.mark.parametrize("seed", [1, 9])
@@ -96,7 +96,7 @@ def test_chaos_churn_is_deterministic(seed):
     a = run_polling_simulation(cfg)
     b = run_polling_simulation(cfg)
     assert a.packets_delivered == b.packets_delivered
-    assert a.mac.recluster_log == b.mac.recluster_log
+    assert a.mac.replans == b.mac.replans
     assert a.staleness == b.staleness
 
 

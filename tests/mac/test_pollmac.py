@@ -5,7 +5,7 @@ import pytest
 
 from repro.mac import MacTimings, build_cluster_phy, geometric_oracle, phy_truth_oracle
 from repro.mac.pollmac import PollingClusterMac
-from repro.net import PollingSimConfig, cluster_from_phy, run_polling_simulation
+from repro.net import PollingSimConfig, run_polling_simulation
 from repro.sim import Simulator
 from repro.topology import Cluster, line, uniform_square
 

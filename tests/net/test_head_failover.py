@@ -104,8 +104,8 @@ def test_takeover_restores_delivery(crashed_dark, adopted):
         first_new_local = mac.phy.n_sensors - mac.adoptions
         adopted_origin_deliveries += sum(
             1
-            for t, origin in mac.delivery_times
-            if t > takeover_at and origin >= first_new_local
+            for t, packet in mac.deliveries
+            if t > takeover_at and packet.origin >= first_new_local
         )
     assert adopted_origin_deliveries > 0
 
@@ -216,19 +216,21 @@ def test_adoption_logs_the_orphans_it_strands(adopted_with_evidence):
     assert {ev.adopter for ev in events} == {0, 2}
     for ev in events:
         mac = res.macs[ev.adopter]
-        entries = [e for e in mac.repair_log if e["time"] == ev.time]
+        entries = [r for r in mac.replans if r.time == ev.time]
         assert len(entries) == 1
         (entry,) = entries
+        assert entry.cause == "adoption"
         orphans = {_local(mac, g) for g in ev.sensors}
-        stranded = orphans & set(entry["unreachable"])
+        assert set(entry.admitted) == orphans
+        stranded = orphans & set(entry.unreachable)
         assert stranded, "the config must strand some orphans"
-        assert stranded <= set(entry["newly_unreachable"])
-        assert sum(entry["dropped_pending"][l] for l in stranded) > 0
+        assert stranded <= set(entry.newly_unreachable)
+        assert sum(entry.dropped_pending[l] for l in stranded) > 0
         # reconcile_dropped_demand bills each stranded orphan's packets
         # to this adoption
-        reconciled = reconcile_dropped_demand(mac.repair_log)
+        reconciled = reconcile_dropped_demand(mac.replans)
         for l in stranded:
-            assert reconciled[l] == entry["dropped_pending"][l]
+            assert reconciled[l] == entry.dropped_pending[l]
 
 
 def test_adoption_keeps_agents_and_announces_no_roster(adopted_with_evidence):

@@ -11,14 +11,14 @@ cut-off sensor's demand is dropped exactly once.
 import numpy as np
 import pytest
 
+from repro.mac import Replan
+from repro.metrics import reconcile_dropped_demand
 from repro.routing import (
     PathRotator,
     compute_backup_routes,
-    merge_dropped_demand,
     repair_routing,
     solve_min_max_load,
 )
-from repro.metrics import reconcile_dropped_demand
 from repro.topology import Cluster, uniform_square
 
 
@@ -90,6 +90,17 @@ def test_rotation_covers_exactly_the_served_sensors(chain_cluster):
         assert uncovered not in plan.paths
 
 
+def _repair_record(time: float, result) -> Replan:
+    """The re-plan record a head writes for one repair *result*."""
+    return Replan(
+        time=time,
+        cause="repair",
+        routing=result.solution,
+        unreachable=tuple(result.uncovered),
+        dropped_pending=dict(result.dropped_demand),
+    )
+
+
 def test_cascading_repairs_drop_each_sensor_once(chain_cluster):
     # chain: 2 -> 1 -> 0 -> head.  Killing 1 strands 2; killing 0 next
     # strands nobody new (2 is already stranded, 1 already dead) — but 2
@@ -98,22 +109,29 @@ def test_cascading_repairs_drop_each_sensor_once(chain_cluster):
     first = repair_routing(chain_cluster, {1})
     second = repair_routing(chain_cluster, {0, 1})
     assert 2 in first.dropped_demand and 2 in second.dropped_demand
-    merged = merge_dropped_demand([first, second])
+    merged = reconcile_dropped_demand(
+        [_repair_record(10.0, first), _repair_record(20.0, second)]
+    )
     assert merged[2] == first.dropped_demand[2]
     assert sum(merged.values()) < first.dropped_packets + second.dropped_packets
 
 
-def test_reconcile_dropped_demand_counts_first_repair_only():
-    # Simulated mac.repair_log from two consecutive repairs both listing
-    # sensor 2 (pre-fix logs did exactly this): counted once, first value.
-    log = [
-        {"time": 10.0, "dropped_pending": {2: 3}},
-        {"time": 20.0, "dropped_pending": {2: 5, 7: 1}},
+def test_reconcile_dropped_demand_counts_first_repair_only(chain_cluster):
+    # Two consecutive re-plan records both listing sensor 2: counted once,
+    # first value.
+    routing = solve_min_max_load(chain_cluster)
+    records = [
+        Replan(time=10.0, cause="repair", routing=routing, dropped_pending={2: 3}),
+        Replan(
+            time=20.0, cause="repair", routing=routing, dropped_pending={2: 5, 7: 1}
+        ),
     ]
-    merged = reconcile_dropped_demand(log)
+    merged = reconcile_dropped_demand(records)
     assert merged == {2: 3, 7: 1}
 
 
-def test_reconcile_dropped_demand_empty_log():
+def test_reconcile_dropped_demand_empty_log(chain_cluster):
     assert reconcile_dropped_demand([]) == {}
-    assert reconcile_dropped_demand([{"time": 1.0}]) == {}
+    routing = solve_min_max_load(chain_cluster)
+    initial = Replan(time=1.0, cause="initial", routing=routing)
+    assert reconcile_dropped_demand([initial]) == {}

@@ -97,7 +97,7 @@ def test_membership_outranks_periodic():
     assert tracker.due() == "membership"
 
 
-def test_reset_clears_counters_and_counts_reforms():
+def test_reset_clears_counters():
     tracker = StalenessTracker(StalenessTrigger(period_cycles=1))
     tracker.note_join(1)
     tracker.note_repair()
@@ -109,7 +109,6 @@ def test_reset_clears_counters_and_counts_reforms():
         tracker.repairs_pending,
         tracker.cycles_since_reform,
     ) == (0, 0, 0)
-    assert tracker.reforms == 1
 
 
 # -- discovery against the live medium -----------------------------------------
@@ -239,7 +238,6 @@ def test_field_tracker_reuses_trigger_semantics():
     assert tr.observe_boundary(1) is None
     assert tr.observe_boundary(2) == "membership"
     tr.fired()
-    assert tr.reforms == 1
     assert tr.observe_boundary(1) is None
 
 
