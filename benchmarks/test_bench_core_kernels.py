@@ -4,6 +4,8 @@ Not paper artifacts — these watch the hot paths the experiments lean on so
 a future change that regresses them is caught by the benchmark run.
 """
 
+import pathlib
+import sys
 import time
 
 import numpy as np
@@ -12,6 +14,10 @@ from repro.core import OnlinePollingScheduler
 from repro.mac.base import geometric_oracle
 from repro.routing import FlowNetwork, solve_min_max_load
 from repro.topology import Cluster, uniform_square
+
+# The cold reference solver lives with the routing tests.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+from tests.routing.reference import reference_solve  # noqa: E402
 
 
 def test_bench_maxflow_kernel(benchmark):
@@ -77,19 +83,16 @@ def _best_of(fn, reps: int = 3) -> float:
 
 
 def test_bench_minmax_energy_aware_warm_dinic(benchmark):
-    """The ISSUE-2 tentpole receipt: warm-start Dinic vs cold Edmonds-Karp.
+    """Warm-start Dinic vs the cold Edmonds-Karp reference.
 
-    Asserts (a) the two engines return identical solutions and (b) the
-    warm path is at least 3x faster on the energy-aware δ/λ search, then
-    records the warm path's timing in the benchmark JSON.
+    Asserts (a) the solver and the test-side cold reference return
+    identical solutions and (b) the warm path is at least 3x faster on the
+    energy-aware δ/λ search, then records the warm path's timing in the
+    benchmark JSON.
     """
     cluster = _energy_cluster()
-    cold = lambda: solve_min_max_load(
-        cluster, energy_aware=True, engine="cold", method="edmonds-karp"
-    )
-    warm = lambda: solve_min_max_load(
-        cluster, energy_aware=True, engine="warm", method="dinic"
-    )
+    cold = lambda: reference_solve(cluster, energy_aware=True)
+    warm = lambda: solve_min_max_load(cluster, energy_aware=True)
     sol_cold, sol_warm = cold(), warm()
     assert sol_cold.max_load == sol_warm.max_load
     assert (sol_cold.loads == sol_warm.loads).all()
@@ -106,13 +109,9 @@ def test_bench_minmax_energy_aware_warm_dinic(benchmark):
 
 
 def test_bench_minmax_energy_aware_cold_ek(benchmark):
-    """The cold baseline, recorded so BENCH JSONs show both trajectories."""
+    """The cold reference, recorded so BENCH JSONs show both trajectories."""
     cluster = _energy_cluster()
-    sol = benchmark(
-        lambda: solve_min_max_load(
-            cluster, energy_aware=True, engine="cold", method="edmonds-karp"
-        )
-    )
+    sol = benchmark(lambda: reference_solve(cluster, energy_aware=True))
     assert sol.max_load > 0
 
 

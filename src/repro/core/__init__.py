@@ -32,7 +32,6 @@ from .sectors import (
     partition_into_sectors,
     partition_tree_into_sectors,
 )
-from .sectors_exact import best_branch_partition, iter_set_partitions
 from .transmissions import Transmission, links_of, occupied_nodes, structurally_ok
 
 __all__ = [
@@ -64,8 +63,6 @@ __all__ = [
     "PairingRules",
     "partition_into_sectors",
     "partition_tree_into_sectors",
-    "best_branch_partition",
-    "iter_set_partitions",
     "JmhrpResult",
     "power_rate",
     "decomposed_jmhrp",

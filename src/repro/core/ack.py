@@ -20,6 +20,7 @@ appear on no data path this cycle).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -32,6 +33,7 @@ __all__ = [
     "greedy_weighted_set_cover",
     "AckPlan",
     "plan_ack_collection",
+    "ack_phase_plan",
     "run_ack_collection",
     "bfs_path_to_head",
 ]
@@ -175,6 +177,18 @@ def plan_ack_collection(
         total_hop_count=sum(len(p) - 1 for p in chosen),
         covered=covered,
     )
+
+
+def ack_phase_plan(cluster: Cluster, paths: Iterable[RelayingPath]) -> RoutingPlan:
+    """The ack phase as a routing plan: one packet at each path's first sensor.
+
+    Paths are keyed by their first sensor, so a later path with the same
+    start replaces an earlier one.
+    """
+    by_start = {p[0]: p for p in paths}
+    packets = np.zeros(cluster.n_sensors, dtype=np.int64)
+    packets[list(by_start)] = 1
+    return RoutingPlan(cluster=cluster.with_packets(packets), paths=by_start)
 
 
 def run_ack_collection(

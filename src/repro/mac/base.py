@@ -134,6 +134,31 @@ def sensor_power_for_range(propagation, range_m: float, rx_sensitivity_w: float)
     return rx_sensitivity_w / propagation.gain(range_m)
 
 
+def _tx_power(
+    cluster: Cluster,
+    prop,
+    sensor_range_m: float,
+    rx_sensitivity_w: float,
+    homogeneous_head: bool = False,
+) -> np.ndarray:
+    """Per-radio transmit power of a geometric cluster, head last.
+
+    Sensors reach exactly *sensor_range_m*.  The head covers the farthest
+    member (or the sensor range, if larger) with a 4x (6 dB) margin,
+    unless *homogeneous_head* gives it sensor power.
+    """
+    n = cluster.n_sensors
+    sensor_power = sensor_power_for_range(prop, sensor_range_m, rx_sensitivity_w)
+    tx_power = np.full(n + 1, sensor_power)
+    if not homogeneous_head:
+        diffs = cluster.positions - cluster.head_position
+        max_dist = float(np.sqrt((diffs**2).sum(axis=1)).max()) if n else 1.0
+        tx_power[n] = 4.0 * sensor_power_for_range(
+            prop, max(max_dist, sensor_range_m), rx_sensitivity_w
+        )
+    return tx_power
+
+
 def geometric_oracle(
     cluster: Cluster,
     sensor_range_m: float = 60.0,
@@ -158,14 +183,7 @@ def geometric_oracle(
     prop = propagation or GROUND_SENSOR_PROPAGATION
     n = cluster.n_sensors
     positions = np.vstack([cluster.positions, cluster.head_position[np.newaxis, :]])
-    sensor_power = sensor_power_for_range(prop, sensor_range_m, rx_sensitivity_w)
-    diffs = cluster.positions - cluster.head_position
-    max_dist = float(np.sqrt((diffs**2).sum(axis=1)).max()) if n else 1.0
-    head_power = 4.0 * sensor_power_for_range(
-        prop, max(max_dist, sensor_range_m), rx_sensitivity_w
-    )
-    tx_power = np.full(n + 1, sensor_power)
-    tx_power[n] = head_power
+    tx_power = _tx_power(cluster, prop, sensor_range_m, rx_sensitivity_w)
     diff = positions[:, np.newaxis, :] - positions[np.newaxis, :, :]
     dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     power = prop.gain_matrix(dist) * tx_power[np.newaxis, :]
@@ -225,14 +243,9 @@ def build_cluster_phy(
         [cluster.positions, cluster.head_position[np.newaxis, :]]
     )
     n = cluster.n_sensors
-    sensor_power = sensor_power_for_range(prop, sensor_range_m, rx_sensitivity_w)
-    diffs = cluster.positions - cluster.head_position
-    max_dist = float(np.sqrt((diffs**2).sum(axis=1)).max()) if n else 1.0
-    head_power = 4.0 * sensor_power_for_range(
-        prop, max(max_dist, sensor_range_m), rx_sensitivity_w
+    tx_power = _tx_power(
+        cluster, prop, sensor_range_m, rx_sensitivity_w, homogeneous_head
     )
-    tx_power = np.full(n + 1, sensor_power)
-    tx_power[n] = sensor_power if homogeneous_head else head_power
     medium = RadioMedium(
         sim=sim,
         positions=positions,

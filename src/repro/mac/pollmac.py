@@ -32,7 +32,7 @@ import numpy as np
 
 from .. import obs as _obs
 from .. import validate as _validate
-from ..core.ack import plan_ack_collection
+from ..core.ack import ack_phase_plan, plan_ack_collection
 from ..core.online import FailoverEvent, OnlinePollingScheduler
 from ..core.requests import RequestState
 from ..core.sectors import partition_into_sectors
@@ -1222,12 +1222,7 @@ class PollingClusterMac:
                 break
         if not sweep_paths:
             return 0
-        packets = np.zeros(self.phy.n_sensors, dtype=np.int64)
-        for sensor in sweep_paths:
-            packets[sensor] = 1
-        plan = RoutingPlan(
-            cluster=self.active_cluster.with_packets(packets), paths=sweep_paths
-        )
+        plan = ack_phase_plan(self.active_cluster, sweep_paths.values())
         slots, _, sched = yield from self._run_phase("ack", plan, self.sizes.ack_report)
         self._phase_schedulers.append(("ack", sched))
         return slots
@@ -1271,13 +1266,7 @@ class PollingClusterMac:
             yield Timeout(dur + self.timings.turnaround)
             # 2. ack collection along covering paths.
             self._ack_counts = {}
-            ack_paths = {p[0]: p for p in self.ack_plan.paths}
-            ack_packets = np.zeros(self.phy.n_sensors, dtype=np.int64)
-            for start in ack_paths:
-                ack_packets[start] = 1
-            ack_plan = RoutingPlan(
-                cluster=self.active_cluster.with_packets(ack_packets), paths=ack_paths
-            )
+            ack_plan = ack_phase_plan(self.active_cluster, self.ack_plan.paths)
             ack_slots, _, ack_sched = yield from self._run_phase(
                 "ack", ack_plan, self.sizes.ack_report
             )

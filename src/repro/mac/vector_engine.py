@@ -171,28 +171,6 @@ class VectorRadioBank:
             trx.frames_received = int(self.frames_received[i])
             trx.frames_garbled = int(self.frames_garbled[i])
 
-    # -- exact replay of EnergyMeter.change_state over index sets ---------------
-    #
-    # Reference implementation; _run_slot uses the specialized scalar-dt
-    # form inline.  Kept for the accumulation-order regression tests.
-
-    def shift(self, idx: np.ndarray, now: float, prior: int, new: int) -> None:
-        """Replay ``change_state(new, now)`` for radios *idx*, all currently
-        in state *prior*.
-
-        ``consumed[i] += power * dt`` is computed per element — one IEEE
-        multiply and one IEEE add per radio, the same two roundings the
-        scalar meter performs (numpy does not fuse them).  ``dt == 0`` adds
-        an exact ``+0.0``, matching the scalar no-op branch bit-for-bit.
-        """
-        if idx.size == 0:
-            return
-        dt = now - self.last_change[idx]
-        self.consumed[idx] += self.ptab[prior, idx] * dt
-        self.dwell[prior, idx] += dt
-        self.last_change[idx] = now
-        self.state[idx] = new
-
 
 class _PollCache:
     """Static decode geometry of the head's poll broadcast."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.ack import plan_ack_collection
+from ..core.ack import ack_phase_plan, plan_ack_collection
 from ..core.online import BernoulliLoss, LossModel, OnlinePollingScheduler
 from ..mac.base import MacTimings, geometric_oracle
 from ..radio.packet import DEFAULT_SIZES, FrameSizes
@@ -100,13 +100,7 @@ def simulate_active_time(config: ActiveTimeConfig = ActiveTimeConfig()) -> Activ
     routing = solve_min_max_load(planning)
     rotator = PathRotator(routing)
     ack_plan = plan_ack_collection(cluster, routing.routing_plan())
-    ack_paths = {p[0]: p for p in ack_plan.paths}
-    ack_packets = np.zeros(n, dtype=np.int64)
-    for s in ack_paths:
-        ack_packets[s] = 1
-    ack_routing = RoutingPlan(
-        cluster=cluster.with_packets(ack_packets), paths=ack_paths
-    )
+    ack_routing = ack_phase_plan(cluster, ack_plan.paths)
 
     bitrate = config.bitrate
     sizes = config.sizes

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..core.online import OnlinePollingScheduler
 from ..core.sectors import PairingRules, SectorPartition, partition_into_sectors
 from ..interference.base import CompatibilityOracle
@@ -146,16 +144,11 @@ def cycles_to_first_death(
     one-packet-per-sensor setting), so first death = battery / worst rate.
     Returns ``(cycles, sensor)``.
     """
-    from ..core.ack import plan_ack_collection
-    from ..routing.paths import RoutingPlan
+    from ..core.ack import ack_phase_plan, plan_ack_collection
 
     solution = solve_min_max_load(cluster)
     ack = plan_ack_collection(cluster, solution.routing_plan())
-    ack_paths = {p[0]: p for p in ack.paths}
-    ack_packets = np.zeros(cluster.n_sensors, dtype=np.int64)
-    for s in ack_paths:
-        ack_packets[s] = 1
-    ack_plan = RoutingPlan(cluster=cluster.with_packets(ack_packets), paths=ack_paths)
+    ack_plan = ack_phase_plan(cluster, ack.paths)
     ack_slots = OnlinePollingScheduler.poll(ack_plan, oracle).slots_elapsed
 
     rates: dict[int, float] = {}
@@ -216,19 +209,14 @@ def evaluate_lifetime_ratio_for_cluster(
     rules: PairingRules = PairingRules(),
 ) -> LifetimeResult:
     """The Fig. 7c computation on an explicit cluster + oracle."""
-    from ..core.ack import plan_ack_collection
-    from ..routing.paths import RoutingPlan
+    from ..core.ack import ack_phase_plan, plan_ack_collection
 
     solution = solve_min_max_load(cluster)
     tree = merge_flow_to_tree(solution)
 
     # Cluster-wide ack phase (everyone awake for it, sectored or not).
     ack = plan_ack_collection(cluster, solution.routing_plan())
-    ack_paths = {p[0]: p for p in ack.paths}
-    ack_packets = np.zeros(cluster.n_sensors, dtype=np.int64)
-    for s in ack_paths:
-        ack_packets[s] = 1
-    ack_plan = RoutingPlan(cluster=cluster.with_packets(ack_packets), paths=ack_paths)
+    ack_plan = ack_phase_plan(cluster, ack.paths)
     ack_slots = OnlinePollingScheduler.poll(ack_plan, oracle).slots_elapsed
 
     # --- unsectored: whole-cluster polling, everyone awake throughout.

@@ -62,8 +62,7 @@ from ..topology.recluster import (
     assignment_staleness,
     discovered_cluster,
 )
-from .coloring import six_color_planar
-from ..topology.forming import cluster_adjacency
+from .multicluster import TokenSchedule, assign_channels
 from ..traffic.cbr import CbrSource, attach_cbr_sources
 
 __all__ = [
@@ -1036,8 +1035,7 @@ def _run_multicluster(
 
     # --- channel assignment -----------------------------------------------------
     if config.mode == "channels":
-        adj = cluster_adjacency(net, interference_range=2 * config.sensor_range_m)
-        channels = six_color_planar(adj)
+        channels = assign_channels(net, interference_range=2 * config.sensor_range_m)
     else:
         channels = np.zeros(config.n_heads, dtype=np.int64)
 
@@ -1151,10 +1149,9 @@ def _run_multicluster(
 
     # --- start: aligned, staggered, or concurrent -------------------------------------
     if config.mode == "token":
-        offset = 0.0
-        for mac, est in zip(macs, duty_estimates):
-            _start_delayed(sim, mac, config.n_cycles, offset)
-            offset += est
+        windows = TokenSchedule(duty_durations=duty_estimates).windows()
+        for mac, (start, _) in zip(macs, windows):
+            _start_delayed(sim, mac, config.n_cycles, start)
     else:
         for mac in macs:
             mac.start(config.n_cycles)

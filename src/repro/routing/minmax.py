@@ -6,38 +6,40 @@ capacity δ; ``out_i`` has infinite-capacity arcs to the input node of every
 sensor that can hear *i* and to the sink *t* if the head hears *i*; a source
 *s* feeds ``in_i`` with capacity = packets generated by *i*.  A flow of
 value Σ packets exists iff the packets can be routed with no sensor's load
-exceeding δ.  The minimum such δ is found by searching δ upward (the paper
-increments from 1; we also offer binary search — both are exact, and tests
-assert they agree).
+exceeding δ.  The minimum such δ is found by binary search (the paper
+increments δ from 1; both are exact, and the tests run the paper's loop
+as a reference and assert they agree).
 
 The energy-aware variant (different residual energies) replaces the uniform
 δ with per-sensor capacities ``floor(lam * e_i)`` and minimizes ``lam`` — the
 max *normalized* load ``load_i / e_i``.
 
-Probe engines
--------------
+Probe engine
+------------
 Each δ/λ candidate is a *feasibility probe* ("does a saturating flow
-exist?").  Two engines answer probes:
+exist?").  The node-split network is built **once** per solve, and probes
+exploit the warm-start invariant: raising capacities never invalidates a
+feasible flow, so a probe at capacities ≥ the previous probe's keeps the
+existing flow and only augments the residual (Dinic).  Probes at lower
+capacities restore a dominated flow or reset it, but still reuse the built
+network.
 
-* ``engine="cold"`` — the original path: rebuild the node-split network and
-  solve from zero flow for every probe.  The last feasible probe's network
-  is cached, so the search result is decomposed without a duplicate solve.
-* ``engine="warm"`` (default) — build the network **once**, then exploit
-  the warm-start invariant: raising capacities never invalidates a feasible
-  flow, so a probe at capacities ≥ the previous probe's keeps the existing
-  flow and only augments the residual.  Probes at lower capacities reset
-  the flow but still reuse the built network.
+The solution depends only on the feasibility *values* the search sees
+(identical under any exact max-flow algorithm) and on a canonical flow:
+the final decomposition re-solves with Edmonds-Karp from zero flow at the
+optimal capacities, whose result depends only on the (deterministic)
+network construction order.  The tests keep a cold rebuild-per-probe
+engine and the δ++ loop as references and assert bit-for-bit equality.
 
-Both engines produce **bit-for-bit identical** :class:`FlowSolution`\\ s:
-the search is driven purely by feasibility *values* (identical under any
-exact max-flow algorithm), and the final decomposition always reads a
-canonical flow — Edmonds-Karp from zero at the optimal capacities — whose
-result depends only on the (deterministic) network construction order.
+:func:`_build_network` and :func:`_unit_walker` also serve the k-disjoint
+backup routes (:mod:`repro.routing.backup`), which run the same network
+with zero supplies and unit capacities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -45,7 +47,7 @@ from .. import validate as _validate
 from ..obs import current as _obs_current
 from ..obs import profile_span as _profile_span
 from ..topology.cluster import HEAD, Cluster
-from .maxflow import INF, MAXFLOW_METHODS, FlowNetwork
+from .maxflow import INF, FlowNetwork
 from .paths import RelayingPath, RoutingPlan
 
 __all__ = [
@@ -54,8 +56,6 @@ __all__ = [
     "solve_min_max_load",
     "RoutingInfeasible",
 ]
-
-_ENGINES = ("warm", "cold")
 
 
 class RoutingInfeasible(RuntimeError):
@@ -66,16 +66,12 @@ class RoutingInfeasible(RuntimeError):
 class SolveStats:
     """Observability counters for one :func:`solve_min_max_load` call.
 
-    ``builds`` counts node-split network constructions (the warm engine
-    performs exactly one), ``probes`` counts feasibility questions asked by
-    the δ/λ search, and ``max_flow_calls`` counts augmentation solves —
-    for the cold engine this equals ``probes`` (the duplicate final solve
-    of the pre-warm-start implementation is gone), while the warm engine
-    adds one canonical solve for the decomposition.
+    ``builds`` counts node-split network constructions (one per solve),
+    ``probes`` counts feasibility questions asked by the δ/λ search, and
+    ``max_flow_calls`` counts augmentation solves: one per probe plus the
+    canonical solve for the decomposition.
     """
 
-    engine: str
-    method: str
     builds: int = 0
     probes: int = 0
     max_flow_calls: int = 0
@@ -147,7 +143,9 @@ def _build_network(
     """The paper's node-split network for per-sensor capacities *caps*.
 
     Node layout: 0 = source, 1 = sink, ``2+2i`` = in_i, ``3+2i`` = out_i.
-    Returns (network, source-edge ids, through-edge ids).
+    Source arcs carry ``cluster.packets``.  Returns (network, source-edge
+    ids, through-edge ids); the edge ids let callers re-cap the network in
+    place instead of rebuilding it.
     """
     n = cluster.n_sensors
     net = FlowNetwork(2 + 2 * n)
@@ -166,56 +164,6 @@ def _build_network(
     return net, source_edges, through_edges
 
 
-def _feasible(cluster: Cluster, caps: np.ndarray) -> FlowNetwork | None:
-    """Cold one-shot probe; return the saturating network, or None.
-
-    Kept as the reference implementation (the cold engine and tests use
-    it); the warm-start engine below answers the same question
-    incrementally.
-    """
-    net, _, _ = _build_network(cluster, caps)
-    if net.max_flow(0, 1) == cluster.total_packets:
-        return net
-    return None
-
-
-class _ColdEngine:
-    """Rebuild-per-probe feasibility (the original behaviour), with the last
-    feasible network cached so the optimum is decomposed without re-solving."""
-
-    def __init__(self, cluster: Cluster, method: str):
-        self._cluster = cluster
-        self._total = cluster.total_packets
-        self._method = method
-        self._cached_net: FlowNetwork | None = None
-        self._cached_caps: np.ndarray | None = None
-        self.stats = SolveStats(engine="cold", method=method)
-
-    def probe(self, caps: np.ndarray) -> bool:
-        net, _, _ = _build_network(self._cluster, caps)
-        self.stats.builds += 1
-        self.stats.probes += 1
-        self.stats.max_flow_calls += 1
-        if net.max_flow(0, 1, method=self._method) == self._total:
-            if self._method == "edmonds-karp":
-                # EK-from-zero on a fresh build is the canonical flow; keep it.
-                self._cached_net = net
-                self._cached_caps = caps.copy()
-            return True
-        return False
-
-    def canonical_network(self, caps: np.ndarray) -> FlowNetwork:
-        """A network at *caps* carrying the canonical saturating flow."""
-        if self._cached_net is not None and np.array_equal(caps, self._cached_caps):
-            return self._cached_net
-        net, _, _ = _build_network(self._cluster, caps)
-        self.stats.builds += 1
-        self.stats.max_flow_calls += 1
-        if net.max_flow(0, 1) != self._total:
-            raise AssertionError("search returned infeasible capacities")
-        return net
-
-
 class _WarmEngine:
     """Build the node-split network once; answer probes incrementally.
 
@@ -226,10 +174,8 @@ class _WarmEngine:
     network — construction, not augmentation, dominates cold probe cost.
     """
 
-    def __init__(self, cluster: Cluster, method: str):
-        self._cluster = cluster
+    def __init__(self, cluster: Cluster):
         self._total = cluster.total_packets
-        self._method = method
         n = cluster.n_sensors
         self._caps = np.zeros(n, dtype=np.int64)
         self._net, _, self._through = _build_network(cluster, self._caps)
@@ -241,7 +187,7 @@ class _WarmEngine:
         self._lo_flow: list[int] | None = None
         self._lo_caps: np.ndarray | None = None
         self._lo_sent = 0
-        self.stats = SolveStats(engine="warm", method=method, builds=1)
+        self.stats = SolveStats(builds=1)
 
     def _apply_caps(self, caps: np.ndarray) -> None:
         through = self._through
@@ -266,7 +212,7 @@ class _WarmEngine:
         self.stats.probes += 1
         self.stats.max_flow_calls += 1
         self._sent += self._net.max_flow(
-            0, 1, method=self._method, limit=self._total - self._sent
+            0, 1, method="dinic", limit=self._total - self._sent
         )
         if self._sent < self._total:
             self._lo_flow = self._net.snapshot_flow()
@@ -279,7 +225,7 @@ class _WarmEngine:
 
         Edmonds-Karp from zero flow depends only on the network structure,
         which is identical to a fresh ``_build_network`` (same construction
-        order), so the decomposition matches the cold path bit-for-bit.
+        order), so the decomposition matches a cold rebuild bit-for-bit.
         """
         self._net.reset_flow()
         self._sent = 0
@@ -293,85 +239,94 @@ class _WarmEngine:
         return self._net
 
 
-def _decompose(
-    cluster: Cluster, net: FlowNetwork
-) -> tuple[dict[int, list[tuple[RelayingPath, int]]], np.ndarray]:
-    """Strip the flow into unit relaying paths, one bundle per sensor.
+def _unit_walker(net: FlowNetwork) -> Callable[[int], RelayingPath]:
+    """Peel *net*'s flow into unit relaying paths, one per ``walk(i)`` call.
 
+    ``walk(i)`` follows positive-flow forward edges from ``in_i`` to the
+    sink, spends one unit on each, and returns ``(i, relays…, HEAD)``.
+    Edges are tried in insertion order, so the walk is deterministic.
     Cycles (which a max-flow can legally contain) are cancelled on sight:
     when the walk revisits a node, the loop's flow is zeroed and the walk
-    restarts.  Loads are read off the ``in -> out`` arcs *after* cancelling,
-    so reported loads match the returned paths exactly.
+    restarts.
     """
-    n = cluster.n_sensors
-
     # remaining[eid] = flow left to assign on forward edge eid.  Forward-edge
     # lists come from the network's cached per-node index (built once).
     remaining: dict[int, int] = {}
+    head_of: dict[int, int] = {}
     out_by_node: dict[int, list[int]] = {}
     for u in range(net.n_nodes):
         for eid in net.out_edges(u):
             f = net.edge_flow(eid)
             if f > 0:
                 remaining[eid] = f
+                head_of[eid] = net.edge_endpoints(eid)[1]
                 out_by_node.setdefault(u, []).append(eid)
 
     def take_step(u: int) -> int | None:
-        for eid in out_by_node.get(u, ()):  # deterministic: insertion order
-            if remaining.get(eid, 0) > 0:
+        for eid in out_by_node.get(u, ()):
+            if remaining[eid] > 0:
                 return eid
         return None
 
+    def walk(sensor: int) -> RelayingPath:
+        start = 2 + 2 * sensor
+        while True:
+            path_nodes = [start]
+            path_edges: list[int] = []
+            seen_at: dict[int, int] = {start: 0}
+            u = start
+            while u != 1:
+                eid = take_step(u)
+                if eid is None:
+                    raise RoutingInfeasible(
+                        f"flow decomposition stuck at graph node {u} "
+                        f"for sensor {sensor} (should be impossible)"
+                    )
+                v = head_of[eid]
+                if v in seen_at:
+                    # Cancel the cycle seen_at[v] .. end plus this edge.
+                    for ce in path_edges[seen_at[v]:]:
+                        remaining[ce] -= 1
+                    remaining[eid] -= 1
+                    break  # restart the walk
+                path_edges.append(eid)
+                path_nodes.append(v)
+                seen_at[v] = len(path_nodes) - 1
+                u = v
+            else:  # reached the sink
+                for eid in path_edges:
+                    remaining[eid] -= 1
+                # Graph path: in_i, out_i, in_j, out_j, ..., sink.  The
+                # sensors are the *in* nodes.
+                return tuple(
+                    (g - 2) // 2 for g in path_nodes if g != 1 and g % 2 == 0
+                ) + (HEAD,)
+
+    return walk
+
+
+def _decompose(
+    cluster: Cluster, net: FlowNetwork
+) -> tuple[dict[int, list[tuple[RelayingPath, int]]], np.ndarray]:
+    """Strip the flow into unit relaying paths, one bundle per sensor.
+
+    Loads are read off the decomposed paths, i.e. *after* the walker
+    cancelled any cycles, so reported loads match the returned paths
+    exactly.
+    """
+    n = cluster.n_sensors
+    walk = _unit_walker(net)
     flow_paths: dict[int, list[tuple[RelayingPath, int]]] = {}
     for i in range(n):
         pk = int(cluster.packets[i])
+        if pk == 0:
+            continue
         bundles: dict[RelayingPath, int] = {}
         for _ in range(pk):
-            # Walk one unit from in_i to the sink, cancelling cycles.
-            while True:
-                path_nodes = [2 + 2 * i]
-                path_edges: list[int] = []
-                seen_at: dict[int, int] = {2 + 2 * i: 0}
-                cycled = False
-                u = 2 + 2 * i
-                while u != 1:
-                    eid = take_step(u)
-                    if eid is None:
-                        raise RoutingInfeasible(
-                            f"flow decomposition stuck at graph node {u} "
-                            f"for sensor {i} (should be impossible)"
-                        )
-                    v = net._edges[eid].to
-                    if v in seen_at:
-                        # Cancel the cycle seen_at[v] .. end plus this edge.
-                        start = seen_at[v]
-                        for ce in path_edges[start:]:
-                            remaining[ce] -= 1
-                        remaining[eid] -= 1
-                        cycled = True
-                        break
-                    path_edges.append(eid)
-                    path_nodes.append(v)
-                    seen_at[v] = len(path_nodes) - 1
-                    u = v
-                if not cycled:
-                    break
-            for eid in path_edges:
-                remaining[eid] -= 1
-            # Graph path: in_i, out_i, in_j, out_j, ..., sink.  Sensors are
-            # every *in* node; translate and drop duplicates from in/out pairs.
-            sensors_on_path: list[int] = []
-            for gnode in path_nodes:
-                if gnode != 1 and (gnode - 2) % 2 == 0:  # an "in" node
-                    sensors_on_path.append((gnode - 2) // 2)
-            relay_path: RelayingPath = tuple(sensors_on_path) + (HEAD,)
-            bundles[relay_path] = bundles.get(relay_path, 0) + 1
-        if pk > 0:
-            # Highest-volume bundle first; makespan-friendly tie-break by length.
-            flow_paths[i] = sorted(
-                bundles.items(), key=lambda kv: (-kv[1], len(kv[0]))
-            )
-    # Loads: recompute from the decomposed paths so cancelled cycles don't count.
+            path = walk(i)
+            bundles[path] = bundles.get(path, 0) + 1
+        # Highest-volume bundle first; makespan-friendly tie-break by length.
+        flow_paths[i] = sorted(bundles.items(), key=lambda kv: (-kv[1], len(kv[0])))
     loads = np.zeros(n, dtype=np.int64)
     for alternatives in flow_paths.values():
         for path, units in alternatives:
@@ -395,37 +350,28 @@ def _audit_solution(cluster: Cluster, net: FlowNetwork, solution: FlowSolution) 
     _validate.check_flow_solution(cluster, solution, hint=hint)
 
 
-def _make_engine(cluster: Cluster, engine: str, method: str):
-    if engine == "warm":
-        return _WarmEngine(cluster, method)
-    return _ColdEngine(cluster, method)
-
-
 def solve_min_max_load(
-    cluster: Cluster,
-    energy_aware: bool = False,
-    search: str = "binary",
-    engine: str = "warm",
-    method: str | None = None,
+    cluster: Cluster, energy_aware: bool = False
 ) -> FlowSolution:
     """Find routing minimizing the maximum (normalized) sensor load.
+
+    When *energy_aware* is False (the paper's base case), all sensors get
+    capacity δ and the minimum feasible integer δ is found.  When True,
+    sensor *i* gets capacity ``floor(lam * e_i)`` and the minimum feasible
+    ``lam`` over the candidate set ``{k / e_i}`` is found (minimizing max
+    load/energy).
 
     The solve runs under a wall-clock ``routing.solve`` profile span, and
     its :class:`SolveStats` are published onto the active telemetry's
     metrics registry (``routing.probes`` etc.) — the stats object stays
     the single source of truth, the registry is a cumulative view of it.
-    Parameters are documented on :func:`_solve_min_max_load_impl` below.
     """
     with _profile_span(
         "routing.solve",
         histogram="routing.solve_wall_s",
-        engine=engine,
-        search=search,
         energy_aware=energy_aware,
     ):
-        solution = _solve_min_max_load_impl(
-            cluster, energy_aware, search, engine, method
-        )
+        solution = _solve_min_max_load_impl(cluster, energy_aware)
     tel = _obs_current()
     if tel.enabled:
         metrics = tel.metrics
@@ -443,139 +389,78 @@ def solve_min_max_load(
 
 
 def _solve_min_max_load_impl(
-    cluster: Cluster,
-    energy_aware: bool = False,
-    search: str = "binary",
-    engine: str = "warm",
-    method: str | None = None,
+    cluster: Cluster, energy_aware: bool = False
 ) -> FlowSolution:
-    """Implementation of :func:`solve_min_max_load`.
-
-    Parameters
-    ----------
-    energy_aware:
-        When False (paper's base case), all sensors get capacity δ and the
-        minimum feasible integer δ is found.  When True, sensor *i* gets
-        capacity ``floor(lam * e_i)`` and the minimum feasible ``lam`` over
-        the candidate set ``{k / e_i}`` is found (minimizing max load/energy).
-    search:
-        ``"binary"`` (default) or ``"linear"`` — the paper's increment-δ-by-1
-        loop.  Exposed so tests can confirm both find the same optimum.
-    engine:
-        ``"warm"`` (default) builds the node-split network once and
-        warm-starts monotone capacity probes from the prior flow;
-        ``"cold"`` rebuilds and re-solves per probe (the legacy path).
-        Both return identical solutions; see the module docstring.
-    method:
-        Max-flow algorithm for the probes: ``"dinic"`` or
-        ``"edmonds-karp"``.  Defaults to ``"dinic"`` for the warm engine
-        and ``"edmonds-karp"`` for the cold engine (its historical
-        behaviour).  The final decomposition flow is always canonical
-        Edmonds-Karp-from-zero, so this choice never changes the output.
-    """
-    if search not in ("binary", "linear"):
-        raise ValueError(f"search must be 'binary' or 'linear', got {search}")
-    if engine not in _ENGINES:
-        raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
-    if method is None:
-        method = "dinic" if engine == "warm" else "edmonds-karp"
-    if method not in MAXFLOW_METHODS:
-        raise ValueError(f"method must be one of {MAXFLOW_METHODS}, got {method!r}")
+    """Implementation of :func:`solve_min_max_load`."""
     total = cluster.total_packets
+    n = cluster.n_sensors
     if total == 0:
-        n = cluster.n_sensors
         return FlowSolution(
             cluster=cluster,
             max_load=0,
             loads=np.zeros(n, dtype=np.int64),
             flow_paths={},
             capacities=np.zeros(n, dtype=np.int64),
-            stats=SolveStats(engine=engine, method=method),
+            stats=SolveStats(),
         )
     if not cluster.is_connected():
         # Only sensors with packets actually need a path; check just those.
         hops = cluster.min_hop_counts()
         blocked = [
-            i
-            for i in range(cluster.n_sensors)
-            if cluster.packets[i] > 0 and not np.isfinite(hops[i])
+            i for i in range(n) if cluster.packets[i] > 0 and not np.isfinite(hops[i])
         ]
         if blocked:
             raise RoutingInfeasible(
                 f"sensors {blocked} have packets but no path to the head"
             )
 
-    eng = _make_engine(cluster, engine, method)
-
-    if not energy_aware:
-        caps_of = lambda delta: np.full(cluster.n_sensors, delta, dtype=np.int64)
-        lo = max(1, int(cluster.packets.max()))
-        if search == "linear":
-            # The paper's loop: δ = lo, lo+1, ... — perfectly monotone, so
-            # the warm engine never resets; each probe is one augmentation.
-            delta = lo
-            while not eng.probe(caps_of(delta)):
-                delta += 1
-                if delta > total:
-                    raise RoutingInfeasible("no feasible δ up to total packets")
-            best = delta
-        else:
-            # Exponential lift (monotone: warm-startable), then bisection.
-            hi = lo
-            while not eng.probe(caps_of(hi)):
-                if hi >= total:
-                    raise RoutingInfeasible("no feasible δ up to total packets")
-                hi = min(total, hi * 2)
-            # Invariant: hi feasible; search (lo-1, hi].
-            low, high = lo, hi
-            while low < high:
-                mid = (low + high) // 2
-                if eng.probe(caps_of(mid)):
-                    high = mid
-                else:
-                    low = mid + 1
-            best = low
-        caps = caps_of(best)
-        net = eng.canonical_network(caps)
-        flow_paths, loads = _decompose(cluster, net)
-        solution = FlowSolution(
-            cluster=cluster,
-            max_load=int(best),
-            loads=loads,
-            flow_paths=flow_paths,
-            capacities=caps,
-            stats=eng.stats,
-        )
-        _audit_solution(cluster, net, solution)
-        return solution
-
-    # Energy-aware: minimize lam with caps floor(lam * e_i).  The candidate
-    # set {k / e_i : 1 <= k <= total} is materialized vectorized (it is
-    # O(n * total) values) and bisected.
+    eng = _WarmEngine(cluster)
     energy = cluster.energy
-    candidates = np.unique(
-        np.arange(1, total + 1, dtype=np.float64)[:, None] / energy[None, :]
-    )
-    caps_of_lam = lambda lam: np.floor(lam * energy + 1e-9).astype(np.int64)
-    lo_idx, hi_idx = 0, len(candidates) - 1
-    if not eng.probe(caps_of_lam(candidates[hi_idx])):
-        raise RoutingInfeasible("infeasible even at maximum normalized load")
-    while lo_idx < hi_idx:
-        mid = (lo_idx + hi_idx) // 2
-        if eng.probe(caps_of_lam(candidates[mid])):
-            hi_idx = mid
-        else:
-            lo_idx = mid + 1
-    lam = candidates[lo_idx]
-    caps = caps_of_lam(lam)
+    if not energy_aware:
+        caps_of = lambda delta: np.full(n, delta, dtype=np.int64)
+        lo = max(1, int(cluster.packets.max()))
+        # Exponential lift (monotone: warm-startable), then bisection.
+        hi = lo
+        while not eng.probe(caps_of(hi)):
+            if hi >= total:
+                raise RoutingInfeasible("no feasible δ up to total packets")
+            hi = min(total, hi * 2)
+        # Invariant: hi feasible; search (lo-1, hi].
+        low, high = lo, hi
+        while low < high:
+            mid = (low + high) // 2
+            if eng.probe(caps_of(mid)):
+                high = mid
+            else:
+                low = mid + 1
+        caps = caps_of(low)
+    else:
+        # Minimize lam with caps floor(lam * e_i).  The candidate set
+        # {k / e_i : 1 <= k <= total} is materialized vectorized (it is
+        # O(n * total) values) and bisected.
+        candidates = np.unique(
+            np.arange(1, total + 1, dtype=np.float64)[:, None] / energy[None, :]
+        )
+        caps_of_lam = lambda lam: np.floor(lam * energy + 1e-9).astype(np.int64)
+        lo_idx, hi_idx = 0, len(candidates) - 1
+        if not eng.probe(caps_of_lam(candidates[hi_idx])):
+            raise RoutingInfeasible("infeasible even at maximum normalized load")
+        while lo_idx < hi_idx:
+            mid = (lo_idx + hi_idx) // 2
+            if eng.probe(caps_of_lam(candidates[mid])):
+                hi_idx = mid
+            else:
+                lo_idx = mid + 1
+        caps = caps_of_lam(candidates[lo_idx])
     net = eng.canonical_network(caps)
     flow_paths, loads = _decompose(cluster, net)
-    achieved = max(
-        (loads[i] / energy[i] for i in range(cluster.n_sensors)), default=0.0
-    )
+    if energy_aware:
+        max_load = float(max((loads[i] / energy[i] for i in range(n)), default=0.0))
+    else:
+        max_load = int(low)
     solution = FlowSolution(
         cluster=cluster,
-        max_load=float(achieved),
+        max_load=max_load,
         loads=loads,
         flow_paths=flow_paths,
         capacities=caps,

@@ -99,8 +99,6 @@ def repair_routing(
     cluster: Cluster,
     dead: set[int],
     energy_aware: bool = False,
-    engine: str = "warm",
-    method: str | None = None,
     cache: "SolverCache | None" = None,
 ) -> RepairResult:
     """Recompute min-max-load routing with *dead* nodes excluded.
@@ -108,10 +106,8 @@ def repair_routing(
     *cluster* is the original (pre-fault) topology with its per-sensor
     packet demands; the repair prunes the dead nodes, zeroes the demand of
     any survivor that lost its last path (partial coverage), and solves the
-    flow on what remains.  Repairs run at duty-cycle boundaries where
-    latency matters, so the solve defaults to the warm-start engine
-    (``engine``/``method`` are forwarded to
-    :func:`~repro.routing.minmax.solve_min_max_load`).  With a *cache* the
+    flow on what remains with
+    :func:`~repro.routing.minmax.solve_min_max_load`.  With a *cache* the
     solve goes through :meth:`~repro.routing.warmcache.SolverCache.
     routing_for`, which answers a repeat topology bit-for-bit from memory.
     """
@@ -131,9 +127,7 @@ def repair_routing(
             packets[sorted(uncovered)] = 0
             pruned = pruned.with_packets(packets)
         solve = solve_min_max_load if cache is None else cache.routing_for
-        solution = solve(
-            pruned, energy_aware=energy_aware, engine=engine, method=method
-        )
+        solution = solve(pruned, energy_aware=energy_aware)
         return RepairResult(
             cluster=pruned,
             solution=solution,

@@ -10,12 +10,13 @@ re-running them per trial is pure waste.
 
 :class:`SolverCache` memoizes both behind a topology fingerprint: a SHA-256
 over the exact bytes of ``hears`` / ``head_hears`` / ``packets`` /
-``energy`` plus the solver parameters.  Because the solvers are
-deterministic (no RNG anywhere in the flow engines), a cache hit returns a
-solution that is **bit-for-bit identical** to what a fresh solve would
-produce — enabling the cache can never change simulation results, only
-skip redundant work.  Mid-run re-solves — route repair, re-clustering,
-failover adoption and field re-forms, which all reach the solver through
+``energy``.  A routing entry is keyed by ``(fingerprint, energy_aware)``,
+the solver's only parameter.  Because the solvers are deterministic (no
+RNG anywhere in the flow engine), a cache hit returns a solution that is
+**bit-for-bit identical** to what a fresh solve would produce — enabling
+the cache can never change simulation results, only skip redundant work.
+Mid-run re-solves — route repair, re-clustering, failover adoption and
+field re-forms, which all reach the solver through
 ``repair_routing(..., cache=...)`` — fingerprint their pruned cluster the
 same way, so trials replaying the same fault plan share those solves too.
 
@@ -90,22 +91,14 @@ class SolverCache:
     _oracle_memos: dict[tuple, tuple[dict, dict]] = field(default_factory=dict)
 
     def routing_for(
-        self,
-        cluster: Cluster,
-        energy_aware: bool = False,
-        search: str = "binary",
-        engine: str = "warm",
-        method: str | None = None,
+        self, cluster: Cluster, energy_aware: bool = False
     ) -> FlowSolution:
         """The min-max flow solution for *cluster* (solved once per topology)."""
-        key = (topology_fingerprint(cluster), energy_aware, search, engine, method)
+        key = (topology_fingerprint(cluster), energy_aware)
         sol = self._routing.get(key)
         if sol is None:
             self.stats.routing_misses += 1
-            sol = solve_min_max_load(
-                cluster, energy_aware=energy_aware, search=search,
-                engine=engine, method=method,
-            )
+            sol = solve_min_max_load(cluster, energy_aware=energy_aware)
             self._routing[key] = sol
         else:
             self.stats.routing_hits += 1

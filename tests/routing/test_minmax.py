@@ -8,6 +8,8 @@ from repro.routing import RoutingInfeasible, solve_min_max_load
 from repro.routing.paths import validate_path
 from repro.topology import HEAD, Cluster, uniform_square
 
+from .reference import reference_solve
+
 
 def test_fig2_balances_loads(fig2_cluster):
     sol = solve_min_max_load(fig2_cluster)
@@ -45,11 +47,12 @@ def test_two_gateways_split_traffic():
 
 
 def test_linear_and_binary_search_agree():
+    """Binary search finds the δ of the paper's δ++ loop (the reference)."""
     for seed in range(4):
         dep = uniform_square(10, seed=seed)
         c = Cluster.from_deployment(dep)
-        a = solve_min_max_load(c, search="binary")
-        b = solve_min_max_load(c, search="linear")
+        a = solve_min_max_load(c)
+        b = reference_solve(c, search="linear")
         assert a.max_load == b.max_load
 
 
@@ -141,11 +144,6 @@ def test_splitting_sensors_detection():
     flows = sol.next_hop_flows()
     for s in sol.splitting_sensors:
         assert len(flows[s]) > 1
-
-
-def test_bad_search_mode_rejected(fig2_cluster):
-    with pytest.raises(ValueError):
-        solve_min_max_load(fig2_cluster, search="magic")
 
 
 @given(st.integers(0, 30))
