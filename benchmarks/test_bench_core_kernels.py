@@ -15,8 +15,10 @@ from repro.mac.base import geometric_oracle
 from repro.routing import FlowNetwork, solve_min_max_load
 from repro.topology import Cluster, uniform_square
 
-# The cold reference solver lives with the routing tests.
+# The cold reference solver and the per-request reference scan live with
+# the tests.
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+from tests.core.reference_scheduler import ReferenceScheduler  # noqa: E402
 from tests.routing.reference import reference_solve  # noqa: E402
 
 
@@ -116,13 +118,30 @@ def test_bench_minmax_energy_aware_cold_ek(benchmark):
 
 
 def test_bench_online_scheduler_30_sensors(benchmark):
+    """The fill scan vs the test-side per-request reference scan.
+
+    Asserts (a) identical schedules and oracle query counts and (b) the
+    reference is at least 1.5x slower on warm oracles, then records the
+    scan's timing in the benchmark JSON.
+    """
     dep = uniform_square(30, seed=0)
     geo = Cluster.from_deployment(dep)
     oracle, cluster = geometric_oracle(geo)
+    ref_oracle, _ = geometric_oracle(geo)
     cluster = cluster.with_packets(np.full(30, 3, dtype=np.int64))
     plan = solve_min_max_load(cluster).routing_plan()
+    fast = lambda: OnlinePollingScheduler.poll(plan, oracle)
+    ref = lambda: ReferenceScheduler.poll(plan, ref_oracle)
+    assert fast().schedule == ref().schedule
+    assert oracle.query_count == ref_oracle.query_count
 
-    result = benchmark(lambda: OnlinePollingScheduler.poll(plan, oracle))
+    t_ref = _best_of(ref)
+    t_fast = _best_of(fast)
+    assert t_ref >= 1.5 * t_fast, (
+        f"fill-scan speedup regressed: reference {t_ref*1e3:.2f} ms "
+        f"vs scan {t_fast*1e3:.2f} ms ({t_ref/t_fast:.2f}x < 1.5x)"
+    )
+    result = benchmark(fast)
     assert result.pool.all_deleted()
 
 

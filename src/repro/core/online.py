@@ -14,19 +14,22 @@ detected at its expected arrival slot and its request simply becomes active
 again — new polls for old packets arrive while polling is still going on,
 which is why the algorithm must be on-line.
 
-Complexity: per slot the scan is O(R · h · M) oracle/occupancy work for R
-requests of hop count ≤ h — linear in input size for fixed M, as the paper
-notes (the exponential term is in the *probing*, not the scheduling).
+Complexity: per slot the scan judges each sensor with an active request
+once, at O(h) verdict lookups for hop count ≤ h (one dict get per hop), and
+skips the sensor's other requests, which share its path — linear in input
+size for fixed M, as the paper notes (the exponential term is in the
+*probing*, not the scheduling).
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Callable
 
 from .. import obs as _obs
 from .. import validate as _validate
-from ..interference.base import CompatibilityOracle
+from ..interference.base import CompatibilityOracle, Link
 from ..routing.backup import BackupRoutes
 from ..routing.paths import RelayingPath, RoutingPlan
 from ..sim.rng import RngStreams
@@ -78,8 +81,10 @@ class NoLoss(LossModel):
 class BernoulliLoss(LossModel):
     """Independent per-hop loss with probability *p*, deterministic per seed.
 
-    The decision depends on (request, attempt, hop) so re-polls of the same
-    packet redraw fresh randomness, exactly like retransmissions on a real
+    Every call draws one uniform from the model's own sequential stream, so
+    the outcomes depend on the seed and on the order in which hops are
+    asked about, not on (request, attempt, hop).  Re-polls of the same
+    packet therefore draw fresh randomness, like retransmissions on a real
     channel.
     """
 
@@ -134,7 +139,7 @@ class OnlineResult:
 
     @property
     def retransmissions(self) -> int:
-        return self.total_attempts - len(self.pool.requests)
+        return self.pool.retransmissions()
 
 
 class OnlinePollingScheduler:
@@ -230,12 +235,15 @@ class OnlinePollingScheduler:
         # farthest hop that actually carries the packet (loss truncates it).
         self._attempt_ok_until: dict[int, int] = {}
         # Hot-path bookkeeping (semantics-neutral): the scan list of active
-        # requests in pool order, per-slot occupied-node sets, and the count
+        # requests in pool order; in-flight requests by expected arrival
+        # slot, in scheduling order; each slot's group as a links tuple,
+        # parallel to schedule.slots; each path's hop links; and the count
         # of not-yet-delivered requests.
         self._scan_order = {r.request_id: i for i, r in enumerate(self.pool.requests)}
         self._active_list: list[PollRequest] = list(self.pool.requests)
-        self._in_flight: list[PollRequest] = []
-        self._occupied: dict[int, set[int]] = {}
+        self._in_flight: dict[int, list[PollRequest]] = {}
+        self._slot_links: list[tuple[Link, ...]] = []
+        self._hop_links: dict[RelayingPath, tuple[Link, ...]] = {}
         self._undelivered = len(self.pool.requests)
         # Verify every link is usable at all, otherwise polling can never end.
         for req in self.pool:
@@ -560,16 +568,14 @@ class OnlinePollingScheduler:
                 if self._tel_enabled:
                     self._tel_abandoned(req, "blacklist")
         self._active_list = [r for r in self._active_list if r.sensor != sensor]
-        self._in_flight = [r for r in self._in_flight if r.sensor != sensor]
+        for due in self._in_flight.values():
+            due[:] = [r for r in due if r.sensor != sensor]
 
     def _reinsert_active(self, req: PollRequest) -> None:
         """Put a reactivated request back into the scan list, keeping the
         predetermined order (insertion by scan index)."""
-        import bisect
-
-        keys = [self._scan_order[r.request_id] for r in self._active_list]
-        pos = bisect.bisect_left(keys, self._scan_order[req.request_id])
-        self._active_list.insert(pos, req)
+        order = self._scan_order
+        bisect.insort(self._active_list, req, key=lambda r: order[r.request_id])
 
     @property
     def all_done(self) -> bool:
@@ -592,100 +598,81 @@ class OnlinePollingScheduler:
                 self._lose(req)
 
     def _take_arrivals(self, slot: int) -> list["PollRequest"]:
-        """Pop in-flight requests whose expected arrival slot is *slot*."""
-        due = [r for r in self._in_flight if r.arrival_slot() == slot]
-        if due:
-            due_ids = set(id(r) for r in due)
-            self._in_flight = [r for r in self._in_flight if id(r) not in due_ids]
-        return due
+        """Pop in-flight requests whose expected arrival slot is *slot*, in
+        the order they were scheduled."""
+        return self._in_flight.pop(slot, [])
 
     def _fill_slot(self, t: int, draw_loss: bool = True) -> None:
         """Greedy insertion for slot *t* (the paper's inner while loop).
 
-        The fit test is inlined with every attribute lookup hoisted out of
-        the scan: this loop probes tens of requests per slot across tens of
-        thousands of slots per sweep and dominates scheduler time.
+        A request fits if every hop *k* of its path may join slot t+k's
+        group.  All active requests of a sensor carry its current path, and
+        between two inserts (a scan epoch) the groups are frozen, so a path
+        is judged once per epoch: a request whose path is the one just
+        judged is skipped, and so is one whose path was just inserted (its
+        sender is now busy at *t*).  Each hop is one get in the oracle's
+        per-group verdict dict (see :meth:`_may_join`).
         """
-        oracle = self.oracle
-        m = oracle.max_group_size
-        slots = self.schedule.slots
-        # Only this slot's hop-0 inserts grow group_at(t) during the scan,
-        # so the size is tracked locally instead of re-queried per request.
-        size = len(slots[t]) if t < len(slots) else 0
+        m = self.oracle.max_group_size
+        size = len(self._group(t))
         if size >= m:
             return
-        occupied = self._occupied
-        memo = oracle._seq_memo
-        inserted: list[PollRequest] | None = None
-        # Per-offset context for the current scan epoch (between inserts the
-        # schedule tail is frozen): the slot's occupied-node set, whether it
-        # is already full, its group, and the memo's per-group verdict dict
-        # mapping a candidate link to "may it join this group".  Rebuilding
-        # this per *request* is what used to dominate sweep time.
-        ctx: dict[int, tuple] = {}
-        ctx_get = ctx.get
-        for req in self._active_list:
+        memo = self.oracle._seq_memo
+        hop_links = self._hop_links
+        active = self._active_list
+        # verdicts[k]: the verdict dict of slot t+k's group in this epoch.
+        verdicts: list[dict[Link, bool]] = []
+        inserted: list[int] = []
+        judged = None
+        for i, req in enumerate(active):
             path = req.path
-            fits = True
-            for k in range(len(path) - 1):
-                c = ctx_get(k)
-                if c is None:
-                    tk = t + k
-                    occ = occupied.get(tk)
-                    group = slots[tk] if tk < len(slots) else None
-                    if group:
-                        gkey = tuple((tx.sender, tx.receiver) for tx in group)
-                        full = len(group) >= m
-                    else:
-                        gkey = ()
-                        full = False
-                    inner = memo.get(gkey)
-                    if inner is None:
-                        inner = memo[gkey] = {}
-                    c = (occ, full, inner.get, inner, group)
-                    ctx[k] = c
-                occ, full, inner_get, inner, group = c
-                if full:
-                    fits = False
-                    break
-                # Pass 1: cheap structural checks (O(1) occupied-node sets).
-                if occ is not None and (path[k] in occ or path[k + 1] in occ):
-                    fits = False
-                    break
-                # Pass 2: radio compatibility of the extended group.  The
-                # same few group shapes recur every slot of every phase, so
-                # probes go through the oracle's group->link memo; only
-                # genuinely new shapes pay for a real group query.
-                link = (path[k], path[k + 1])
-                res = inner_get(link)
-                if res is None:
-                    if group:
-                        links = [tx.link for tx in group]
-                        links.append(link)
-                        res = oracle.compatible(links)
-                    else:
-                        res = oracle.compatible([link])
-                    inner[link] = res
-                if not res:
-                    fits = False
-                    break
-            if not fits:
+            if path == judged:
                 continue
-            self._insert(req, t, draw_loss=draw_loss)
-            ctx.clear()  # the insert grew groups/occupied at t..t+hops
-            if inserted is None:
-                inserted = []
-            inserted.append(req)
-            size += 1
-            if size >= m:
-                break
-        if inserted:
-            taken = set(id(r) for r in inserted)
-            self._active_list = [r for r in self._active_list if id(r) not in taken]
+            judged = path
+            links = hop_links.get(path) or self._links_of(path)
+            for k, link in enumerate(links):
+                if k == len(verdicts):
+                    verdicts.append(memo.setdefault(self._group(t + k), {}))
+                inner = verdicts[k]
+                ok = inner.get(link)
+                if ok is None:
+                    ok = inner[link] = self._may_join(t + k, link)
+                if not ok:
+                    break
+            else:
+                self._insert(req, t, draw_loss=draw_loss)
+                inserted.append(i)
+                size += 1
+                if size >= m:
+                    break
+                verdicts.clear()  # the insert grew the groups at t..t+hops
+        for i in reversed(inserted):
+            del active[i]
+
+    def _links_of(self, path: RelayingPath) -> tuple[Link, ...]:
+        """The hop links of *path*, built once per path."""
+        links = self._hop_links.get(path)
+        if links is None:
+            links = self._hop_links[path] = tuple(zip(path, path[1:]))
+        return links
+
+    def _group(self, s: int) -> tuple[Link, ...]:
+        """Slot *s*'s group as an ordered links tuple."""
+        return self._slot_links[s] if s < len(self._slot_links) else ()
+
+    def _may_join(self, s: int, link: Link) -> bool:
+        """May *link* join slot *s*'s group?  Not if the group already
+        holds M transmissions (the oracle knows no larger groups); otherwise
+        the oracle decides, and it rejects a node the group already uses
+        without counting a query."""
+        group = self._group(s)
+        return len(group) < self.oracle.max_group_size and self.oracle.compatible(
+            group + (link,)
+        )
 
     def _insert(self, req: PollRequest, t: int, draw_loss: bool = True) -> None:
         req.mark_scheduled(t)
-        self._in_flight.append(req)
+        self._in_flight.setdefault(req.arrival_slot(), []).append(req)
         if self._tel_enabled:
             self._tel.add_event(
                 self._tel_span(req),
@@ -694,22 +681,25 @@ class OnlinePollingScheduler:
                 slot=t,
                 attempt=req.attempts,
             )
+        links = self._links_of(req.path)
+        slot_links = self._slot_links
+        missing = t + len(links) - len(slot_links)
+        if missing > 0:
+            slot_links.extend([()] * missing)
         # Draw loss lazily per hop now so progress is fixed for this attempt.
         ok_until = 0
         lost = False
-        for k in range(req.hop_count):
+        for k, link in enumerate(links):
             self.schedule.add(
                 t + k,
                 Transmission(
-                    sender=req.path[k],
-                    receiver=req.path[k + 1],
+                    sender=link[0],
+                    receiver=link[1],
                     request_id=req.request_id,
                     hop_index=k,
                 ),
             )
-            occ = self._occupied.setdefault(t + k, set())
-            occ.add(req.path[k])
-            occ.add(req.path[k + 1])
+            slot_links[t + k] += (link,)
             if draw_loss and not lost:
                 if self.loss.fails(req, k, t + k):
                     lost = True

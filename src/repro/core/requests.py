@@ -125,3 +125,8 @@ class RequestPool:
 
     def total_attempts(self) -> int:
         return sum(r.attempts for r in self.requests)
+
+    def retransmissions(self) -> int:
+        """Re-polls: attempts beyond each request's first.  A request
+        written off before its first attempt counts zero, not -1."""
+        return sum(max(0, r.attempts - 1) for r in self.requests)

@@ -56,13 +56,14 @@ class CompatibilityOracle(ABC):
         # are memoized — the scheduler asks about the same small link
         # universe millions of times across a sweep.
         self._memo: dict[frozenset[Link], bool] = {}
-        # Second-level memo for the online scheduler's fill hot path,
-        # two-level: group-links tuple -> {candidate link -> verdict}.  The
-        # scheduler fetches a group's inner dict once per scan epoch and
-        # answers per-request probes with one small-tuple dict get.  Entries
-        # duplicate _memo results per ordering; query_count semantics are
-        # unchanged because misses delegate to compatible().
-        self._seq_memo: dict[tuple, dict[tuple, bool]] = {}
+        # The online scheduler's fill verdicts, two-level: a slot's group as
+        # an ordered links tuple -> {candidate link -> may it join}.  "May
+        # join" folds in the group-size cap (a group of M admits nothing)
+        # and node reuse (compatible() rejects it without a query), so a
+        # verdict is a pure function of (group, link) and the scheduler
+        # judges each hop with one dict get.  Misses go through
+        # compatible(), so query_count semantics are unchanged.
+        self._seq_memo: dict[tuple[Link, ...], dict[Link, bool]] = {}
 
     def compatible(self, links: Sequence[Link]) -> bool:
         """Can all *links* transmit in the same slot without any failing?"""
@@ -75,6 +76,10 @@ class CompatibilityOracle(ABC):
         if not links:
             return True
         key = frozenset(links)
+        if len(key) < len(links):
+            # A repeated link reuses its nodes.  Reject it here: the
+            # frozenset key has collapsed onto a smaller group's verdict.
+            return False
         cached = self._memo.get(key)
         if cached is not None:
             return cached

@@ -937,9 +937,7 @@ class PollingClusterMac:
             self.scalar_slots += t - vector.vector_slots
         else:
             self.scalar_slots += t
-        # Per-request, not pool-total: a request abandoned under faults with
-        # zero attempts would otherwise push the count negative.
-        retx = sum(max(0, r.attempts - 1) for r in scheduler.pool.requests)
+        retx = scheduler.pool.retransmissions()
         self.failovers.extend(scheduler.failover_events)
         # Phase invariants on the schedule the radio actually executed:
         # conservation of requests and the per-slot ≤M/compatibility rules.

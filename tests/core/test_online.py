@@ -91,6 +91,21 @@ def test_loss_forces_retries_but_completes(fig2_cluster, fig2_oracle):
     result.schedule.validate(list(result.pool), fig2_oracle)
 
 
+def test_retransmissions_never_negative_when_sensors_die_unpolled():
+    """Requests written off before their first attempt count no re-polls."""
+    geo = Cluster.from_deployment(uniform_square(12, seed=0))
+    oracle, c = geometric_oracle(geo)
+    plan = solve_min_max_load(c.with_packets(np.full(12, 3))).routing_plan()
+    result = OnlinePollingScheduler(
+        plan, oracle, loss=BernoulliLoss(0.6, seed=1), dead_after_misses=1
+    ).run()
+    assert result.total_attempts < len(result.pool.requests)
+    assert result.retransmissions == sum(
+        max(0, r.attempts - 1) for r in result.pool.requests
+    )
+    assert result.retransmissions >= 0
+
+
 def test_loss_makespan_dominates_lossless(chain_cluster, all_compatible):
     plan = solve_min_max_load(chain_cluster).routing_plan()
     clean = OnlinePollingScheduler.poll(plan, all_compatible)

@@ -38,6 +38,21 @@ def test_node_reuse_is_always_incompatible():
     assert not oracle.compatible([(0, 1), (1, 2)])
 
 
+@pytest.mark.parametrize("repeated_first", [True, False])
+def test_repeated_link_never_reads_or_writes_the_single_link_verdict(repeated_first):
+    """A group that repeats a link reuses its nodes and is rejected, in
+    either call order, without touching the collapsed one-link memo key."""
+    oracle = TabulatedOracle([], valid_links=[(1, 0), (0, HEAD), (2, HEAD)])
+    if repeated_first:
+        assert not oracle.compatible([(1, 0), (1, 0)])
+        assert oracle.query_count == 0
+        assert oracle.single_link_ok((1, 0))
+    else:
+        assert oracle.single_link_ok((1, 0))
+        assert not oracle.compatible([(1, 0), (1, 0)])
+    assert oracle.query_count == 1
+
+
 def test_memoization_counts_queries_once():
     oracle = TabulatedOracle([((0, 1), (2, 3))])
     assert oracle.compatible([(0, 1), (2, 3)])
