@@ -113,7 +113,9 @@ def act_four_anomaly_forensics(campaign: Path) -> None:
         "doctored-outlier",
         trial.experiment,
         trial.kwargs,
-        summary={"wall_s": 120.0, "metrics": {}, "violations": 0},
+        wall_s=120.0,
+        metrics={},
+        violations=0,
     )
     findings = [
         f

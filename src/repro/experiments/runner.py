@@ -56,8 +56,10 @@ Campaign feed and resume
 watched, health-checked, and forensically examined
 (``python -m repro.obs.campaign <dir>``).  The parent process writes every
 record.  The feed is also the sweep's resume journal: ``completed`` and
-``cached`` records carry the trial's result and its telemetry summary,
-and a failure the healing executor settled is marked ``settled``.
+``cached`` records carry the trial's result and its summary (flat
+metrics, violation count, wall time, peak RSS; see
+:func:`run_trial_with_summary`), and a failure the healing executor
+settled is marked ``settled``.
 ``resume=True`` replays each trial whose latest terminal record holds a
 result or a settled failure and runs every other trial, including one
 whose fail-fast run raised.  Keys are content-addressed and a trial's
@@ -67,10 +69,13 @@ kill is skipped on load.
 
 Every outcome (cache hit, resume replay, fresh completion, settled
 failure) is settled in one place, which fills the result slot, caches a
-fresh result, writes the feed record and folds the telemetry summary.  A
-trial found in both the cache and the journal is settled once.
-``campaign_dir=None`` (default) constructs nothing — the bit-for-bit
-contract of the rest of :mod:`repro.obs` applies.
+fresh result with its summary and writes the feed record.  The feed is the
+one record of a sweep: progress, health and trial wall times are
+reductions over it (:func:`repro.obs.campaign.campaign_status`).  A trial
+found in both the cache and the journal is settled once.
+``campaign_dir=None`` (default) constructs nothing and runs every trial
+untraced — the bit-for-bit contract of the rest of :mod:`repro.obs`
+applies.
 """
 
 from __future__ import annotations
@@ -103,6 +108,9 @@ __all__ = [
 ]
 
 DEFAULT_CACHE_DIR = Path("results") / "sweep_cache"
+
+# The keys of a trial's summary (see run_trial_with_summary).
+_SUMMARY_FIELDS = ("metrics", "violations", "wall_s", "peak_rss_kb")
 
 
 def resolve_experiment(experiment: str) -> Callable[..., Any]:
@@ -220,8 +228,8 @@ class SweepCache:
 
     def get_entry(self, key: str) -> dict[str, Any] | None:
         """The full stored payload: ``result`` plus, when the trial ran
-        under sweep telemetry, its per-trial ``telemetry`` summary — so a
-        cache hit contributes to aggregation exactly like a fresh run."""
+        traced, its ``summary`` — so a cache hit writes the same feed
+        record as the fresh run."""
         path = self._path(key)
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -253,7 +261,7 @@ class SweepCache:
         key: str,
         trial: Trial,
         result: Any,
-        telemetry: dict[str, Any] | None = None,
+        summary: dict[str, Any] | None = None,
     ) -> None:
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -263,8 +271,8 @@ class SweepCache:
             "code": code_version(),
             "result": result,
         }
-        if telemetry is not None:
-            payload["telemetry"] = telemetry
+        if summary is not None:
+            payload["summary"] = summary
         fd, tmp = tempfile.mkstemp(
             dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
         )
@@ -344,13 +352,16 @@ def _peak_rss_kb() -> int | None:
 def run_trial_with_summary(trial: Trial) -> tuple[Any, dict[str, Any]]:
     """Execute one trial under a fresh telemetry collector.
 
-    Returns ``(result, summary)`` where the summary is the JSON-compatible
-    digest of :meth:`repro.obs.Telemetry.summary` plus the trial's wall
-    time and the worker's peak RSS — small enough to cross a worker pipe,
-    land in the cache, and be folded into the sweep-level collector with
-    ``merge_summary``.  The collector is trial-local, so fork-isolated
-    workers never need to ship the (unpicklable, PHY-laden) span tree back
-    to the parent.
+    Returns ``(result, summary)``: the summary is the flat digest of
+    :meth:`repro.obs.Telemetry.summary` (``metrics``, ``violations``) plus
+    the trial's ``wall_s`` and the worker's ``peak_rss_kb`` — plain JSON
+    that crosses a worker pipe and is stored once per trial, in the sweep
+    cache entry and the campaign-feed record.  The collector is
+    trial-local, so workers never ship the (unpicklable, PHY-laden) span
+    tree back to the parent, and the tree is released as soon as the
+    summary is taken: the finished simulation still refers to the
+    collector, and would otherwise keep the spans alive until the cyclic
+    garbage collector reaches it.
 
     Top-level so it pickles for pool workers.
     """
@@ -361,6 +372,9 @@ def run_trial_with_summary(trial: Trial) -> tuple[Any, dict[str, Any]]:
     with _obs.use(tel):
         result = run_trial(trial)
     summary = tel.summary()
+    tel.spans.clear()
+    tel.timeline.clear()
+    tel.cycle_snapshots.clear()
     summary["wall_s"] = time.perf_counter() - start
     summary["peak_rss_kb"] = _peak_rss_kb()
     return result, summary
@@ -422,12 +436,10 @@ def _run_fail_fast(
             raise
 
 
-def _healing_child(conn, trial: Trial, with_summary: bool) -> None:
+def _healing_child(conn, trial: Trial, run: Callable[[Trial], Any]) -> None:
     """Worker body for the healing executor (top-level: must pickle)."""
     try:
-        result = (
-            run_trial_with_summary(trial) if with_summary else run_trial(trial)
-        )
+        result = run(trial)
     except BaseException as exc:  # noqa: BLE001 - report, parent decides
         try:
             conn.send(("error", _describe(exc)))
@@ -445,7 +457,7 @@ def _run_healing(
     retries: int,
     backoff_base: float,
     backoff_max: float,
-    with_summary: bool,
+    run: Callable[[Trial], Any],
     report: Callable[..., None],
 ) -> None:
     """Run trials in single-trial worker processes with healing.
@@ -467,7 +479,7 @@ def _run_healing(
         parent_conn, child_conn = ctx.Pipe(duplex=False)
         proc = ctx.Process(
             target=_healing_child,
-            args=(child_conn, trial, with_summary),
+            args=(child_conn, trial, run),
             daemon=True,
         )
         proc.start()
@@ -548,7 +560,6 @@ def run_sweep(
     backoff_base: float = 0.5,
     backoff_max: float = 8.0,
     resume: bool = False,
-    telemetry: Any | None = None,
     campaign_dir: str | os.PathLike | None = None,
 ) -> list[Any]:
     """Run *trials*, returning their results in trial order.
@@ -573,22 +584,14 @@ def run_sweep(
         or a settled failure) and run the rest.  Results depend only on
         trial kwargs, so a killed-and-resumed sweep is bit-for-bit
         identical to an uninterrupted one.  Requires ``campaign_dir``.
-    telemetry:
-        an enabled :class:`repro.obs.Telemetry` collector to aggregate the
-        sweep into.  Each trial then runs under its own fresh collector
-        (workers included — summaries cross the fork pipe as plain JSON)
-        and its digest is folded into this one with ``merge_summary``;
-        cached and resumed trials contribute the summary stored with
-        their entry, so aggregation is stable across cache hits and
-        resumes.  Adds ``runner.trials`` / ``runner.cache_hits`` /
-        ``runner.failures`` counters and a ``runner.trial_wall_s``
-        histogram.  ``None`` (the default) changes nothing.
     campaign_dir:
         directory for the streaming campaign feed, which is also the
         resume journal (see the module docstring and
         :mod:`repro.obs.campaign`).  One fsynced JSONL record per trial
-        event, watchable live with ``python -m repro.obs.campaign <dir>``.
-        ``None`` (the default) emits nothing and is bit-for-bit free.
+        event, watchable live with ``python -m repro.obs.campaign <dir>``;
+        each trial then runs under its own telemetry collector and its
+        terminal record carries the trial's summary.  ``None`` (the
+        default) emits nothing and is bit-for-bit free.
     """
     if cache is None and cache_dir is not None:
         cache = SweepCache(cache_dir)
@@ -599,11 +602,6 @@ def run_sweep(
         from ..obs.campaign import CampaignFeed
 
         feed = CampaignFeed(campaign_dir)
-    collect = telemetry is not None and getattr(telemetry, "enabled", False)
-    # The feed wants per-trial wall/RSS/metric snapshots even when no
-    # sweep-level collector is aggregating, so summaries ride along in
-    # either case (telemetry inside a trial never perturbs its results).
-    want_summary = collect or feed is not None
 
     results: list[Any] = [None] * len(trials)
     done = [False] * len(trials)
@@ -626,32 +624,18 @@ def run_sweep(
         failure: TrialFailure | None = None,
         **fields: Any,
     ) -> None:
-        """Settle one trial: fill its slot, cache a fresh result, write its
-        feed record and fold its summary into the collector."""
+        """Settle one trial: fill its slot, cache a fresh result with its
+        summary, and write its feed record."""
         done[idx] = True
-        metrics = telemetry.metrics if collect else None
-        if metrics is not None:
-            metrics.counter("runner.trials").inc()
         if failure is not None:
             results[idx] = failure
-            if metrics is not None:
-                metrics.counter("runner.failures").inc()
             if feed is not None:
                 feed.emit("failed", keys[idx], **failure.as_dict(), settled=True, **fields)
             return
         results[idx] = result
         if event == "completed" and cache is not None:
-            cache.put(keys[idx], trials[idx], result, telemetry=summary)
-        if metrics is not None:
-            if event == "cached":
-                metrics.counter("runner.cache_hits").inc()
-            if summary:
-                telemetry.merge_summary(summary)
-                wall = summary.get("wall_s")
-                if wall is not None:
-                    metrics.histogram("runner.trial_wall_s").observe(float(wall))
-        # The raw summary goes in too, so that a resume can replay it.
-        record(event, idx, summary=summary, result=result, telemetry=summary, **fields)
+            cache.put(keys[idx], trials[idx], result, summary=summary)
+        record(event, idx, result=result, **(summary or {}), **fields)
 
     def report(
         event: str,
@@ -663,7 +647,7 @@ def run_sweep(
     ) -> None:
         """The executors' event sink: outcomes settle, the rest is fed."""
         if event == "completed":
-            result, summary = outcome if want_summary else (outcome, None)
+            result, summary = outcome if feed is not None else (outcome, None)
             settle(idx, event, result, summary, attempt=attempt)
         elif failure is not None:
             settle(idx, event, failure=failure)
@@ -681,7 +665,7 @@ def run_sweep(
         for idx, key in enumerate(keys):
             entry = cache.get_entry(key)
             if entry is not None:
-                settle(idx, "cached", entry["result"], entry.get("telemetry"), source="cache")
+                settle(idx, "cached", entry["result"], entry.get("summary"), source="cache")
     if resume:
         from ..obs.campaign import load_feed, reduce_trials
 
@@ -691,18 +675,18 @@ def run_sweep(
             if done[idx] or term is None:
                 continue
             if "result" in term:
-                settle(idx, "cached", term["result"], term.get("telemetry"), source="journal")
+                summary = {k: term[k] for k in _SUMMARY_FIELDS if k in term}
+                settle(idx, "cached", term["result"], summary, source="journal")
             elif term.get("settled"):
                 settle(idx, "failed", failure=TrialFailure.from_dict(term), source="journal")
 
     pending = [(idx, trial) for idx, trial in enumerate(trials) if not done[idx]]
+    run = run_trial_with_summary if feed is not None else run_trial
     if timeout is not None or retries > 0:
         _run_healing(
-            pending, processes or 1, timeout, retries, backoff_base, backoff_max,
-            want_summary, report,
+            pending, processes or 1, timeout, retries, backoff_base, backoff_max, run, report
         )
     else:
-        run = run_trial_with_summary if want_summary else run_trial
         _run_fail_fast(pending, processes, run, report)
     if feed is not None:
         failures = sum(1 for r in results if isinstance(r, TrialFailure))
@@ -720,7 +704,6 @@ def run_figure(
     timeout: float | None = None,
     retries: int = 0,
     resume: bool = False,
-    telemetry: Any | None = None,
     campaign_dir: str | os.PathLike | None = None,
     **common: Any,
 ) -> list[dict]:
@@ -748,7 +731,6 @@ def run_figure(
         timeout=timeout,
         retries=retries,
         resume=resume,
-        telemetry=telemetry,
         campaign_dir=campaign_dir,
     )
     rows: list[dict] = []

@@ -1,10 +1,9 @@
 """Campaign observability: streaming sweep telemetry and forensics.
 
-A long ``run_sweep`` used to be a black box — per-trial summaries were
-aggregated only after the last trial returned, so nothing could watch a
-running campaign, flag sick trials, or tell a real perf regression from
-host drift.  This module is the campaign's flight recorder plus the tools
-that read it:
+This module is a ``run_sweep`` campaign's flight recorder plus the tools
+that read it.  The feed is the one record of a sweep: each trial's summary
+is stored there once, and progress, health and forensics are reductions
+over it, live or after the fact:
 
 * :class:`CampaignFeed` — the **writer**.  ``run_sweep(...,
   campaign_dir=...)`` appends one fsynced JSONL record per trial event
@@ -12,11 +11,12 @@ that read it:
   ``failed``) plus ``sweep-start`` / ``sweep-end`` brackets, all written
   by the sweep's parent process.  The feed is also the sweep's resume
   journal: ``completed`` and ``cached`` records carry the trial's
-  ``result`` and raw ``telemetry`` summary, and a failure the runner
-  settled is marked ``settled``.  Every writer owns its **own shard
-  file** named by host fingerprint and pid, so concurrent sweeps —
-  including runners on different machines sharing a network filesystem —
-  never interleave a line.  Appends are single ``write`` calls flushed
+  ``result`` and its summary (``metrics``, ``violations``, ``wall_s``,
+  ``peak_rss_kb``), and a failure the runner settled is marked
+  ``settled``.  Every writer owns its **own shard file** named by host
+  fingerprint and pid, so concurrent sweeps — including runners on
+  different machines sharing a network filesystem — never interleave a
+  line.  Appends are single ``write`` calls flushed
   and fsynced: a SIGKILL can tear at most the final line of one shard,
   and :func:`load_feed` skips torn lines on read.
 * :func:`load_feed` / :func:`campaign_status` — the **monitor**.  Loading
@@ -69,7 +69,6 @@ __all__ = [
     "mad_outliers",
     "detect_anomalies",
     "triage_failures",
-    "summary_fields",
     "repro_hint",
     "render_status",
     "render_report",
@@ -135,29 +134,6 @@ def host_fingerprint() -> dict[str, Any]:
 # --------------------------------------------------------------------------- feed
 
 
-def summary_fields(summary: dict[str, Any] | None) -> dict[str, Any]:
-    """Flatten one per-trial telemetry summary into feed-record fields.
-
-    Counters and gauges keep their value; histograms reduce to their mean —
-    enough for the MAD detector without shipping distributions per trial.
-    """
-    if not summary:
-        return {}
-    flat: dict[str, Any] = {}
-    for name, payload in summary.get("metrics", {}).items():
-        if payload.get("type") == "histogram":
-            count = payload.get("count") or 0
-            flat[name] = payload.get("sum", 0.0) / count if count else None
-        else:
-            flat[name] = payload.get("value")
-    return {
-        "wall_s": summary.get("wall_s"),
-        "peak_rss_kb": summary.get("peak_rss_kb"),
-        "violations": summary.get("violations", 0),
-        "metrics": flat,
-    }
-
-
 class CampaignFeed:
     """Append-only, crash-tolerant event log for one campaign directory.
 
@@ -202,18 +178,10 @@ class CampaignFeed:
         key: str | None,
         experiment: str,
         kwargs: dict[str, Any],
-        summary: dict[str, Any] | None = None,
         **fields: Any,
     ) -> None:
-        """A trial-scoped event, with the obs summary flattened in."""
-        self.emit(
-            event,
-            key,
-            experiment=experiment,
-            kwargs=kwargs,
-            **summary_fields(summary),
-            **fields,
-        )
+        """A trial-scoped event: the trial's identity plus *fields*."""
+        self.emit(event, key, experiment=experiment, kwargs=kwargs, **fields)
 
 
 def load_feed(
@@ -260,7 +228,7 @@ class CampaignStatus:
     completed: int = 0  # fresh terminal completions
     cached: int = 0  # served from cache / journal resume
     failed: int = 0  # settled TrialFailures
-    running: int = 0  # launched, no terminal record yet
+    running: int = 0  # launched, not settled since
     retrying: int = 0  # last event is a scheduled retry
     pending: int = 0  # declared but never launched
     retries: int = 0  # retry events (total, not distinct trials)
@@ -298,7 +266,11 @@ def reduce_trials(records: list[dict[str, Any]]) -> dict[str, dict[str, Any]]:
 
     This is the duplicate-free contract: a trial completed before a kill
     and replayed as ``cached`` by the resumed run collapses to one entry,
-    as does a trial whose record appears in several merged shards.
+    as does a trial whose record appears in several merged shards.  A
+    ``launched`` record puts the trial back to ``running`` even after a
+    terminal record (a resumed sweep re-runs a trial whose fail-fast run
+    raised; a second sweep re-runs a trial into the same directory); the
+    terminal record stays, because resume reads it.
     """
     trials: dict[str, dict[str, Any]] = {}
     for rec in records:
@@ -331,8 +303,7 @@ def reduce_trials(records: list[dict[str, Any]]) -> dict[str, dict[str, Any]]:
         elif event == "timeout":
             slot["timeouts"] += 1
         elif event == "launched":
-            if slot["terminal"] is None:
-                slot["state"] = "running"
+            slot["state"] = "running"
         elif event in TERMINAL_EVENTS:
             slot["terminal"] = rec  # records are time-sorted: latest wins
             slot["state"] = event
@@ -552,17 +523,16 @@ def detect_anomalies(
 def triage_failures(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
     """Structured triage: settled failures and invariant-violating trials.
 
-    One entry per sick trial (latest state wins — a trial that failed in a
-    killed run but completed after resume is healthy), each with the repro
-    hint that replays it under ``REPRO_VALIDATE=strict``.
+    One entry per sick trial, by its latest state: a trial that failed in
+    a killed run but completed after resume is healthy, and one that runs
+    again is not failed.  Each entry carries the repro hint that replays
+    the trial under ``REPRO_VALIDATE=strict``.
     """
     triaged: list[dict[str, Any]] = []
     for slot in sorted(reduce_trials(records).values(), key=lambda s: s["key"]):
         term = slot["terminal"]
-        if term is None:
-            continue
         hint = repro_hint(slot["experiment"], slot["kwargs"], slot["key"])
-        if term["event"] == "failed":
+        if slot["state"] == "failed":
             triaged.append(
                 {
                     "kind": "failure",

@@ -5,10 +5,9 @@ polling stack records into the registry of the *active* telemetry (see
 :func:`repro.obs.current`); when telemetry is disabled no registry exists
 and call sites skip recording behind a single ``enabled`` check.
 
-Snapshots are plain JSON-compatible dicts, which makes them cheap to attach
-per duty cycle (``PollingSimResult.telemetry``), to ship across the sweep
-runner's worker processes, and to persist inside sweep-cache entries — the
-same representation everywhere, so aggregation is a pure dict merge.
+Snapshots are plain JSON-compatible dicts, cheap to attach per duty cycle
+(``PollingSimResult.telemetry``).  A sweep trial's metrics travel flattened,
+one value per name, in :meth:`repro.obs.Telemetry.summary`.
 """
 
 from __future__ import annotations
@@ -36,9 +35,6 @@ class Counter:
     def dump(self) -> dict[str, Any]:
         return {"type": "counter", "value": self.value}
 
-    def merge(self, payload: dict[str, Any]) -> None:
-        self.inc(payload["value"])
-
 
 class Gauge:
     """A point-in-time value (current δ, current blacklist size...)."""
@@ -56,18 +52,12 @@ class Gauge:
     def dump(self) -> dict[str, Any]:
         return {"type": "gauge", "value": self.value}
 
-    def merge(self, payload: dict[str, Any]) -> None:
-        # Last write wins — across trials a gauge is "most recent observation".
-        if payload["value"] is not None:
-            self.value = payload["value"]
-
 
 class Histogram:
     """Summary statistics of an observed distribution.
 
-    Keeps count/sum/min/max (enough for means and extremes without
-    unbounded storage); two histograms merge exactly, so per-trial
-    snapshots aggregate losslessly across the sweep runner.
+    Keeps count/sum/min/max: enough for means and extremes without
+    unbounded storage.
     """
 
     __slots__ = ("name", "count", "total", "min", "max")
@@ -99,19 +89,6 @@ class Histogram:
             "min": self.min,
             "max": self.max,
         }
-
-    def merge(self, payload: dict[str, Any]) -> None:
-        if not payload["count"]:
-            return
-        self.count += int(payload["count"])
-        self.total += float(payload["sum"])
-        for attr, pick in (("min", min), ("max", max)):
-            theirs = payload[attr]
-            ours = getattr(self, attr)
-            setattr(self, attr, theirs if ours is None else pick(ours, theirs))
-
-
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
 
 class MetricsRegistry:
@@ -157,14 +134,3 @@ class MetricsRegistry:
     def snapshot(self) -> dict[str, dict[str, Any]]:
         """JSON-compatible dump of every instrument's current state."""
         return {name: m.dump() for name, m in sorted(self._metrics.items())}
-
-    def merge_snapshot(self, snapshot: dict[str, dict[str, Any]]) -> None:
-        """Fold a :meth:`snapshot` (possibly from another process) into this
-        registry: counters add, gauges overwrite, histograms combine."""
-        for name, payload in snapshot.items():
-            cls = _KINDS.get(payload.get("type"))
-            if cls is None:
-                raise ValueError(
-                    f"snapshot entry {name!r} has unknown type {payload.get('type')!r}"
-                )
-            self._get(name, cls).merge(payload)

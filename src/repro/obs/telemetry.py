@@ -11,6 +11,10 @@ One :class:`Telemetry` instance collects everything observable about a run:
 * a flat *timeline* of events that belong to the run rather than to any
   one span (invariant violations, blacklist declarations, head crashes).
 
+:meth:`Telemetry.summary` reduces a finished run to a flat JSON digest —
+one value per metric plus the violation count — which the sweep runner
+stores once per trial, in the campaign feed and the sweep cache.
+
 Spans carry a ``clock`` domain: ``"sim"`` spans are stamped in simulation
 seconds, ``"wall"`` spans in :func:`time.perf_counter` seconds (solver and
 kernel profiling), and ``"slot"`` spans in abstract slot indices (the
@@ -91,7 +95,7 @@ class Span:
 
 
 class Telemetry:
-    """Collector for one run (or one aggregation of many runs).
+    """Collector for one run.
 
     All emission methods are no-ops when ``enabled`` is False; hot call
     sites cache the ambient telemetry once and guard on ``enabled`` so the
@@ -105,10 +109,6 @@ class Telemetry:
         self.timeline: list[SpanEvent] = []
         self.cycle_snapshots: list[dict[str, Any]] = []
         self.extras: dict[str, Any] = {}
-        # Aggregation state (sweep-runner use): per-(clock, kind) totals of
-        # merged child summaries, and how many summaries were merged.
-        self.merged_spans: dict[str, dict[str, float]] = {}
-        self.merged_runs = 0
         self.root: Span | None = None
         self._next_id = 1
         self._wall_stack: list[Span] = []
@@ -209,7 +209,7 @@ class Telemetry:
             )
         )
 
-    # -- aggregation across runs / processes --------------------------------------
+    # -- digests -------------------------------------------------------------------
 
     def span_aggregate(self) -> dict[str, dict[str, float]]:
         """``{"clock:kind": {"count", "dur"}}`` totals over collected spans."""
@@ -222,31 +222,25 @@ class Telemetry:
         return agg
 
     def summary(self) -> dict[str, Any]:
-        """A JSON-compatible digest that survives pipes, pools, and caches.
+        """A flat, JSON-compatible digest of the run.
 
-        Small by construction (metrics snapshot + per-kind span totals, not
-        the spans themselves), so attaching one per sweep trial is cheap.
+        ``metrics`` maps each instrument to one value: a counter or gauge
+        its value, a histogram its mean (``None`` while empty).
+        ``violations`` counts the invariant violations on the timeline.
         """
+        metrics: dict[str, Any] = {}
+        for name, payload in self.metrics.snapshot().items():
+            if payload["type"] == "histogram":
+                count = payload["count"]
+                metrics[name] = payload["sum"] / count if count else None
+            else:
+                metrics[name] = payload["value"]
         return {
-            "metrics": self.metrics.snapshot(),
-            "spans": self.span_aggregate(),
-            "events": len(self.timeline),
+            "metrics": metrics,
             "violations": sum(
                 1 for e in self.timeline if e.name == "invariant-violation"
             ),
         }
-
-    def merge_summary(self, summary: dict[str, Any]) -> None:
-        """Fold one :meth:`summary` (typically from a worker) into this
-        collector: metrics merge by type, span totals add."""
-        if not self.enabled:
-            return
-        self.metrics.merge_snapshot(summary.get("metrics", {}))
-        for key, slot in summary.get("spans", {}).items():
-            mine = self.merged_spans.setdefault(key, {"count": 0, "dur": 0.0})
-            mine["count"] += slot["count"]
-            mine["dur"] += slot["dur"]
-        self.merged_runs += 1
 
     # -- convenience ---------------------------------------------------------------
 

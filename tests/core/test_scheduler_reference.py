@@ -11,11 +11,12 @@ from __future__ import annotations
 import hashlib
 from functools import partial
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 import pytest
 
 from repro.core import OnlinePollingScheduler
 from repro.obs import Telemetry
+from repro.topology.deployment import uniform_square
 
 from .reference_scheduler import ReferenceScheduler
 from .test_scheduler_goldens import (
@@ -43,12 +44,25 @@ def traced_outputs(case: Case, cls) -> tuple:
     )
 
 
+def drawable(n: int, seed: int) -> bool:
+    """Whether ``uniform_square`` finds a connected deployment; it gives up
+    after 200 draws (8 of the (n, seed) pairs below, 6 sensors at seed 181
+    among them)."""
+    try:
+        uniform_square(n, seed=seed)
+    except RuntimeError:
+        return False
+    return True
+
+
 @st.composite
 def random_cases(draw) -> Case:
     loss_p = draw(st.sampled_from([0.0, 0.2, 0.5]))
+    n, seed = draw(st.integers(6, 40)), draw(st.integers(0, 500))
+    assume(drawable(n, seed))
     return Case(
-        n=draw(st.integers(6, 40)),
-        seed=draw(st.integers(0, 500)),
+        n=n,
+        seed=seed,
         m=draw(st.integers(1, 3)),
         order=draw(st.sampled_from(["index", "deep-first", "shallow-first"])),
         loss_p=loss_p,

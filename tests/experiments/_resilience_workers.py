@@ -80,3 +80,10 @@ def interrupted(counter_path: str, interrupt_times: int = 1, value: int = 0) -> 
     if attempts <= interrupt_times:
         raise KeyboardInterrupt(f"interrupted attempt {attempts}")
     return {"value": value, "attempts": attempts}
+
+
+def traced() -> bool:
+    """Whether the trial runs under an enabled telemetry collector."""
+    from repro import obs
+
+    return obs.current().enabled

@@ -45,7 +45,7 @@ def test_feed_roundtrip_sorted_by_time_and_seq(tmp_path):
     feed.emit("sweep-start", None, trials=2)
     feed.emit_trial("launched", "k1", "exp", {"seed": 0})
     feed.emit_trial("completed", "k1", "exp", {"seed": 0},
-                    summary={"wall_s": 0.5, "metrics": {}, "violations": 0})
+                    wall_s=0.5, metrics={}, violations=0)
     records = load_feed(tmp_path)
     assert [r["event"] for r in records] == ["sweep-start", "launched", "completed"]
     assert records[2]["wall_s"] == 0.5
@@ -232,6 +232,24 @@ def test_triage_trial_healed_by_resume_is_not_sick():
     assert triage_failures(records) == []
 
 
+def test_relaunched_trial_is_running_not_failed():
+    """A resumed sweep re-runs a trial whose fail-fast run raised: while it
+    runs again the monitor counts it running, and triage does not list it."""
+    records = [
+        {"t": 0.0, "seq": 0, "event": "sweep-start", "key": None, "trials": 1},
+        _rec("launched", "k1", 1.0),
+        _rec("failed", "k1", 2.0, error="boom", attempts=1),
+        {"t": 3.0, "seq": 30, "event": "sweep-start", "key": None, "trials": 1},
+        _rec("launched", "k1", 4.0),
+    ]
+    slot = reduce_trials(records)["k1"]
+    assert slot["state"] == "running"
+    assert slot["terminal"]["event"] == "failed"  # resume still reads it
+    status = campaign_status(records)
+    assert (status.failed, status.running) == (0, 1)
+    assert triage_failures(records) == []
+
+
 def test_repro_hint_shape():
     hint = repro_hint("fig7c", {"sizes": [8], "seed": 5}, "a" * 64)
     assert hint.startswith("run_trial(Trial('fig7c'")
@@ -257,7 +275,7 @@ def test_cli_status_and_report(tmp_path, capsys):
     feed.emit("sweep-start", None, trials=1)
     feed.emit_trial("launched", "k1", "exp", {"seed": 0})
     feed.emit_trial("completed", "k1", "exp", {"seed": 0},
-                    summary={"wall_s": 0.25, "metrics": {}, "violations": 0})
+                    wall_s=0.25, metrics={}, violations=0)
     feed.emit("sweep-end", None, trials=1, failures=0)
     assert main([str(tmp_path)]) == 0
     out = capsys.readouterr().out

@@ -61,38 +61,3 @@ def test_snapshot_is_json_compatible_and_sorted():
     assert list(snap) == ["a", "b", "c"]
     json.dumps(snap)  # must not raise
     assert snap["b"] == {"type": "counter", "value": 2}
-
-
-def test_merge_snapshot_counters_add_gauges_overwrite_histograms_combine():
-    a = MetricsRegistry()
-    a.counter("n").inc(3)
-    a.gauge("g").set(1.0)
-    a.histogram("h").observe(1.0)
-
-    b = MetricsRegistry()
-    b.counter("n").inc(4)
-    b.gauge("g").set(9.0)
-    b.histogram("h").observe(5.0)
-    b.histogram("h").observe(3.0)
-
-    a.merge_snapshot(b.snapshot())
-    assert a.counter("n").value == 7
-    assert a.gauge("g").value == 9.0
-    h = a.histogram("h")
-    assert (h.count, h.total, h.min, h.max) == (3, 9.0, 1.0, 5.0)
-
-
-def test_merge_snapshot_empty_histogram_is_noop():
-    a = MetricsRegistry()
-    a.histogram("h").observe(2.0)
-    b = MetricsRegistry()
-    b.histogram("h")  # registered but never observed
-    a.merge_snapshot(b.snapshot())
-    assert a.histogram("h").count == 1
-    assert a.histogram("h").min == 2.0
-
-
-def test_merge_snapshot_unknown_type_rejected():
-    reg = MetricsRegistry()
-    with pytest.raises(ValueError, match="unknown type"):
-        reg.merge_snapshot({"weird": {"type": "summary", "value": 1}})

@@ -112,25 +112,15 @@ def test_snapshot_cycle_captures_cumulative_registry():
     assert tel.cycle_snapshots[1]["cycle"] == 1
 
 
-def test_summary_and_merge_summary_roundtrip():
-    import json
-
-    child = Telemetry()
-    child.metrics.counter("polling.delivered").inc(7)
-    span = child.begin("cycle", "c0", 0.0)
-    child.finish(span, 3.0)
-    child.timeline_event(1.0, "invariant-violation", invariant="x")
-    summary = child.summary()
-    json.dumps(summary)  # must survive pipes and cache files
-    assert summary["violations"] == 1
-    assert summary["spans"]["sim:cycle"] == {"count": 1, "dur": 3.0}
-
-    parent = Telemetry()
-    parent.merge_summary(summary)
-    parent.merge_summary(summary)
-    assert parent.merged_runs == 2
-    assert parent.metrics.counter("polling.delivered").value == 14
-    assert parent.merged_spans["sim:cycle"] == {"count": 2, "dur": 6.0}
+def test_span_aggregate_totals_per_clock_and_kind():
+    tel = Telemetry()
+    tel.finish(tel.begin("cycle", "c0", 0.0), 3.0)
+    tel.finish(tel.begin("cycle", "c1", 3.0), 5.0)
+    tel.begin("profile", "solve", 0.0, clock="wall")  # still open: no duration
+    assert tel.span_aggregate() == {
+        "sim:cycle": {"count": 2, "dur": 5.0},
+        "wall:profile": {"count": 1, "dur": 0.0},
+    }
 
 
 def test_null_telemetry_is_shared_and_inert():
