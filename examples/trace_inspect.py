@@ -4,11 +4,11 @@ Runs a seeded 30-sensor cluster with a relay crash under a live telemetry
 collector, then walks the whole observability pipeline:
 
 1. the run produces a span tree (run -> cycle -> phase -> request) plus
-   blacklist/repair events and per-cycle metric snapshots;
+   blacklist and re-plan events and per-cycle metric snapshots;
 2. the trace is exported to JSONL (the repo's native format) and to a
    Chrome trace loadable in chrome://tracing or Perfetto;
 3. the failed deliveries are traced back to their poll requests —
-   request span -> retry events -> blacklist -> repair span;
+   request span -> retry events -> blacklist -> re-plan event;
 4. the inspect CLI renders the same trace as a human-readable report.
 
 Run:  python examples/trace_inspect.py
@@ -63,10 +63,10 @@ for ev in chain["events"]:
 for ev in chain["blacklist"]:
     print(f"    sim-time  {ev['time']:>7.3f}  head blacklists "
           f"s{ev['attrs']['sensor']} after {ev['attrs']['misses']} misses")
-for rep in chain["repairs"]:
-    print(f"    sim-time  {rep['start']:>7.3f}  repair span #{rep['span_id']} "
-          f"re-routes around {rep['attrs']['blacklisted']}")
-assert chain["blacklist"] and chain["repairs"], "chain must reach the repair"
+for ev in chain["repairs"]:
+    print(f"    sim-time  {ev['time']:>7.3f}  {ev['attrs']['cause']} re-plan "
+          f"re-routes around {ev['attrs']['excluded']}")
+assert chain["blacklist"] and chain["repairs"], "chain must reach the re-plan"
 
 # --- the inspect CLI on the same file -----------------------------------------
 print("\n--- python -m repro.obs.inspect", jsonl.name, "---")

@@ -80,8 +80,12 @@ class ClusterPhy:
     cluster: Cluster
     medium: RadioMedium
     transceivers: list[Transceiver]  # local index 0..n-1 sensors, n = head
-    tracer: Tracer
     index_map: list[int] | None = None
+
+    @property
+    def tracer(self) -> Tracer:
+        """The medium's per-kind PHY event counts."""
+        return self.medium.tracer
 
     @property
     def n_sensors(self) -> int:
@@ -219,7 +223,6 @@ def build_cluster_phy(
     error_seed: int = 0,
     capture_beta: float = 10.0,
     rx_sensitivity_w: float = 1e-11,
-    tracer: Tracer | None = None,
     homogeneous_head: bool = False,
 ) -> ClusterPhy:
     """Assemble medium + transceivers for a geometric cluster.
@@ -237,7 +240,6 @@ def build_cluster_phy(
     """
     if cluster.positions is None or cluster.head_position is None:
         raise ValueError("DES simulation needs a geometric cluster (positions)")
-    tracer = tracer or Tracer()
     prop = propagation or GROUND_SENSOR_PROPAGATION
     positions = np.vstack(
         [cluster.positions, cluster.head_position[np.newaxis, :]]
@@ -254,13 +256,10 @@ def build_cluster_phy(
         bitrate_bps=bitrate,
         rx_sensitivity_w=rx_sensitivity_w,
         capture_beta=capture_beta,
-        tracer=tracer,
         frame_error_rate=frame_error_rate,
         error_seed=error_seed,
     )
     transceivers = [
         Transceiver(sim, medium, i, energy=energy) for i in range(n + 1)
     ]
-    return ClusterPhy(
-        sim=sim, cluster=cluster, medium=medium, transceivers=transceivers, tracer=tracer
-    )
+    return ClusterPhy(sim=sim, cluster=cluster, medium=medium, transceivers=transceivers)

@@ -67,6 +67,14 @@ __all__ = [
 
 _packet_seq = itertools.count()
 
+# A phase still unfinished after this many slots has stalled.
+_MAX_SLOTS_PER_PHASE = 200_000
+# Sector windows (Sec. IV) are padded to this multiple of their loss-free
+# length, plus 4 slots, to leave room for re-polls.
+_SECTOR_SLACK = 1.5
+# The re-plan causes counted as route repairs.
+_REPAIR_CAUSES = ("repair", "adoption", "field-reform")
+
 
 @dataclass(frozen=True)
 class AppPacket:
@@ -364,13 +372,9 @@ class PollingClusterMac:
         phy: ClusterPhy,
         cycle_length: float = 10.0,
         max_group_size: int = 2,
-        sizes: FrameSizes = DEFAULT_SIZES,
         timings: MacTimings = MacTimings(),
-        routing: FlowSolution | None = None,
-        max_slots_per_phase: int = 200_000,
         retry_limit: int | None = 12,
         use_sectors: bool = False,
-        slack_factor: float = 1.5,
         cluster_id: int = 0,
         failure_detection: bool = False,
         dead_after_misses: int = 2,
@@ -398,12 +402,10 @@ class PollingClusterMac:
         self.phy = phy
         self.sim = phy.sim
         self.cycle_length = cycle_length
-        self.sizes = sizes
+        self.sizes = DEFAULT_SIZES
         self.timings = timings
-        self.max_slots_per_phase = max_slots_per_phase
         self.retry_limit = retry_limit
         self.use_sectors = use_sectors
-        self.slack_factor = slack_factor
         self.cluster_id = cluster_id
         self.failure_detection = failure_detection
         if dead_after_misses < 1:
@@ -458,7 +460,7 @@ class PollingClusterMac:
         self._suspect_misses: dict[int, int] = {}
         self.oracle = phy_truth_oracle(phy, max_group_size)
         self.sensors = [
-            PollingSensorAgent(phy, i, sizes, timings, cluster_id=cluster_id)
+            PollingSensorAgent(phy, i, self.sizes, timings, cluster_id=cluster_id)
             for i in range(phy.n_sensors)
         ]
         self.head_trx = phy.trx(HEAD)
@@ -470,19 +472,26 @@ class PollingClusterMac:
         # the Dinic work entirely (DESIGN.md §12).
         self.solver_cache = solver_cache
         self._adopt_oracle()
-        self.routing = routing or self._solve_routing()
+        self.routing = self._solve_routing()
         self.rotator = PathRotator(self.routing)
         self.ack_plan = plan_ack_collection(self.active_cluster, self.routing.routing_plan())
         # Proactive survivability (backup_k > 0): k-disjoint backup paths
         # per sensor, recomputed alongside every routing (re-)solve, handed
         # to the data-phase scheduler for in-cycle failover.
         self.backups = self._compute_backups()
+        # Telemetry (repro.obs): the ambient collector is cached once and
+        # every emission below guards on _tel_enabled, so runs without an
+        # active collector stay bit-for-bit identical to the untraced MAC.
+        self._tel = _obs.current()
+        self._tel_enabled = self._tel.enabled
+        self._cycle_span: "_obs.Span | None" = None
         # The run's records, each fact written once: every plan put in force,
         # every in-cycle failover and every (arrival time, packet) the head
         # accepted.  Counters and metrics reports are reductions over them.
-        self.replans: list[Replan] = [
+        self.replans: list[Replan] = []
+        self._record_replan(
             Replan(self.sim.now, "initial", self.routing, tuple(sorted(self._excluded())))
-        ]
+        )
         self.failovers: list[FailoverEvent] = []
         self.deliveries: list[tuple[float, AppPacket]] = []
         self.halted = False
@@ -504,12 +513,6 @@ class PollingClusterMac:
         self._phase_schedulers: list[tuple[str, OnlinePollingScheduler]] = []
         self.cycle_stats: list[CycleStats] = []
         self.process: Process | None = None
-        # Telemetry (repro.obs): the ambient collector is cached once and
-        # every emission below guards on _tel_enabled, so runs without an
-        # active collector stay bit-for-bit identical to the untraced MAC.
-        self._tel = _obs.current()
-        self._tel_enabled = self._tel.enabled
-        self._cycle_span: "_obs.Span | None" = None
         if self._tel_enabled:
             self._tel.metrics.gauge("mac.max_group_size").set(
                 self.oracle.max_group_size
@@ -624,8 +627,6 @@ class PollingClusterMac:
             new_phy, agents, blacklisted, departed, absent, suspect_misses
         )
         self._replan(new_phy.cluster, "field-reform")
-        if self._tel_enabled:
-            self._tel.metrics.counter("mac.field_reforms").inc()
 
     def _take_roster(
         self,
@@ -706,7 +707,7 @@ class PollingClusterMac:
             admitted=admitted,
             roster_bytes=2 * (topology.n_sensors - len(excluded)) if announce else 0,
         )
-        self.replans.append(record)
+        self._record_replan(record)
         if announce:
             self._reform_roster_bytes = record.roster_bytes
         self.rotator = PathRotator(self.routing)
@@ -722,13 +723,44 @@ class PollingClusterMac:
         )
         return record
 
+    def _record_replan(self, record: Replan) -> None:
+        """Append *record* to :attr:`replans`: the one place a re-plan is
+        recorded.  With telemetry on, it also reaches the trace once, as a
+        ``replan`` timeline event, and counts toward ``mac.route_repairs``
+        (with its unreachable count in ``mac.repair_unreachable``),
+        ``mac.reclusters`` or ``mac.field_reforms`` by its cause."""
+        self.replans.append(record)
+        if not self._tel_enabled:
+            return
+        self._tel.timeline_event(
+            record.time,
+            "replan",
+            cluster=self.cluster_id,
+            cause=record.cause,
+            reason=record.reason,
+            excluded=list(record.excluded),
+            unreachable=list(record.unreachable),
+            newly_unreachable=list(record.newly_unreachable),
+            admitted=list(record.admitted),
+            roster_bytes=record.roster_bytes,
+        )
+        metrics = self._tel.metrics
+        if record.cause in _REPAIR_CAUSES:
+            metrics.counter("mac.route_repairs").inc()
+            metrics.histogram("mac.repair_unreachable").observe(
+                float(len(record.unreachable))
+            )
+        if record.cause == "recluster":
+            metrics.counter("mac.reclusters").inc()
+        elif record.cause == "field-reform":
+            metrics.counter("mac.field_reforms").inc()
+
     # -- reductions over the run's records ---------------------------------------------
 
     @property
     def route_repairs(self) -> int:
         """Boundary repairs, adoptions and field re-forms."""
-        causes = ("repair", "adoption", "field-reform")
-        return sum(r.cause in causes for r in self.replans)
+        return sum(r.cause in _REPAIR_CAUSES for r in self.replans)
 
     @property
     def reclusters(self) -> int:
@@ -891,7 +923,7 @@ class PollingClusterMac:
         slot_time = self._slot_time(payload_bytes)
         # Batch engine (DESIGN.md §12): clean slots replay as closed-form
         # array ops; dirty slots (pending fault/wake events, live carriers,
-        # shared media, tracer subscribers) fall through to the event path.
+        # shared media) fall through to the event path.
         vector = maybe_vector_engine(self, payload_bytes)
         batch_total = 0
         batch_max = 0
@@ -899,8 +931,8 @@ class PollingClusterMac:
         self._arrived_requests = set()
         t = 0
         while not scheduler.all_done:
-            if t >= self.max_slots_per_phase:
-                raise RuntimeError(f"{phase} phase exceeded {self.max_slots_per_phase} slots")
+            if t >= _MAX_SLOTS_PER_PHASE:
+                raise RuntimeError(f"{phase} phase exceeded {_MAX_SLOTS_PER_PHASE} slots")
             arrived, self._arrived_requests = self._arrived_requests, set()
             group = scheduler.external_step(t, arrived)
             if not group and scheduler.all_done:
@@ -997,7 +1029,7 @@ class PollingClusterMac:
             nominal = OnlinePollingScheduler(
                 plan, self.oracle, telemetry=_obs.NULL_TELEMETRY
             ).run().slots_elapsed
-            budget = int(np.ceil(nominal * self.slack_factor)) + 4
+            budget = int(np.ceil(nominal * _SECTOR_SLACK)) + 4
             jobs.append((sec, plan, budget))
         # Announce personal wake times (sector 0 starts right away).
         dur = transmission_time(self.sizes.sleep, self.phy.medium.bitrate)
@@ -1116,30 +1148,9 @@ class PollingClusterMac:
         pruning, partial-coverage fallback and re-plan record are
         :meth:`_replan`'s.
         """
-        repair_span = None
-        if self._tel_enabled:
-            repair_span = self._tel.begin(
-                "repair",
-                "route-repair",
-                self.sim.now,
-                parent=self._cycle_span,
-                cluster=self.cluster_id,
-                blacklisted=sorted(self.blacklisted),
-            )
-        record = self._replan(self.phy.cluster, "repair")
+        self._replan(self.phy.cluster, "repair")
         if self._staleness is not None:
             self._staleness.note_repair()
-        if repair_span is not None:
-            self._tel.finish(
-                repair_span,
-                self.sim.now,
-                unreachable=sorted(self.unreachable),
-                newly_unreachable=list(record.newly_unreachable),
-            )
-            self._tel.metrics.counter("mac.route_repairs").inc()
-            self._tel.metrics.histogram("mac.repair_unreachable").observe(
-                float(len(self.unreachable))
-            )
 
     def _recluster(self, reason: str) -> None:
         """Online re-form at a duty-cycle boundary (DESIGN.md §11).
@@ -1152,18 +1163,6 @@ class PollingClusterMac:
         routing state only, and the conservation check below enforces
         exactly that.
         """
-        span = None
-        if self._tel_enabled:
-            span = self._tel.begin(
-                "recluster",
-                f"recluster:{reason}",
-                self.sim.now,
-                parent=self._cycle_span,
-                cluster=self.cluster_id,
-                reason=reason,
-                pending_joins=sorted(self.pending_joins),
-                departed=sorted(self.departed),
-            )
         admitted = set(self.pending_joins)
         self.absent -= admitted
         self.pending_joins.clear()
@@ -1180,7 +1179,7 @@ class PollingClusterMac:
         self._suspect_misses = {}
         # The record charges the new roster + schedule to the next wakeup:
         # 2 bytes per present sensor (id + slot assignment).
-        record = self._replan(self.phy.cluster, "recluster", reason, tuple(sorted(admitted)))
+        self._replan(self.phy.cluster, "recluster", reason, tuple(sorted(admitted)))
         pending_after = sum(self.sensors[i].pending_count for i in present)
         hint = f"cluster {self.cluster_id} recluster ({reason})"
         _validate.check_reform_conservation(
@@ -1188,15 +1187,6 @@ class PollingClusterMac:
         )
         if self._staleness is not None:
             self._staleness.reset()
-        if span is not None:
-            self._tel.finish(
-                span,
-                self.sim.now,
-                admitted=sorted(admitted),
-                unreachable=sorted(self.unreachable),
-                roster_bytes=record.roster_bytes,
-            )
-            self._tel.metrics.counter("mac.reclusters").inc()
 
     def _backup_ack_sweep(self, covered: set[int]):
         """Generator: one extra ack round over backup paths.

@@ -37,9 +37,10 @@ per-radio power slices (one multiply + one fancy-indexed add each), with
 
 Slots that are *not* clean — a pending fault/wake/battery event inside the
 slot window, live transmissions already in the air, a shared multi-cluster
-medium, tracer subscribers — fall back to the scalar path for exactly that
-slot: the bank flushes to the live transceivers first, so mid-slot readers
-(battery depletion checks) always see true meters.
+medium — fall back to the scalar path for exactly that slot: the bank
+flushes to the live transceivers first, so mid-slot readers (battery
+depletion checks) always see true meters.  A replayed slot adds its frames
+to the medium's per-kind PHY counts exactly as the event path would.
 """
 
 from __future__ import annotations
@@ -589,9 +590,9 @@ def maybe_vector_engine(
 
     Returns ``None`` (pure scalar phase) when the MAC asked for the scalar
     oracle, the PHY shares a multi-cluster medium (``index_map``), radios
-    sit on different channels, a tracer consumer needs per-event records,
-    or a garble callback is installed (S-MAC statistics) — every situation
-    where per-event fidelity is observable from outside the slot.
+    sit on different channels, or a garble callback is installed (S-MAC
+    statistics) — every situation where per-event fidelity is observable
+    from outside the slot.
 
     Each silent fallback is counted with its reason — on
     ``mac.engine_fallbacks`` always, and as an ``engine.scalar_fallback.
@@ -607,11 +608,7 @@ def maybe_vector_engine(
     phy = mac.phy
     if phy.index_map is not None:
         return _scalar_fallback(mac, "index_map")
-    med = phy.medium
-    tracer = med.tracer
-    if tracer._subs or tracer._all_subs or tracer.keep_records:
-        return _scalar_fallback(mac, "tracer")
-    ch = med.channels
+    ch = phy.medium.channels
     if ch.size and bool(np.any(ch != ch[0])):
         return _scalar_fallback(mac, "channels")
     for trx in phy.transceivers:

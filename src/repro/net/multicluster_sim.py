@@ -47,7 +47,6 @@ from ..routing.warmcache import SolverCache
 from ..faults.injector import FaultInjector
 from ..sim.kernel import Simulator
 from ..sim.rng import RngStreams, mobility_rng
-from ..sim.trace import Tracer
 from ..topology.cluster import HEAD, Cluster
 from ..topology.forming import FormedNetwork, form_clusters
 from ..topology.handoff import (
@@ -362,20 +361,16 @@ class HeadFailoverCoordinator:
         self,
         sim: Simulator,
         config: MultiClusterConfig,
-        net: FormedNetwork,
         medium: RadioMedium,
         macs: list[PollingClusterMac],
-        channels: np.ndarray,
         sensor_positions: np.ndarray,
         head_positions: np.ndarray,
         source_by_global: dict[int, CbrSource],
     ):
         self.sim = sim
         self.config = config
-        self.net = net
         self.medium = medium
         self.macs = macs
-        self.channels = channels
         self.sensor_positions = sensor_positions
         self.head_positions = head_positions
         self.source_by_global = source_by_global
@@ -439,6 +434,9 @@ class HeadFailoverCoordinator:
             return  # nothing to re-home / nobody left to take them
         groups: dict[int, list[int]] = {}
         for g in orphans:
+            # Known fault (DESIGN.md §9): the heads' positions are live but
+            # the orphans' are deploy-time, so under mobility an orphan can
+            # go to a head other than the one nearest where it is now.
             deltas = self.head_positions[live] - self.sensor_positions[g]
             adopter = live[int(np.argmin((deltas**2).sum(axis=1)))]
             groups.setdefault(adopter, []).append(g)
@@ -901,7 +899,6 @@ def _rebuild_roster(
         ),
         medium=medium,
         transceivers=[view.radios[g] for g in roster] + [old_phy.transceivers[-1]],
-        tracer=old_phy.tracer,
         index_map=roster + [head_global],
     )
     new_phy.cluster = discovered_cluster(new_phy)
@@ -940,24 +937,15 @@ def _rebuild_roster(
 
 def run_multicluster_simulation(
     config: MultiClusterConfig = MultiClusterConfig(),
-    tracer: Tracer | None = None,
 ) -> MultiClusterResult:
-    """Run the shared-medium multi-cluster stack.
-
-    ``tracer`` lets callers subscribe to PHY trace events before the run;
-    it is entered via :meth:`Tracer.run_scope`, which resets per-run
-    counters/records so a tracer reused across trials never leaks counts
-    from one run into the next (subscribers stay registered).
-    """
+    """Run the shared-medium multi-cluster stack."""
     if config.mode not in ("channels", "token", "uncoordinated"):
         raise ValueError(f"unknown mode {config.mode!r}")
     if config.handoff not in ("off", "staleness", "periodic"):
         raise ValueError(f"unknown handoff policy {config.handoff!r}")
-    if tracer is None:
-        tracer = Tracer()
     own_tel = _obs.Telemetry() if config.telemetry else None
     scope = nullcontext() if own_tel is None else _obs.use(own_tel)
-    with scope, tracer.run_scope():
+    with scope:
         tel = _obs.current()
         run_span = None
         if tel.enabled:
@@ -971,7 +959,7 @@ def run_multicluster_simulation(
                 mode=config.mode,
             )
             tel.root = run_span
-        result = _run_multicluster(config, tracer, tel if tel.enabled else None)
+        result = _run_multicluster(config, tel if tel.enabled else None)
         if tel.enabled:
             tel.finish(
                 run_span,
@@ -985,7 +973,7 @@ def run_multicluster_simulation(
 
 
 def _run_multicluster(
-    config: MultiClusterConfig, tracer: Tracer, tel: "_obs.Telemetry | None"
+    config: MultiClusterConfig, tel: "_obs.Telemetry | None"
 ) -> MultiClusterResult:
     sim = Simulator()
     sim.telemetry = tel
@@ -1016,7 +1004,6 @@ def _run_multicluster(
         tx_power_w=tx_power,
         propagation=prop,
         bitrate_bps=config.bitrate,
-        tracer=tracer,
     )
 
     # --- field mobility (armed only when asked: bit-for-bit otherwise) -----------
@@ -1059,7 +1046,6 @@ def _run_multicluster(
             cluster=net.clusters[h],
             medium=medium,
             transceivers=transceivers,
-            tracer=tracer,
             index_map=index_map,
         )
         # discover in-cluster connectivity from the shared radio
@@ -1112,10 +1098,8 @@ def _run_multicluster(
         coordinator = HeadFailoverCoordinator(
             sim=sim,
             config=config,
-            net=net,
             medium=medium,
             macs=macs,
-            channels=channels,
             sensor_positions=sensors,
             head_positions=heads,
             source_by_global=source_by_global,
@@ -1185,7 +1169,7 @@ def _run_multicluster(
         channels=channels,
         elapsed=sim.now,
         packets_generated=sum(s.generated for s in sources),
-        collisions=tracer.counts.get("phy_rx_collision", 0),
+        collisions=medium.tracer.counts.get("phy_rx_collision", 0),
         coordinator=coordinator,
         mobility_epochs=mobility.epochs if mobility is not None else 0,
         final_assignment_staleness=final_staleness,

@@ -6,7 +6,7 @@ Reads a JSONL trace written by :func:`repro.obs.export_jsonl` and prints
 * wall-clock profiling totals (where the *solver's* seconds went),
 * the top individual spans by duration,
 * per-radio energy totals (reconciling with :mod:`repro.metrics.energy`),
-* the violation / failover / blacklist / repair timeline, and
+* the violation / failover / blacklist / re-plan timeline, and
 * the causal chain of every failed poll request (``--failures``),
 
 so a regression or a TTR outlier can be diagnosed from the trace file
@@ -31,6 +31,7 @@ _TIMELINE_EVENTS = (
     "head-crash",
     "head-declared-dead",
     "head-adoption",
+    "replan",
 )
 
 
@@ -73,8 +74,10 @@ def failure_chains(trace: dict[str, Any]) -> list[dict[str, Any]]:
     """The end-to-end story of every failed poll request.
 
     Each chain links the request span (with its retry/failover events) to
-    the blacklist event that wrote its sensor off and the repair span(s)
-    that routed around the death — the acceptance path of DESIGN.md §10.
+    the blacklist event that wrote its sensor off and the ``replan``
+    events whose ``excluded`` or ``unreachable`` holds the sensor — the
+    plans that routed around the death, the acceptance path of DESIGN.md
+    §10.
     """
     spans = trace["spans"]
     blacklist_events: list[dict[str, Any]] = []
@@ -85,7 +88,7 @@ def failure_chains(trace: dict[str, Any]) -> list[dict[str, Any]]:
     blacklist_events.extend(
         e for e in trace["timeline"] if e["name"] == "blacklist"
     )
-    repairs = [s for s in spans if s["kind"] == "repair"]
+    replans = [e for e in trace["timeline"] if e["name"] == "replan"]
     chains = []
     for span in spans:
         if span["kind"] != "request" or span["attrs"].get("status") != "failed":
@@ -94,11 +97,10 @@ def failure_chains(trace: dict[str, Any]) -> list[dict[str, Any]]:
         linked_blacklists = [
             e for e in blacklist_events if e["attrs"].get("sensor") == sensor
         ]
-        linked_repairs = [
-            r
-            for r in repairs
-            if sensor in r["attrs"].get("blacklisted", ())
-            or sensor in r["attrs"].get("unreachable", ())
+        linked_replans = [
+            e
+            for e in replans
+            if sensor in e["attrs"]["excluded"] or sensor in e["attrs"]["unreachable"]
         ]
         chains.append(
             {
@@ -106,7 +108,7 @@ def failure_chains(trace: dict[str, Any]) -> list[dict[str, Any]]:
                 "sensor": sensor,
                 "events": span.get("events", []),
                 "blacklist": linked_blacklists,
-                "repairs": linked_repairs,
+                "repairs": linked_replans,
             }
         )
     return chains
@@ -208,18 +210,16 @@ def summarize(
         for ev in span.get("events", ()):
             if ev["name"] in _TIMELINE_EVENTS:
                 notable.append(ev)
-    repair_spans = [s for s in spans if s["kind"] == "repair"]
-    if notable or repair_spans:
-        lines.append("\nviolation / failover / repair timeline:")
+    if notable:
+        lines.append("\nviolation / failover / re-plan timeline:")
         rows = [(e["time"], e["name"], e.get("attrs", {})) for e in notable]
-        rows += [
-            (s["start"], "repair", s["attrs"]) for s in repair_spans
-        ]
         for t, name, attrs in sorted(rows, key=lambda r: r[0]):
             brief = ", ".join(
                 f"{k}={v}" for k, v in attrs.items()
-                if k in ("invariant", "sensor", "reason", "blacklisted",
-                         "unreachable", "head", "adopter", "orphans", "nodes")
+                if v is not None
+                and k in ("invariant", "sensor", "cluster", "cause", "reason",
+                          "excluded", "unreachable", "head", "adopter",
+                          "orphans", "nodes")
             )
             lines.append(f"  t={t:>10.4f}  {name:<20} {brief}")
 
@@ -239,10 +239,10 @@ def summarize(
                     lines.append(
                         f"    t={ev['time']:>10.4f}  blacklist declared"
                     )
-                for rep in chain["repairs"]:
+                for ev in chain["repairs"]:
                     lines.append(
-                        f"    t={rep['start']:>10.4f}  repair span #{rep['span_id']} "
-                        f"(blacklisted={rep['attrs'].get('blacklisted')})"
+                        f"    t={ev['time']:>10.4f}  {ev['attrs']['cause']} re-plan "
+                        f"(excluded={ev['attrs']['excluded']})"
                     )
         else:
             lines.append("\nno failed poll requests.")

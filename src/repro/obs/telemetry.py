@@ -2,14 +2,14 @@
 
 One :class:`Telemetry` instance collects everything observable about a run:
 
-* a tree of :class:`Span`\\ s with stable ids — ``run → cycle → phase →
-  slot`` scopes plus per-poll-request spans, so a dropped packet, a
-  failover re-issue, or a route repair traces back to the poll request
-  that caused it;
+* a tree of :class:`Span`\\ s with stable ids — ``run → cycle → phase``
+  scopes plus per-poll-request spans, so a dropped packet or a failover
+  re-issue traces back to the poll request that caused it;
 * a :class:`~repro.obs.metrics.MetricsRegistry` of typed instruments,
   snapshotted per duty cycle;
 * a flat *timeline* of events that belong to the run rather than to any
-  one span (invariant violations, blacklist declarations, head crashes).
+  one span (invariant violations, blacklist declarations, head crashes,
+  and one ``replan`` event per routing plan a head put in force).
 
 :meth:`Telemetry.summary` reduces a finished run to a flat JSON digest —
 one value per metric plus the violation count — which the sweep runner
@@ -67,7 +67,7 @@ class Span:
 
     span_id: int
     parent_id: int | None
-    kind: str  # "run" | "cycle" | "phase" | "slot" | "request" | "repair" | "profile" ...
+    kind: str  # "run" | "cycle" | "phase" | "request" | "profile"
     name: str
     clock: str  # one of CLOCKS
     start: float

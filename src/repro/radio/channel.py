@@ -73,7 +73,6 @@ class RadioMedium:
         cs_threshold_w: float = 1e-12,
         capture_beta: float = 10.0,
         noise_w: float = 1e-13,
-        tracer: Tracer | None = None,
         frame_error_rate: float = 0.0,
         error_seed: int = 0,
     ):
@@ -90,7 +89,7 @@ class RadioMedium:
         self.cs_threshold = float(cs_threshold_w)
         self.beta = float(capture_beta)
         self.noise = float(noise_w)
-        self.tracer = tracer or Tracer()
+        self.tracer = Tracer()  # this medium's per-kind event counts
         # Kept so mobility can recompute rx_power from moved positions.
         self.tx_power_w = tx_power_w
         self.propagation = propagation
@@ -225,16 +224,15 @@ class RadioMedium:
             other.interferers.append(record)
             record.interferers.append(other)
         self._active.append(record)
-        self.tracer.emit(now, "phy_tx_start", node=sender, frame=frame.ftype.value)
+        self.tracer.count("phy_tx_start")
         self.sim.at(record.end, self._end_transmission, record)
         self._refresh_rx_states(sender)
         return record
 
     def _end_transmission(self, record: ActiveTransmission) -> None:
         self._active.remove(record)
-        now = self.sim.now
         sender = record.sender
-        self.tracer.emit(now, "phy_tx_end", node=sender, frame=record.frame.ftype.value)
+        self.tracer.count("phy_tx_end")
         # Deliver to every node that could decode it.
         decoders = self._decoders.get(sender)
         if decoders is None:
@@ -242,14 +240,10 @@ class RadioMedium:
         for node, trx in decoders:
             outcome = self._decode_outcome(node, record, trx)
             if outcome == "ok":
-                self.tracer.emit(
-                    now, "phy_rx_ok", node=node, frame=record.frame.ftype.value
-                )
+                self.tracer.count("phy_rx_ok")
                 trx.deliver(record.frame, float(self.rx_power[node, sender]))
             elif outcome == "collision":
-                self.tracer.emit(
-                    now, "phy_rx_collision", node=node, frame=record.frame.ftype.value
-                )
+                self.tracer.count("phy_rx_collision")
                 trx.deliver_garbled(record.frame)
         self._refresh_rx_states(sender)
 

@@ -6,7 +6,7 @@ Public surface:
 * :class:`Process`, :func:`spawn`, :class:`Timeout`, :class:`Signal`,
   :class:`AnyOf`, :class:`AllOf`, :class:`Interrupted` — coroutine processes.
 * :class:`RngStreams` — named, independent seeded random streams.
-* :class:`Tracer` — structured event tracing.
+* :class:`Tracer` — per-kind PHY event counts.
 * :mod:`repro.sim.units` — canonical units and airtime helpers.
 """
 
@@ -22,7 +22,7 @@ from .process import (
     spawn,
 )
 from .rng import RngStreams, derive_seed
-from .trace import TraceRecord, Tracer
+from .trace import Tracer
 from .units import transmission_time
 
 __all__ = [
@@ -40,6 +40,5 @@ __all__ = [
     "RngStreams",
     "derive_seed",
     "Tracer",
-    "TraceRecord",
     "transmission_time",
 ]

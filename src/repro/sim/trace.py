@@ -1,129 +1,30 @@
-"""Structured event tracing and counters.
+"""Per-kind PHY event counts.
 
-A :class:`Tracer` is a cheap pub/sub sink the PHY/MAC layers emit structured
-records into.  Experiments attach collectors (throughput counters, energy
-meters); tests attach assertion probes.  When nothing subscribes, emitting is
-a single dict lookup — cheap enough to leave on.
-
-Reuse across runs
------------------
-A tracer carries *per-run* state (``counts``, ``records``) and *per-owner*
-state (subscriptions).  Reusing one tracer across trials without clearing
-the per-run state silently accumulates one run's counts into the next —
-exactly the kind of bug that corrupts a collision sweep.  Either call
-:meth:`reset` between runs, or hand the tracer to an entry point that
-enters :meth:`run_scope` (as :func:`repro.net.multicluster_sim.
-run_multicluster_simulation` does), which resets on entry while keeping
-subscribers registered.
+Each :class:`~repro.radio.channel.RadioMedium` owns one :class:`Tracer`
+and counts every transmission start and end, clean decode and collision
+on it; the vector slot engine counts the slots it replays on the same
+tracer.  A run's counts therefore start from zero with its medium.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from collections import Counter
 
-__all__ = ["TraceRecord", "Tracer"]
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """One trace event: what happened, when, to whom."""
-
-    time: float
-    kind: str
-    node: int | None = None
-    detail: dict[str, Any] = field(default_factory=dict)
+__all__ = ["Tracer"]
 
 
 class Tracer:
-    """Pub/sub trace sink with per-kind counters.
+    """Event counts by kind.
 
     >>> t = Tracer()
-    >>> seen = []
-    >>> t.subscribe("rx_ok", lambda rec: seen.append(rec))
-    >>> t.emit(1.5, "rx_ok", node=3, size=80)
-    >>> t.counts["rx_ok"], seen[0].detail["size"]
-    (1, 80)
-
-    ``max_records`` bounds retention under ``keep_records=True``: once the
-    limit is reached the *oldest* records are dropped, so a long soak run
-    keeps a sliding window instead of growing without bound (``None``
-    retains everything, the historical behaviour).
+    >>> t.count("phy_rx_ok")
+    >>> t.counts["phy_rx_ok"]
+    1
     """
 
-    def __init__(self, keep_records: bool = False, max_records: int | None = None):
-        if max_records is not None and max_records < 1:
-            raise ValueError(f"max_records must be >= 1, got {max_records}")
-        self._subs: dict[str, list[Callable[[TraceRecord], None]]] = defaultdict(list)
-        self._all_subs: list[Callable[[TraceRecord], None]] = []
+    def __init__(self):
         self.counts: Counter[str] = Counter()
-        self.keep_records = keep_records
-        self.max_records = max_records
-        self.records: list[TraceRecord] = []
 
-    def subscribe(self, kind: str, fn: Callable[[TraceRecord], None]) -> None:
-        """Call *fn* for every record of *kind* (``"*"`` matches all kinds)."""
-        if kind == "*":
-            self._all_subs.append(fn)
-        else:
-            self._subs[kind].append(fn)
-
-    def unsubscribe(self, kind: str, fn: Callable[[TraceRecord], None]) -> None:
-        """Remove one registration of *fn* for *kind* (``"*"`` for match-all).
-
-        Safe to call from inside a subscriber during dispatch: the emit in
-        progress iterates a snapshot, so every subscriber registered when
-        the event fired still sees it; the removal takes effect from the
-        next emit.  Raises ``ValueError`` if *fn* is not subscribed.
-        """
-        if kind == "*":
-            self._all_subs.remove(fn)
-            return
-        subs = self._subs.get(kind)
-        if not subs:
-            raise ValueError(f"no subscriber for kind {kind!r}")
-        subs.remove(fn)
-        if not subs:
-            # Drop the empty list so the no-subscriber emit fast path
-            # (which tests `self._subs` for truthiness) stays enabled.
-            del self._subs[kind]
-
-    def emit(self, time: float, kind: str, node: int | None = None, **detail: Any) -> None:
-        """Record an event; dispatch to subscribers."""
+    def count(self, kind: str) -> None:
+        """Add one event of *kind*."""
         self.counts[kind] += 1
-        if not (self._subs or self._all_subs or self.keep_records):
-            return
-        rec = TraceRecord(time=time, kind=kind, node=node, detail=detail)
-        if self.keep_records:
-            self.records.append(rec)
-            if self.max_records is not None and len(self.records) > self.max_records:
-                del self.records[: len(self.records) - self.max_records]
-        # Dispatch over snapshots: a subscriber that unsubscribes itself
-        # (or subscribes others) mid-dispatch must not skip or double-call
-        # a sibling by mutating the list being iterated.
-        for fn in tuple(self._subs.get(kind, ())):
-            fn(rec)
-        for fn in tuple(self._all_subs):
-            fn(rec)
-
-    def records_of(self, kind: str) -> list[TraceRecord]:
-        """All retained records of *kind* (requires ``keep_records=True``)."""
-        return [r for r in self.records if r.kind == kind]
-
-    def reset(self) -> None:
-        """Clear counters and retained records (subscriptions persist)."""
-        self.counts.clear()
-        self.records.clear()
-
-    @contextmanager
-    def run_scope(self) -> Iterator["Tracer"]:
-        """Scope one run's worth of per-run state.
-
-        Resets counters and retained records on entry, so a tracer reused
-        across trials starts every run from zero — subscribers stay
-        registered, and the run's counts remain readable after exit.
-        """
-        self.reset()
-        yield self

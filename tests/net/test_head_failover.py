@@ -12,6 +12,7 @@ range — adoption can only help orphans a surviving head can physically
 reach; ones beyond reach fall under the partial-coverage contract.
 """
 
+import numpy as np
 import pytest
 
 from repro import validate
@@ -242,3 +243,56 @@ def test_adoption_keeps_agents_and_announces_no_roster(adopted_with_evidence):
         assert all(a is b for a, b in zip(agents_after, agents_before))
         assert len(agents_after) > len(agents_before)
         assert bytes_after == bytes_before
+
+
+# -- adoption by the head nearest each orphan's current position ---------------
+# The field-mobile benchmark run (perfbench/workloads.py::field_mobile at its
+# default seed): sensors drift at 2 m/s and head 3 crashes at 33.384 s.
+
+FIELD_MOBILE = dict(
+    n_sensors=120,
+    n_heads=4,
+    field_m=420.0,
+    n_cycles=8,
+    seed=1,
+    mobility_speed_mps=2.0,
+    handoff="staleness",
+    head_failover=True,
+    head_crashes=((3, 33.384),),
+)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="HeadFailoverCoordinator._declare_dead measures each orphan from "
+    "its deploy-time position, not its current one: global sensors 49 and 55 "
+    "go to head 1 though head 2 is nearest; reading medium.positions moves "
+    "the stored field-mobile digests, so the fix waits for a re-record",
+)
+def test_orphans_go_to_the_live_head_nearest_their_current_position(monkeypatch):
+    from repro.net.multicluster_sim import HeadFailoverCoordinator
+
+    declared = []
+    declare = HeadFailoverCoordinator._declare_dead
+
+    def spy(coord, dead_head):
+        live = [h for h, mac in enumerate(coord.macs) if h != dead_head and not mac.halted]
+        positions = coord.medium.positions.copy()
+        declared.append((coord.sim.now, dead_head, live, positions, coord.head_positions.copy()))
+        declare(coord, dead_head)
+
+    monkeypatch.setattr(HeadFailoverCoordinator, "_declare_dead", spy)
+    res = run_multicluster_simulation(MultiClusterConfig(**FIELD_MOBILE))
+    events = res.coordinator.adoption_events
+    assert declared and events
+    misplaced = []
+    for time, dead_head, live, positions, heads in declared:
+        for ev in events:
+            if (ev.time, ev.dead_head) != (time, dead_head):
+                continue
+            for g in ev.sensors:
+                dist2 = ((heads[live] - positions[g]) ** 2).sum(axis=1)
+                nearest = live[int(np.argmin(dist2))]
+                if nearest != ev.adopter:
+                    misplaced.append((g, ev.adopter, nearest))
+    assert misplaced == []

@@ -2,8 +2,8 @@
 
 The acceptance path of DESIGN.md §10: a faulted fig2-style run must export
 a Chrome trace in which at least one failed delivery is traceable end to
-end — poll request span → retry events → blacklist/failover event → repair
-span — and the inspect CLI's per-radio energy must reconcile with
+end — poll request span → retry events → blacklist/failover event → the
+``replan`` event that routed around the death — and the inspect CLI's per-radio energy must reconcile with
 :mod:`repro.metrics.energy` within float tolerance.  Just as load-bearing:
 with telemetry disabled the simulation must be bit for bit identical to an
 untraced run.
@@ -114,7 +114,7 @@ def test_failed_delivery_traceable_end_to_end(faulted_traced):
     assert chains, "a mid-cycle relay crash must fail at least one request"
     # At least one chain must carry the full causal story: the request's
     # own retry events, the blacklist that wrote the sensor off, and a
-    # repair span that routed around the death.
+    # re-plan that routed around the death.
     complete = [
         c
         for c in chains
@@ -122,10 +122,10 @@ def test_failed_delivery_traceable_end_to_end(faulted_traced):
         and c["blacklist"]
         and c["repairs"]
     ]
-    assert complete, "no failed request links retry -> blacklist -> repair"
-    # The repair spans must name the crashed relay among the blacklisted.
+    assert complete, "no failed request links retry -> blacklist -> re-plan"
+    # The re-plan events must name the crashed relay among the excluded.
     assert any(
-        victim in r["attrs"]["blacklisted"]
+        victim in r["attrs"]["excluded"]
         for c in complete
         for r in c["repairs"]
     )

@@ -37,18 +37,16 @@ class ReferenceMedium(RadioMedium):
 
     def _end_transmission(self, record) -> None:
         self._active.remove(record)
-        now = self.sim.now
-        kind = record.frame.ftype.value
-        self.tracer.emit(now, "phy_tx_end", node=record.sender, frame=kind)
+        self.tracer.count("phy_tx_end")
         for node, trx in self._transceivers.items():
             if node == record.sender:
                 continue
             outcome = self._reference_outcome(node, record, trx)
             if outcome == "ok":
-                self.tracer.emit(now, "phy_rx_ok", node=node, frame=kind)
+                self.tracer.count("phy_rx_ok")
                 trx.deliver(record.frame, float(self.rx_power[node, record.sender]))
             elif outcome == "collision":
-                self.tracer.emit(now, "phy_rx_collision", node=node, frame=kind)
+                self.tracer.count("phy_rx_collision")
                 trx.deliver_garbled(record.frame)
         self._refresh_rx_states(record.sender)
 
