@@ -552,10 +552,12 @@ class OnlinePollingScheduler:
         """
         self.blacklist.add(sensor)
         if self._tel_enabled:
+            phase = self._tel_parent
             self._tel.timeline_event(
                 self._tel_now(),
                 "blacklist",
                 sensor=sensor,
+                cluster=None if phase is None else phase.attrs.get("cluster"),
                 slot=self._slot_cursor,
                 misses=self._miss_streak.get(sensor),
             )

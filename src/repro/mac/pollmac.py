@@ -200,7 +200,7 @@ class PollingSensorAgent:
             return
         self.phy.sim.schedule(
             self.timings.turnaround, self._transmit_if_possible, frame
-        )
+        ).owner = self.trx
 
     def build_response(self, payload) -> Frame | None:
         """Decode a poll and build this sensor's response frame, if any.
@@ -297,7 +297,7 @@ class PollingSensorAgent:
             t = wake_map.get(self.sensor)
             if t is not None and t > self.phy.sim.now and not self.trx.is_sleeping:
                 self.trx.sleep()
-                self.phy.sim.at(t, self.trx.wake)
+                self.phy.sim.at(t, self.trx.wake).owner = self.trx
             return
         members = payload.get("members")
         if members is not None and self.sensor not in members:
@@ -311,7 +311,7 @@ class PollingSensorAgent:
             return  # the announced wake time already passed (overrun cycle)
         if not self.trx.is_sleeping:
             self.trx.sleep()
-            self.phy.sim.at(wake_at, self.trx.wake)
+            self.phy.sim.at(wake_at, self.trx.wake).owner = self.trx
 
 
 @dataclass(frozen=True)
@@ -389,7 +389,8 @@ class PollingClusterMac:
             raise ValueError(f"engine must be 'scalar' or 'vector', got {engine!r}")
         self.engine = engine
         # Cross-phase geometry cache for the vector engine, keyed by
-        # listening-roster bytes (see vector_engine._GeomEntry).
+        # listening-roster bytes (see vector_engine._GeomEntry); a new
+        # roster clears it.
         self._vector_geom: dict = {}
         # Engine mix over the whole run (how many slots replayed in batch
         # mode vs fell back to the event path) — plain counters, kept even
@@ -550,7 +551,9 @@ class PollingClusterMac:
     # -- public API -----------------------------------------------------------------
 
     def start(self, n_cycles: int) -> Process:
-        self.process = Process(self.sim, self._run(n_cycles), name="polling-head")
+        self.process = Process(
+            self.sim, self._run(n_cycles), name="polling-head", owner=self
+        )
         return self.process
 
     def halt(self) -> None:
@@ -649,6 +652,7 @@ class PollingClusterMac:
             i for i, (new, old) in enumerate(zip(agents, self.sensors)) if new is old
         }
         self.phy = new_phy
+        self._vector_geom.clear()  # geometry of the old roster
         self.sensors = list(agents)
         self.blacklisted = set(blacklisted)
         self.departed = set(departed)
@@ -922,8 +926,9 @@ class PollingClusterMac:
         )
         slot_time = self._slot_time(payload_bytes)
         # Batch engine (DESIGN.md §12): clean slots replay as closed-form
-        # array ops; dirty slots (pending fault/wake events, live carriers,
-        # shared media) fall through to the event path.
+        # array ops; slots something outside the cluster's channel could
+        # observe (pending fault/wake events, live carriers, another
+        # cluster in carrier-sense reach) fall through to the event path.
         vector = maybe_vector_engine(self, payload_bytes)
         batch_total = 0
         batch_max = 0

@@ -35,9 +35,12 @@ flip every touched radio shares the same ``last_change``, so the ``t1`` /
 per-radio power slices (one multiply + one fancy-indexed add each), with
 ``last_change`` written back just twice per slot.
 
-Slots that are *not* clean — a pending fault/wake/battery event inside the
-slot window, live transmissions already in the air, a shared multi-cluster
-medium — fall back to the scalar path for exactly that slot: the bank
+Clusters sharing a multi-cluster medium (``index_map``) run on the same
+engine, with one per-slot check scoped to the cluster's channel and MAC
+(:meth:`VectorPhaseEngine._clean`).  Slots that are *not* clean — a pending
+fault/wake/battery event inside the slot window, a frame already in the air
+on the channel, another cluster within carrier-sense reach — fall back to
+the scalar path for exactly that slot: the bank
 flushes to the live transceivers first, so mid-slot readers (battery
 depletion checks) always see true meters.  A replayed slot adds its frames
 to the medium's per-kind PHY counts exactly as the event path would.
@@ -45,6 +48,7 @@ to the medium's per-kind PHY counts exactly as the event path would.
 
 from __future__ import annotations
 
+from dataclasses import astuple
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -52,6 +56,7 @@ import numpy as np
 from .. import obs as _obs
 from ..radio.energy import RadioState
 from ..radio.packet import Frame, FrameType
+from ..radio.transceiver import Transceiver
 from ..sim.units import transmission_time
 from ..topology.cluster import HEAD
 
@@ -187,10 +192,10 @@ class _PollCache:
         "mask_t1",
     )
 
-    def __init__(self, rx_idx, ok_idx, coll_idx, ptab, head, n):
+    def __init__(self, rx_idx, ok_idx, ok_nodes, coll_idx, ptab, head, n):
         self.rx_ix = _as_index(rx_idx)
         self.ok_ix = _as_index(ok_idx)
-        self.ok_nodes = [int(x) for x in ok_idx]
+        self.ok_nodes = ok_nodes
         self.coll_idx = coll_idx
         self.n_coll = len(coll_idx)
         # Power slices for the two poll-side integrations (IDLE over
@@ -234,15 +239,17 @@ class _GeomEntry:
     ``rx_power`` matrix, and its (immutable) thresholds — not on payload
     size — so it outlives any single phase.  The entry pins the matrix it
     was built from: mobility epochs *replace* ``rx_power`` (never mutate
-    it), so an identity check detects staleness exactly.  Channel drift is
+    it), so an identity check detects staleness exactly.  ``local`` is the
+    PHY's block of that matrix, in local indices.  Channel drift is
     irrelevant here: it retunes the Gilbert–Elliott chains, which the slot
     replay consults live per draw.
     """
 
-    __slots__ = ("rxp", "pc", "groups")
+    __slots__ = ("rxp", "local", "pc", "groups")
 
-    def __init__(self, rxp):
+    def __init__(self, rxp, index_map):
         self.rxp = rxp
+        self.local = rxp if index_map is None else rxp[np.ix_(index_map, index_map)]
         self.pc: _PollCache | None = None
         self.groups: dict[tuple[int, ...], _GroupCache] = {}
 
@@ -272,6 +279,26 @@ class VectorPhaseEngine:
         self.head_tx_w = float(self.bank.ptab[TX, self.head])
         self.loaded = False
         self.dynamic = med.frame_error_rate > 0.0 or med.link_loss is not None
+        # Medium index of each local radio, and each one's rank in the
+        # medium's decode order (registration order), which orders decode
+        # side effects and random draws.
+        index_map = self.phy.index_map
+        if index_map is None:
+            self.nodes = list(range(len(self.bank.transceivers)))
+        else:
+            self.nodes = [int(g) for g in index_map]
+            rank = {node: i for i, node in enumerate(med._transceivers)}
+            self._decode_rank = [rank[g] for g in self.nodes]
+        # Rule 7's reach past the slot end: no frame the polling MACs send is
+        # longer than their largest frame plus a roster announcement of two
+        # bytes per radio on the medium.
+        self.air_max = transmission_time(
+            max(astuple(mac.sizes)) + 2 * med.n_nodes, med.bitrate
+        )
+        # The channel scope of rules 2-7, rebuilt whenever the geometry or
+        # the channel map changes (see _scope).
+        self._scope_rxp = None
+        self._scope_channels = b""
         # Geometry store shared across phases (lives on the MAC), keyed by
         # the listening-roster bytes; rebound at every bank load because
         # fallback slots can change the roster mid-phase.
@@ -288,13 +315,11 @@ class VectorPhaseEngine:
         """Run the slot starting now in vector mode if it is clean.
 
         Returns False (after flushing the bank) when the slot must take the
-        scalar path: a live transmission is already in the air, or a
-        non-radio-neutral event (fault, wake, battery check, another
-        process) is pending inside the slot window, boundaries included.
+        scalar path (:meth:`_clean`).
         """
         sim = self.sim
         t0 = sim.now
-        if self.medium._active or not sim.quiet_until(t0 + self.slot_time):
+        if not self._clean(t0 + self.slot_time):
             self.flush()
             self.scalar_slots += 1
             return False
@@ -305,6 +330,84 @@ class VectorPhaseEngine:
         self._run_slot(t0, payload, group)
         self.vector_slots += 1
         return True
+
+    def _clean(self, t_end: float) -> bool:
+        """The per-slot check: may the slot up to *t_end* run in closed form?
+
+        Nothing outside the PHY may observe or touch the slot (DESIGN.md
+        §12 gives the reasons):
+
+        1. the MAC still polls over the PHY this engine was built for;
+        2. every radio of the PHY is on the head's channel;
+        3. no frame is in the air on that channel;
+        4. the medium is not stale, when it has radios outside the PHY;
+        5. no radio outside the PHY on that channel can reach carrier sense
+           from the summed receive power of the PHY's radios;
+        6. no live event up to *t_end* is owned by a radio on that channel
+           or by a MAC whose head is on it (on a lossy medium, no live event
+           at all: every decode draws from its shared loss streams);
+        7. no unowned event up to *t_end*, or up to ``air_max`` past it when
+           the medium has radios on another channel.
+
+        On a single-cluster medium the check is: one channel, nothing in the
+        air, a quiet heap.
+        """
+        if self.mac.phy is not self.phy:
+            return False
+        med = self.medium
+        if med.rx_power is not self._scope_rxp or (
+            med.channels.tobytes() != self._scope_channels
+        ):
+            self._scope()
+        if not self._scope_ok or (self._shared and med._stale):
+            return False
+        ch, channel_of = self._channel, self._channel_of
+        for tx in med._active:
+            if channel_of[tx.sender] == ch:
+                return False
+        if not self._mixed:
+            return self.sim.quiet_until(t_end)
+        # Decodes on any channel draw from the medium's shared loss streams,
+        # so on a lossy medium every event in the window counts.
+        touches = None if self.dynamic else self._touches
+        return self.sim.quiet_until(t_end, touches, t_end + self.air_max)
+
+    def _scope(self) -> None:
+        """Rules 2 and 5 and the channel layout for the current geometry
+        and channel map."""
+        med = self.medium
+        self._scope_rxp = med.rx_power
+        self._scope_channels = med.channels.tobytes()
+        channel_of = med.channels.tolist()
+        nodes = self.nodes
+        ch = channel_of[nodes[self.head]]
+        inside = set(nodes)
+        outside = [g for g in med._transceivers if g not in inside]
+        near = [g for g in outside if channel_of[g] == ch]
+        self._scope_ok = all(channel_of[g] == ch for g in nodes) and not (
+            near and self._overheard(near)
+        )
+        self._channel = ch
+        self._channel_of = channel_of
+        self._shared = bool(outside)
+        self._mixed = any(channel_of[g] != ch for g in med._transceivers)
+
+    def _overheard(self, near: list[int]) -> bool:
+        """Rule 5: can a radio in *near* (outside the PHY, on its channel)
+        reach carrier sense from the summed power of the PHY's radios?
+
+        The sum over every radio of the PHY bounds any in-air sum a slot can
+        put there, listening or not; the margin covers summation order.
+        """
+        med = self.medium
+        heard = med.rx_power[np.ix_(near, self.nodes)].sum(axis=1)
+        return bool(np.any(heard >= med.cs_threshold * (1.0 - 1e-9)))
+
+    def _touches(self, owner) -> bool:
+        """Whether an event owned by *owner* — a radio, or a MAC through its
+        head — can touch this cluster's channel."""
+        trx = owner if isinstance(owner, Transceiver) else owner.head_trx
+        return self._channel_of[trx.node] == self._channel
 
     def flush(self) -> None:
         """Write the bank back to the live transceivers (idempotent)."""
@@ -318,17 +421,24 @@ class VectorPhaseEngine:
         key = self.bank.listening.tobytes()
         entry = self._geom_store.get(key)
         if entry is None or entry.rxp is not self.medium.rx_power:
-            entry = _GeomEntry(self.medium.rx_power)
+            entry = _GeomEntry(self.medium.rx_power, self.phy.index_map)
             self._geom_store[key] = entry
         self._entry = entry
         self._poll_cache = entry.pc
         self._group_cache = entry.groups
 
+    def _in_decode_order(self, idx: np.ndarray) -> list[int]:
+        """Local radios *idx* in the order the medium decodes to them."""
+        nodes = [int(x) for x in idx]
+        if self.phy.index_map is not None:
+            nodes.sort(key=self._decode_rank.__getitem__)
+        return nodes
+
     def _build_poll_cache(self) -> _PollCache:
         med = self.medium
         b = self.bank
         head = self.head
-        sig = med.rx_power[:, head]
+        sig = self._entry.local[:, head]
         listening = b.listening.copy()
         listening[head] = False  # half-duplex: the head is the sender
         flip = listening & (sig >= med.cs_threshold)
@@ -337,9 +447,11 @@ class VectorPhaseEngine:
         # sum (integer 0), so the capture threshold is beta * (noise + 0).
         coll = audible & (sig < med.beta * (med.noise + 0))
         ok = audible & ~coll
+        ok_idx = np.nonzero(ok)[0]
         cache = _PollCache(
             rx_idx=np.nonzero(flip)[0],
-            ok_idx=np.nonzero(ok)[0],
+            ok_idx=ok_idx,
+            ok_nodes=self._in_decode_order(ok_idx),
             coll_idx=np.nonzero(coll)[0],
             ptab=b.ptab,
             head=head,
@@ -352,7 +464,7 @@ class VectorPhaseEngine:
     def _build_group_cache(self, key: tuple[int, ...], pc: _PollCache) -> _GroupCache:
         med = self.medium
         b = self.bank
-        rxp = med.rx_power
+        rxp = self._entry.local
         n = len(b.transceivers)
         smask = np.zeros(n, dtype=bool)
         sender_idx = np.array(key, dtype=np.int64)
@@ -375,7 +487,7 @@ class VectorPhaseEngine:
             ok = audible & ~coll
             ok_idx = np.nonzero(ok)[0]
             records.append(
-                (ok, _as_index(ok_idx), [int(x) for x in ok_idx], np.nonzero(coll)[0])
+                (ok, _as_index(ok_idx), self._in_decode_order(ok_idx), np.nonzero(coll)[0])
             )
         gc = _GroupCache()
         gc.s_ix = _as_index(sender_idx)
@@ -414,18 +526,20 @@ class VectorPhaseEngine:
 
         Candidates already pass sensitivity/listen/SINR; the scalar decode
         demotes them to collisions via the shared frame-error RNG and the
-        per-link Gilbert–Elliott chains, consulted in node order.
+        per-link Gilbert–Elliott chains (keyed by medium index), consulted
+        in decode order.
         """
         med = self.medium
         fer = med.frame_error_rate
         rng = med._error_rng
         link = med.link_loss
+        nodes = self.nodes
         ok: list[int] = []
         coll: list[int] = []
         for node in cand_nodes:
             if fer > 0.0 and rng.random() < fer:
                 coll.append(node)
-            elif link is not None and link.frame_fails(node, sender, now):
+            elif link is not None and link.frame_fails(nodes[node], nodes[sender], now):
                 coll.append(node)
             else:
                 ok.append(node)
@@ -589,29 +703,24 @@ def maybe_vector_engine(
     """A phase engine when this MAC/PHY combination supports batch slots.
 
     Returns ``None`` (pure scalar phase) when the MAC asked for the scalar
-    oracle, the PHY shares a multi-cluster medium (``index_map``), radios
-    sit on different channels, or a garble callback is installed (S-MAC
-    statistics) — every situation where per-event fidelity is observable
-    from outside the slot.
+    oracle or a garble callback is installed (S-MAC statistics), where
+    per-event fidelity is observable from outside the slot.  Single- and
+    multi-cluster PHYs alike get an engine; its per-slot check
+    (:meth:`VectorPhaseEngine._clean`) sends each slot that another
+    cluster, a pending event or a frame in the air could observe down the
+    event path.
 
-    Each silent fallback is counted with its reason — on
+    A garble-callback fallback is counted with its reason — on
     ``mac.engine_fallbacks`` always, and as an ``engine.scalar_fallback.
     <reason>`` obs counter when telemetry is active — so a run that
-    *requested* the vector engine but ran scalar slots (every multi-cluster
-    PHY today; see DESIGN.md §12/§13) shows up as a gated eligibility
-    decision rather than masquerading as a perf regression.  The scalar
-    *request* itself (``engine="scalar"``) is not a fallback and stays
-    uncounted.
+    *requested* the vector engine but ran scalar slots shows up as a gated
+    eligibility decision rather than masquerading as a perf regression.
+    The scalar *request* itself (``engine="scalar"``) is not a fallback and
+    stays uncounted.
     """
     if mac.engine != "vector":
         return None
-    phy = mac.phy
-    if phy.index_map is not None:
-        return _scalar_fallback(mac, "index_map")
-    ch = phy.medium.channels
-    if ch.size and bool(np.any(ch != ch[0])):
-        return _scalar_fallback(mac, "channels")
-    for trx in phy.transceivers:
+    for trx in mac.phy.transceivers:
         if trx._garble_callback is not None:
             return _scalar_fallback(mac, "garble_callback")
     return VectorPhaseEngine(mac, payload_bytes)

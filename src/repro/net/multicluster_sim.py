@@ -112,11 +112,9 @@ class MultiClusterConfig:
     # (an ambient obs.use(...) scope still traces); True attaches a
     # run-local collector to ``MultiClusterResult.telemetry``.
     telemetry: bool = False
-    # Slot engine request (DESIGN.md §12).  Multi-cluster PHYs share one
-    # medium through ``index_map``, which the batch engine's eligibility
-    # gate rejects, so "vector" currently runs scalar slots here — the knob
-    # exists so the config surface matches PollingSimConfig and single-
-    # cluster fast paths engage automatically if that gate ever loosens.
+    # Slot engine (DESIGN.md §12): "vector" (the default) replays each slot
+    # that nothing outside its cluster's channel can observe in closed
+    # form, bit for bit; "scalar" runs every slot through the event path.
     engine: str = "vector"
     # Field-level re-forming (DESIGN.md §13).  "off" (the default) arms
     # nothing: no coordinator, no scheduled events, no extra computation —
@@ -1216,5 +1214,5 @@ def _start_delayed(sim: Simulator, mac: PollingClusterMac, n_cycles: int, delay:
         return
     for agent in mac.sensors:
         agent.trx.sleep()
-        sim.at(delay, agent.trx.wake)
+        sim.at(delay, agent.trx.wake).owner = agent.trx
     sim.at(delay, mac.start, n_cycles)

@@ -77,9 +77,15 @@ def failure_chains(trace: dict[str, Any]) -> list[dict[str, Any]]:
     the blacklist event that wrote its sensor off and the ``replan``
     events whose ``excluded`` or ``unreachable`` holds the sensor — the
     plans that routed around the death, the acceptance path of DESIGN.md
-    §10.
+    §10.  Sensor ids are local to a cluster, so only events of the
+    request's cluster (read off its enclosing phase span) are linked.
     """
     spans = trace["spans"]
+    phase_cluster = {
+        span["span_id"]: span["attrs"].get("cluster")
+        for span in spans
+        if span["kind"] == "phase"
+    }
     blacklist_events: list[dict[str, Any]] = []
     for span in spans:
         for ev in span.get("events", ()):
@@ -94,13 +100,18 @@ def failure_chains(trace: dict[str, Any]) -> list[dict[str, Any]]:
         if span["kind"] != "request" or span["attrs"].get("status") != "failed":
             continue
         sensor = span["attrs"].get("sensor")
+        cluster = phase_cluster.get(span["parent_id"])
         linked_blacklists = [
-            e for e in blacklist_events if e["attrs"].get("sensor") == sensor
+            e
+            for e in blacklist_events
+            if e["attrs"].get("sensor") == sensor
+            and e["attrs"].get("cluster") == cluster
         ]
         linked_replans = [
             e
             for e in replans
-            if sensor in e["attrs"]["excluded"] or sensor in e["attrs"]["unreachable"]
+            if e["attrs"]["cluster"] == cluster
+            and (sensor in e["attrs"]["excluded"] or sensor in e["attrs"]["unreachable"])
         ]
         chains.append(
             {
@@ -118,11 +129,11 @@ def engine_field_health(metrics: dict[str, Any]) -> list[str]:
     """Engine-eligibility and field-staleness lines for the summary.
 
     ``engine.scalar_fallback.<reason>`` counters say why a run that asked
-    for the vector engine executed scalar slots (so a slow trace is read as
-    a gated eligibility decision, not a mystery regression), and the
+    for the vector engine ran whole phases scalar (a garble callback), the
+    ``mac.vector_slots``/``mac.scalar_slots`` counters give the per-slot
+    mix on single- and multi-cluster runs alike, and the
     ``field.assignment_staleness`` gauge/trajectory says how stale the
-    Voronoi forming was — both land in the registry but were previously
-    invisible from the CLI.
+    Voronoi forming was.
     """
     lines: list[str] = []
     fallbacks = {

@@ -225,7 +225,8 @@ class RadioMedium:
             record.interferers.append(other)
         self._active.append(record)
         self.tracer.count("phy_tx_start")
-        self.sim.at(record.end, self._end_transmission, record)
+        ending = self.sim.at(record.end, self._end_transmission, record)
+        ending.owner = self._transceivers[sender]
         self._refresh_rx_states(sender)
         return record
 

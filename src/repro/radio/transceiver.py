@@ -105,7 +105,7 @@ class Transceiver:
             return
         self._stunned = True
         self._go_dark()
-        self.sim.schedule(duration, self._end_stun)
+        self.sim.schedule(duration, self._end_stun).owner = self
 
     def _end_stun(self) -> None:
         self._stunned = False
@@ -142,7 +142,7 @@ class Transceiver:
         self.meter.change_state(RadioState.TX, self.sim.now)
         self.medium.begin_transmission(self.node, frame)
         self.frames_sent += 1
-        self.sim.schedule(duration, self._tx_finished)
+        self.sim.schedule(duration, self._tx_finished).owner = self
         return duration
 
     def carrier_busy(self) -> bool:

@@ -42,14 +42,21 @@ class EventHandle:
     Users obtain handles from :meth:`Simulator.schedule` /
     :meth:`Simulator.at` and may call :meth:`cancel` any time before the
     event fires.
+
+    ``owner`` names what the event can touch, for :meth:`Simulator.
+    quiet_until`: the scheduling site sets it on the handle it gets back (a
+    radio or a MAC).  ``None``, the default, means the event may touch
+    anything in the simulation.  It lives on the handle, not on the
+    callback, so it survives any wrapping of the callback.
     """
 
-    __slots__ = ("time", "callback", "args", "_cancelled", "_fired")
+    __slots__ = ("time", "callback", "args", "owner", "_cancelled", "_fired")
 
     def __init__(self, time: float, callback: Callable[..., Any], args: tuple):
         self.time = time
         self.callback = callback
         self.args = args
+        self.owner: Any = None
         self._cancelled = False
         self._fired = False
 
@@ -93,6 +100,7 @@ class Simulator:
         self._seq = itertools.count()
         self._running = False
         self._stopped = False
+        self._until: float | None = None  # the running run()'s end, if bounded
         self.events_processed = 0
         # Optional repro.obs.Telemetry: when set (by the simulation entry
         # points), each run() is wrapped in a wall-clock profile span
@@ -116,25 +124,41 @@ class Simulator:
         self._drop_dead_entries()
         return self._heap[0][0] if self._heap else None
 
-    def quiet_until(self, t_end: float) -> bool:
+    def quiet_until(
+        self,
+        t_end: float,
+        touches: Callable[[Any], bool] | None = None,
+        unowned_end: float | None = None,
+    ) -> bool:
         """True when no live event up to and including *t_end* can observe or
-        mutate radio/PHY state.
+        mutate the caller's radio/PHY state.
 
         Callbacks whose underlying function carries a truthy
         ``_radio_neutral`` attribute (e.g. CBR ticks, which only append to
-        application queues) are ignored.  The vectorized slot engine uses
-        this to decide whether a slot window is *clean* — i.e. whether it may
-        replay the slot in closed form instead of through the event loop.
-        The scan is linear over the heap; polling workloads keep the heap
-        small (one timer per traffic source plus a few fault timers).
+        application queues) are ignored.  With *touches* given, an owned
+        event (:attr:`EventHandle.owner`) counts only when
+        ``touches(owner)`` is true.  Unowned events may touch anything, so
+        they count up to *unowned_end* (default: *t_end*).  A window that
+        reaches past the end of the current :meth:`run` is never quiet: the
+        caller reads the state as it stands at that end.  The vectorized
+        slot engine uses this to decide whether a slot window is *clean* —
+        i.e. whether it may replay the slot in closed form instead of
+        through the event loop.  The scan is linear over the heap; polling
+        workloads keep the heap small (one timer per traffic source, one per
+        MAC, plus a few radio and fault timers).
         """
+        if self._until is not None and t_end > self._until:
+            return False
+        horizon = t_end if unowned_end is None else max(t_end, unowned_end)
         for time, _, handle in self._heap:
-            if (
-                time <= t_end
-                and not handle._cancelled
-                and not getattr(handle.callback, "_radio_neutral", False)
+            if time > horizon or handle._cancelled:
+                continue
+            owner = handle.owner
+            if owner is None or (
+                time <= t_end and (touches is None or touches(owner))
             ):
-                return False
+                if not getattr(handle.callback, "_radio_neutral", False):
+                    return False
         return True
 
     # -- scheduling ---------------------------------------------------------
@@ -181,6 +205,7 @@ class Simulator:
             raise SimulationError("simulator is already running (re-entrant run())")
         self._running = True
         self._stopped = False
+        self._until = until
         tel = self.telemetry
         kernel_span = None
         if tel is not None and tel.enabled:
@@ -218,6 +243,7 @@ class Simulator:
                 self._now = until
         finally:
             self._running = False
+            self._until = None
             if kernel_span is not None:
                 from time import perf_counter
 

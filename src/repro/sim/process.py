@@ -152,18 +152,24 @@ class Process:
 
     The process starts immediately: its first step runs at the current
     simulation time via a zero-delay event (preserving FIFO fairness among
-    processes spawned in the same instant).
+    processes spawned in the same instant).  *owner* becomes the
+    :attr:`~repro.sim.kernel.EventHandle.owner` of every event the process
+    schedules for itself (its start and its timeouts).
     """
 
-    def __init__(self, sim: Simulator, generator: ProcessGen, name: str = ""):
+    def __init__(
+        self, sim: Simulator, generator: ProcessGen, name: str = "", owner: Any = None
+    ):
         self.sim = sim
         self.name = name or getattr(generator, "__name__", "process")
         self._gen = generator
+        self.owner = owner
         self.alive = True
         self.value: Any = None  # return value once finished
         self.done_signal = Signal(f"{self.name}.done")
         self._cancel_wait: Cancel | None = None
         start = sim.schedule(0.0, self._step, None, None)
+        start.owner = owner
         self._cancel_wait = start.cancel
 
     # -- public control ------------------------------------------------------
@@ -221,12 +227,14 @@ class Process:
         """
         if isinstance(condition, Timeout):
             handle = self.sim.schedule(condition.delay, resume, None, None)
+            handle.owner = self.owner
             return handle.cancel
         if isinstance(condition, Signal):
             return condition._subscribe(lambda v: resume(v, None))
         if isinstance(condition, Process):
             if not condition.alive:
                 handle = self.sim.schedule(0.0, resume, condition.value, None)
+                handle.owner = self.owner
                 return handle.cancel
             return condition.done_signal._subscribe(lambda v: resume(v, None))
         if isinstance(condition, AnyOf):

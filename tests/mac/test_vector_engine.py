@@ -176,24 +176,56 @@ def test_bank_shift_empty_index_is_noop():
 # -- scalar-fallback accounting ------------------------------------------------
 
 
-def test_multicluster_fallbacks_counted_with_reason():
-    """index_map PHYs request vector, run scalar, and say why."""
-    from repro import obs
+def test_multicluster_slots_run_on_the_batch_engine():
+    """Channel-mode clusters on a shared medium batch nearly every slot."""
     from repro.net import MultiClusterConfig, run_multicluster_simulation
+
+    res = run_multicluster_simulation(MultiClusterConfig(n_cycles=4, seed=0))
+    for mac in res.macs:
+        assert mac.engine_fallbacks == {}
+        assert mac.vector_slots >= 0.9 * (mac.vector_slots + mac.scalar_slots)
+
+
+def test_phase_cut_by_the_run_end_matches_the_event_path():
+    """Half-second cycles overrun: the run ends inside a data phase, and a
+    slot whose window reaches past that end takes the event path."""
+    from repro.net.cluster_sim import PollingSimConfig, run_polling_simulation
+
+    out = {}
+    for engine in ("scalar", "vector"):
+        res = run_polling_simulation(
+            PollingSimConfig(
+                n_sensors=25, n_cycles=3, seed=3, rate_bps=400.0,
+                cycle_length=0.5, engine=engine,
+            )
+        )
+        energies = [trx.meter.consumed_j.hex() for trx in res.phy.transceivers]
+        out[engine] = (energies, res.packets_delivered, res.mac.vector_slots > 0)
+    assert out["vector"][:2] == out["scalar"][:2]
+    assert out["vector"][2] and not out["scalar"][2]
+
+
+def test_garble_callback_fallback_counted_with_reason():
+    """A garble callback (S-MAC statistics) keeps whole phases scalar, and
+    each such phase is counted by reason on the MAC and in telemetry."""
+    from repro import obs
+    from repro.mac import build_cluster_phy
+    from repro.mac.pollmac import PollingClusterMac
+    from repro.sim import Simulator
+    from repro.topology import Cluster, uniform_square
 
     tel = obs.Telemetry()
     with obs.use(tel):
-        res = run_multicluster_simulation(
-            MultiClusterConfig(n_cycles=2, seed=0, engine="vector")
-        )
-    for mac in res.macs:
-        assert mac.vector_slots == 0
-        assert set(mac.engine_fallbacks) == {"index_map"}
-        assert mac.engine_fallbacks["index_map"] > 0
-    assert "engine.scalar_fallback.index_map" in tel.metrics
-    assert tel.metrics.counter("engine.scalar_fallback.index_map").value == sum(
-        mac.engine_fallbacks["index_map"] for mac in res.macs
-    )
+        sim = Simulator()
+        phy = build_cluster_phy(sim, Cluster.from_deployment(uniform_square(10, seed=4)))
+        phy.trx(0).on_garbled(lambda frame: None)
+        mac = PollingClusterMac(phy, cycle_length=2.0)
+        mac.start(2)
+        sim.run(until=4.0)
+    assert mac.vector_slots == 0 < mac.scalar_slots
+    assert set(mac.engine_fallbacks) == {"garble_callback"}
+    counter = tel.metrics.counter("engine.scalar_fallback.garble_callback")
+    assert counter.value == mac.engine_fallbacks["garble_callback"] > 0
 
 
 def test_scalar_request_is_not_a_fallback():

@@ -12,6 +12,8 @@ import pytest
 from repro.faults import FaultPlan, NodeCrash
 from repro.net import MultiClusterConfig, run_multicluster_simulation
 from repro.net.cluster_sim import PollingSimConfig, run_polling_simulation
+from repro.obs import export_jsonl, load_jsonl
+from repro.obs.inspect import failure_chains
 
 
 FIELD_RUNS = {
@@ -94,3 +96,21 @@ def test_single_cluster_replans_are_timeline_events():
     )
     assert [r.cause for r in res.mac.replans] == ["initial", "repair"]
     _assert_one_event_per_record(res.telemetry, res.mac)
+
+
+def test_failure_chains_link_only_the_requests_cluster(tmp_path):
+    """Sensor ids are local to a cluster: a failed request's chain links the
+    blacklist and re-plan events of its own cluster only."""
+    res = run_multicluster_simulation(FIELD_RUNS["head-crash"])
+    trace = load_jsonl(export_jsonl(res.telemetry, tmp_path / "trace.jsonl"))
+    cluster_of = {
+        span["span_id"]: span["attrs"]["cluster"]
+        for span in trace["spans"]
+        if span["kind"] == "phase"
+    }
+    chains = failure_chains(trace)
+    assert any(chain["repairs"] for chain in chains)
+    for chain in chains:
+        cluster = cluster_of[chain["request"]["parent_id"]]
+        for event in chain["blacklist"] + chain["repairs"]:
+            assert event["attrs"]["cluster"] == cluster

@@ -280,6 +280,30 @@ def test_retune_onto_busy_channel_waits_for_next_medium_event():
     assert states == [RadioState.IDLE, RadioState.IDLE, RadioState.RX]
 
 
+@pytest.mark.parametrize("retune", [False, True])
+def test_decode_reads_interferer_channels_at_frame_end(retune):
+    # A 200-byte channel-1 frame from 0 to 1 overlaps a short channel-0
+    # frame from 2, 5 m from the receiver.  Retuning 2 onto channel 1 after
+    # its own frame ended, but before the long one does, turns the long
+    # frame into a collision: the decode filters the recorded interferers
+    # by the channels current at frame end.  This is why a batch slot must
+    # not be followed by a field-wide event while a frame of another
+    # channel that overlapped it is still in the air (DESIGN.md §12).
+    sim, medium, trx = make_medium([[0, 0], [30, 0], [35, 0]])
+    medium.set_channel(0, 1)
+    medium.set_channel(1, 1)
+    inbox = collect(trx[1])
+    trx[0].transmit(data_frame(0, size=200))  # 8 ms
+    sim.schedule(1e-3, lambda: trx[2].transmit(data_frame(2, size=16)))  # ends 1.64 ms
+    if retune:
+        sim.schedule(3e-3, medium.set_channel, 2, 1)
+    sim.run()
+    if retune:
+        assert inbox == [] and trx[1].frames_garbled == 1
+    else:
+        assert [f.src for f in inbox] == [0] and trx[1].frames_garbled == 0
+
+
 def test_channels_and_powers_are_read_only():
     # Retunes go through set_channel and moves through update_positions,
     # which mark the medium stale so that its per-channel rosters and

@@ -51,6 +51,17 @@ def test_multicluster_counts_equal_radio_counters():
     assert res.collisions == medium.tracer.counts["phy_rx_collision"] > 0
 
 
+@pytest.mark.parametrize("engine", ["scalar", "vector"])
+def test_channel_mode_field_counts_equal_radio_counters(engine):
+    res = run_multicluster_simulation(
+        MultiClusterConfig(
+            n_cycles=4, seed=2, mobility_speed_mps=3.0, handoff="staleness", engine=engine
+        )
+    )
+    _assert_counts_match_radios(res.macs[0].phy.medium)
+    assert (sum(mac.vector_slots for mac in res.macs) > 0) == (engine == "vector")
+
+
 def test_multicluster_runs_count_from_zero():
     cfg = MultiClusterConfig(
         n_sensors=20, n_heads=2, n_cycles=2, seed=4, cycle_length=5.0, field_m=260.0

@@ -187,3 +187,50 @@ def test_interleaved_schedule_and_cancel():
         assert sorted(fired) == expected
 
     run()
+
+
+# -- quiet_until: the batch slot engine's window probe -------------------------
+
+
+def _neutral():
+    pass
+
+
+_neutral._radio_neutral = True
+
+
+def test_quiet_until_scopes_owned_events_by_touches():
+    sim = Simulator()
+    mine, other = object(), object()
+    sim.schedule(1.0, lambda: None).owner = other
+    assert not sim.quiet_until(1.0)  # unscoped: every event counts
+    assert sim.quiet_until(1.0, touches=lambda owner: owner is mine)
+    sim.schedule(0.5, lambda: None).owner = mine
+    assert not sim.quiet_until(1.0, touches=lambda owner: owner is mine)
+    assert sim.quiet_until(0.4, touches=lambda owner: owner is mine)
+
+
+def test_quiet_until_counts_unowned_events_up_to_their_own_horizon():
+    sim = Simulator()
+    sim.schedule(2.0, lambda: None).owner = object()  # owned, past t_end
+    assert sim.quiet_until(1.0, touches=lambda owner: True, unowned_end=3.0)
+    sim.schedule(2.5, lambda: None)  # unowned: may touch anything
+    assert sim.quiet_until(1.0, touches=lambda owner: False, unowned_end=2.4)
+    assert not sim.quiet_until(1.0, touches=lambda owner: False, unowned_end=3.0)
+
+
+def test_quiet_until_ignores_radio_neutral_events():
+    sim = Simulator()
+    sim.schedule(0.5, _neutral)
+    sim.schedule(0.6, _neutral).owner = object()
+    assert sim.quiet_until(1.0)
+    assert sim.quiet_until(1.0, touches=lambda owner: True, unowned_end=2.0)
+
+
+def test_quiet_until_never_reaches_past_the_running_end():
+    sim = Simulator()
+    seen = []
+    sim.schedule(1.0, lambda: seen.append((sim.quiet_until(1.5), sim.quiet_until(2.5))))
+    sim.run(until=2.0)
+    assert seen == [(True, False)]
+    assert sim.quiet_until(2.5)  # no run in progress

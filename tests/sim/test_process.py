@@ -235,3 +235,18 @@ def test_nested_composites():
     p = spawn(sim, proc())
     sim.run()
     assert p.value == ((1, None), 2.0)
+
+
+def test_process_events_carry_its_owner():
+    sim = Simulator()
+    owner = object()
+
+    def gen():
+        yield Timeout(1.0)
+
+    Process(sim, gen(), owner=owner)
+    assert [h.owner for _, _, h in sim._heap] == [owner]  # the start
+    sim.step()
+    assert [h.owner for _, _, h in sim._heap] == [owner]  # the timeout
+    Process(sim, gen())
+    assert [h.owner for _, _, h in sorted(sim._heap)] == [None, owner]
