@@ -358,9 +358,10 @@ class OnlinePollingScheduler:
     # -- telemetry ----------------------------------------------------------------
     #
     # One span per poll request, so a failed delivery traces end to end:
-    # attempt events per scheduled re-poll, retry/failover events, then a
-    # terminal delivered/abandoned event closing the span.  All callers
-    # guard on self._tel_enabled, keeping the disabled path branch-cheap.
+    # attempt events per scheduled re-poll, retry/failover events, then the
+    # span's close, whose status, reason and attempts say how the request
+    # ended.  All callers guard on self._tel_enabled, keeping the disabled
+    # path branch-cheap.
 
     def _tel_span(self, req: PollRequest) -> "_obs.Span":
         span = self._req_spans.get(req.request_id)
@@ -379,23 +380,22 @@ class OnlinePollingScheduler:
         return span
 
     def _tel_delivered(self, req: PollRequest) -> None:
-        span = self._req_spans.get(req.request_id)
-        now = self._tel_now()
-        self._tel.add_event(span, now, "delivered", attempts=req.attempts)
-        if span is not None:
-            self._tel.finish(span, now, status="ok", attempts=req.attempts)
+        self._tel.finish(
+            self._req_spans.get(req.request_id),
+            self._tel_now(),
+            status="ok",
+            attempts=req.attempts,
+        )
         self._tel.metrics.counter("polling.delivered").inc()
 
     def _tel_abandoned(self, req: PollRequest, reason: str) -> None:
-        span = self._req_spans.get(req.request_id)
-        now = self._tel_now()
-        self._tel.add_event(
-            span, now, "abandoned", reason=reason, attempts=req.attempts
+        self._tel.finish(
+            self._req_spans.get(req.request_id),
+            self._tel_now(),
+            status="failed",
+            reason=reason,
+            attempts=req.attempts,
         )
-        if span is not None:
-            self._tel.finish(
-                span, now, status="failed", reason=reason, attempts=req.attempts
-            )
         self._tel.metrics.counter("polling.abandoned").inc()
 
     def _lose(self, req: PollRequest) -> None:
@@ -424,17 +424,11 @@ class OnlinePollingScheduler:
                     self._reinsert_active(req)
                     return
                 # No viable backup: fall through to the original write-off.
-                req.state = RequestState.DELETED
-                self.failed.add(req.request_id)
-                self._undelivered -= 1
-                if self._tel_enabled:
-                    self._tel_abandoned(req, "retry-exhausted")
-            else:
-                req.state = RequestState.DELETED
-                self.failed.add(req.request_id)
-                self._undelivered -= 1
-                if self._tel_enabled:
-                    self._tel_abandoned(req, "retry-exhausted")
+            req.state = RequestState.DELETED
+            self.failed.add(req.request_id)
+            self._undelivered -= 1
+            if self._tel_enabled:
+                self._tel_abandoned(req, "retry-exhausted")
         else:
             req.mark_lost()
             current = self._sensor_path.get(req.sensor)
@@ -531,7 +525,7 @@ class OnlinePollingScheduler:
                 new_path=list(new_path),
             )
             for req in self.pool.requests:
-                if req.sensor == sensor:
+                if req.sensor == sensor and req.state is not RequestState.DELETED:
                     self._tel.add_event(
                         self._req_spans.get(req.request_id),
                         now,

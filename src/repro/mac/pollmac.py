@@ -53,7 +53,7 @@ from ..topology.recluster import (
     discovered_cluster,
 )
 from .base import ClusterPhy, MacTimings
-from .vector_engine import maybe_vector_engine
+from .vector_engine import VectorPhaseEngine
 
 __all__ = [
     "AppPacket",
@@ -303,10 +303,9 @@ class PollingSensorAgent:
         if members is not None and self.sensor not in members:
             return
         wake_at: float = payload["wake_at"]
-        if payload.get("end_of_cycle", True):
-            self.assigned.clear()
-            self.relay_buffer.clear()
-            self.ack_buffer.clear()
+        self.assigned.clear()
+        self.relay_buffer.clear()
+        self.ack_buffer.clear()
         if wake_at <= self.phy.sim.now:
             return  # the announced wake time already passed (overrun cycle)
         if not self.trx.is_sleeping:
@@ -397,9 +396,6 @@ class PollingClusterMac:
         # untraced so sweeps and parity tests can report coverage.
         self.vector_slots = 0
         self.scalar_slots = 0
-        # Why phases that *requested* the vector engine ran scalar slots
-        # anyway (reason -> per-phase count; see maybe_vector_engine).
-        self.engine_fallbacks: dict[str, int] = {}
         self.phy = phy
         self.sim = phy.sim
         self.cycle_length = cycle_length
@@ -759,6 +755,44 @@ class PollingClusterMac:
         elif record.cause == "field-reform":
             metrics.counter("mac.field_reforms").inc()
 
+    def _record_cycle(self, stats: CycleStats, energy_before: list[float]) -> None:
+        """Append *stats* to :attr:`cycle_stats`: the one place a duty cycle
+        is recorded.  With telemetry on, the record also closes the cycle
+        span, adds to the ``mac.cycles``, ``mac.ack_slots``,
+        ``mac.data_slots``, ``mac.packets_delivered`` and
+        ``mac.retransmissions`` counters, and takes the cycle snapshot with
+        each radio's energy spent since *energy_before*."""
+        self.cycle_stats.append(stats)
+        if not self._tel_enabled:
+            return
+        now = self.sim.now
+        metrics = self._tel.metrics
+        metrics.counter("mac.cycles").inc()
+        metrics.counter("mac.ack_slots").inc(stats.ack_slots)
+        metrics.counter("mac.data_slots").inc(stats.data_slots)
+        metrics.counter("mac.packets_delivered").inc(stats.packets_delivered)
+        metrics.counter("mac.retransmissions").inc(stats.retransmissions)
+        self._tel.finish(
+            self._cycle_span,
+            now,
+            delivered=stats.packets_delivered,
+            offered=stats.packets_offered,
+            ack_slots=stats.ack_slots,
+            data_slots=stats.data_slots,
+            retransmissions=stats.retransmissions,
+        )
+        self._cycle_span = None
+        self._tel.snapshot_cycle(
+            cluster=self.cluster_id,
+            cycle=stats.cycle_index,
+            t=now,
+            duty_time=stats.duty_time,
+            energy_delta_j=[
+                after - before
+                for before, after in zip(energy_before, self._energy_snapshot())
+            ],
+        )
+
     # -- reductions over the run's records ---------------------------------------------
 
     @property
@@ -893,9 +927,12 @@ class PollingClusterMac:
     def _run_phase(self, phase: str, plan: RoutingPlan, payload_bytes: int):
         """Generator: drive one polling phase slot by slot over the radio.
 
-        Returns ``(slots_used, retransmissions, scheduler)`` — the finished
-        scheduler carries the failed-request ids and per-phase blacklist the
-        recovery layer mines for evidence.
+        Records the phase's outcome itself: the finished scheduler, whose
+        failed-request ids and per-phase blacklist the recovery layer mines
+        for evidence, joins ``_phase_schedulers``; a data phase's
+        written-off requests count toward ``packets_failed``; and the phase
+        span closes with its slot counts.  Returns ``(slots_used,
+        retransmissions)``.
         """
         tel_enabled = self._tel_enabled
         phase_span = None
@@ -929,9 +966,9 @@ class PollingClusterMac:
         # array ops; slots something outside the cluster's channel could
         # observe (pending fault/wake events, live carriers, another
         # cluster in carrier-sense reach) fall through to the event path.
-        vector = maybe_vector_engine(self, payload_bytes)
-        batch_total = 0
-        batch_max = 0
+        vector = (
+            VectorPhaseEngine(self, payload_bytes) if self.engine == "vector" else None
+        )
         wall_start = perf_counter() if tel_enabled else 0.0
         self._arrived_requests = set()
         t = 0
@@ -943,15 +980,9 @@ class PollingClusterMac:
             if not group and scheduler.all_done:
                 break  # last arrivals just resolved; no slot needed
             if tel_enabled:
-                self._tel.add_event(
-                    phase_span, self.sim.now, "slot", slot=t, group=len(group)
-                )
                 self._tel.metrics.histogram("mac.group_size").observe(
                     float(len(group))
                 )
-                batch_total += len(group)
-                if len(group) > batch_max:
-                    batch_max = len(group)
             instructions = [
                 PollInstruction(
                     sender=tx.sender,
@@ -968,12 +999,12 @@ class PollingClusterMac:
                 self._broadcast(FrameType.POLL, self.sizes.poll, payload)
             yield Timeout(slot_time)
             t += 1
+        vector_slots = 0
         if vector is not None:
             vector.flush()
-            self.vector_slots += vector.vector_slots
-            self.scalar_slots += t - vector.vector_slots
-        else:
-            self.scalar_slots += t
+            vector_slots = vector.vector_slots
+        self.vector_slots += vector_slots
+        self.scalar_slots += t - vector_slots
         retx = scheduler.pool.retransmissions()
         self.failovers.extend(scheduler.failover_events)
         # Phase invariants on the schedule the radio actually executed:
@@ -983,31 +1014,24 @@ class PollingClusterMac:
             hint=f"cluster {self.cluster_id} {phase} phase, "
             f"{len(scheduler.pool.requests)} requests",
         )
+        self._phase_schedulers.append((phase, scheduler))
+        if phase == "data":
+            self.packets_failed += len(scheduler.failed)
         if tel_enabled:
-            # Batched-path attribution: with the vector engine most slots
-            # never hit the kernel, so wall profiling must come from the
-            # phase loop itself — report engine mix, batch sizes, and the
-            # per-slot amortized wall cost so obs/profile hot-path reports
-            # stay meaningful (DESIGN.md §12).
-            wall_s = perf_counter() - wall_start
-            vector_slots = vector.vector_slots if vector is not None else 0
+            # With the vector engine most slots never reach the kernel, so
+            # the phase loop reports its own wall time (DESIGN.md §12).
             self._tel.finish(
                 phase_span,
                 self.sim.now,
                 slots=t,
                 retransmissions=retx,
                 failed=len(scheduler.failed),
-                engine="vector" if vector is not None else "scalar",
                 vector_slots=vector_slots,
-                scalar_slots=t - vector_slots,
-                batch_max=batch_max,
-                batch_mean=(batch_total / t) if t else 0.0,
-                wall_s=wall_s,
-                slot_wall_us=(wall_s / t * 1e6) if t else 0.0,
+                wall_s=perf_counter() - wall_start,
             )
             self._tel.metrics.counter("mac.vector_slots").inc(vector_slots)
             self._tel.metrics.counter("mac.scalar_slots").inc(t - vector_slots)
-        return t, retx, scheduler
+        return t, retx
 
     def _run_sectored(self, counts, cycle_start: float):
         """The Sec. IV data phase: sectors polled in turn, others asleep.
@@ -1058,13 +1082,9 @@ class PollingClusterMac:
                 continue
             if sim.now < window_starts[k]:
                 yield Timeout(window_starts[k] - sim.now)
-            slots, retx, sched = yield from self._run_phase(
-                "data", plan, self.sizes.data
-            )
+            slots, retx = yield from self._run_phase("data", plan, self.sizes.data)
             total_slots += slots
             total_retx += retx
-            self.packets_failed += len(sched.failed)
-            self._phase_schedulers.append(("data", sched))
             # This sector is done: straight to sleep until the next cycle.
             self._broadcast(
                 FrameType.SLEEP,
@@ -1216,8 +1236,7 @@ class PollingClusterMac:
         if not sweep_paths:
             return 0
         plan = ack_phase_plan(self.active_cluster, sweep_paths.values())
-        slots, _, sched = yield from self._run_phase("ack", plan, self.sizes.ack_report)
-        self._phase_schedulers.append(("ack", sched))
+        slots, _ = yield from self._run_phase("ack", plan, self.sizes.ack_report)
         return slots
 
     def _run(self, n_cycles: int):
@@ -1228,11 +1247,10 @@ class PollingClusterMac:
             offered = sum(s.pending_count for s in self.sensors)
             delivered_before = self.packets_delivered
             self._phase_schedulers = []
-            cycle_span = None
             energy_before: list[float] = []
             if self._tel_enabled:
                 energy_before = self._energy_snapshot()
-                cycle_span = self._tel.begin(
+                self._cycle_span = self._tel.begin(
                     "cycle",
                     f"cycle:{cycle}",
                     cycle_start,
@@ -1240,7 +1258,6 @@ class PollingClusterMac:
                     cluster=self.cluster_id,
                     cycle=cycle,
                 )
-                self._cycle_span = cycle_span
             # 1. wakeup broadcast (sensors are awake: they woke on schedule).
             wakeup_payload: dict = {"cycle": cycle}
             gone = self.blacklisted | self.departed
@@ -1260,10 +1277,9 @@ class PollingClusterMac:
             # 2. ack collection along covering paths.
             self._ack_counts = {}
             ack_plan = ack_phase_plan(self.active_cluster, self.ack_plan.paths)
-            ack_slots, _, ack_sched = yield from self._run_phase(
+            ack_slots, _ = yield from self._run_phase(
                 "ack", ack_plan, self.sizes.ack_report
             )
-            self._phase_schedulers.append(("ack", ack_sched))
             # 2b. backup ack sweep (proactive survivability, k >= 1 only).
             # A dead *middle* relay does not fail its ack request — the
             # downstream relay re-originates the report with its own count
@@ -1299,11 +1315,9 @@ class PollingClusterMac:
                     data_plan = RoutingPlan(
                         cluster=self.active_cluster.with_packets(counts), paths=data_paths
                     )
-                    data_slots, retransmissions, data_sched = yield from self._run_phase(
+                    data_slots, retransmissions = yield from self._run_phase(
                         "data", data_plan, self.sizes.data
                     )
-                    self.packets_failed += len(data_sched.failed)
-                    self._phase_schedulers.append(("data", data_sched))
             # 3b. recovery: cross-examine the cycle's evidence and repair
             # routing around newly declared deaths at this cycle boundary.
             if self.failure_detection:
@@ -1326,7 +1340,7 @@ class PollingClusterMac:
             next_wake = max(cycle_start + self.cycle_length, sim.now + 2 * self.timings.guard)
             dur = self._broadcast(FrameType.SLEEP, self.sizes.sleep, {"wake_at": next_wake})
             yield Timeout(dur)
-            self.cycle_stats.append(
+            self._record_cycle(
                 CycleStats(
                     cycle_index=cycle,
                     started_at=cycle_start,
@@ -1336,41 +1350,9 @@ class PollingClusterMac:
                     packets_delivered=self.packets_delivered - delivered_before,
                     packets_offered=offered,
                     retransmissions=retransmissions,
-                )
+                ),
+                energy_before,
             )
-            if cycle_span is not None:
-                stats = self.cycle_stats[-1]
-                energy_delta = [
-                    after - before
-                    for before, after in zip(
-                        energy_before, self._energy_snapshot()
-                    )
-                ]
-                metrics = self._tel.metrics
-                metrics.counter("mac.cycles").inc()
-                metrics.counter("mac.ack_slots").inc(ack_slots)
-                metrics.counter("mac.data_slots").inc(data_slots)
-                metrics.counter("mac.packets_delivered").inc(
-                    stats.packets_delivered
-                )
-                metrics.counter("mac.retransmissions").inc(retransmissions)
-                self._tel.finish(
-                    cycle_span,
-                    sim.now,
-                    delivered=stats.packets_delivered,
-                    offered=offered,
-                    ack_slots=ack_slots,
-                    data_slots=data_slots,
-                    retransmissions=retransmissions,
-                )
-                self._tel.snapshot_cycle(
-                    cluster=self.cluster_id,
-                    cycle=cycle,
-                    t=sim.now,
-                    duty_time=stats.duty_time,
-                    energy_delta_j=energy_delta,
-                )
-                self._cycle_span = None
             # Wait out the rest of the cycle (the head may idle or serve the
             # second-layer network; sensors are asleep).
             self.mid_cycle = False

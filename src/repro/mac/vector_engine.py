@@ -53,7 +53,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .. import obs as _obs
 from ..radio.energy import RadioState
 from ..radio.packet import Frame, FrameType
 from ..radio.transceiver import Transceiver
@@ -66,7 +65,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "VectorRadioBank",
     "VectorPhaseEngine",
-    "maybe_vector_engine",
     "ordered_sum",
 ]
 
@@ -257,10 +255,14 @@ class _GeomEntry:
 class VectorPhaseEngine:
     """Executes clean polling slots as closed-form array updates.
 
-    One engine instance serves one ``_run_phase`` call.  The radio bank is
-    loaded lazily on the first clean slot and flushed back before any
-    scalar-fallback slot and at phase end, so live readers always see true
-    state whenever real events can fire.
+    One engine instance serves one ``_run_phase`` call of a MAC built
+    with ``engine="vector"``.  The radio bank is loaded lazily on the first
+    clean slot and flushed back before any scalar-fallback slot and at
+    phase end, so live readers always see true state whenever real events
+    can fire.  A replayed slot keeps the radios' frame counters in the bank
+    and calls the MAC's frame handlers directly, never a transceiver's
+    ``deliver`` or ``deliver_garbled``, so a caller who needs every
+    per-frame PHY callback runs ``engine="scalar"``.
     """
 
     def __init__(self, mac: "PollingClusterMac", payload_bytes: int):
@@ -307,7 +309,6 @@ class VectorPhaseEngine:
         self._poll_cache: _PollCache | None = None
         self._group_cache: dict[tuple[int, ...], _GroupCache] = {}
         self.vector_slots = 0
-        self.scalar_slots = 0
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -321,7 +322,6 @@ class VectorPhaseEngine:
         t0 = sim.now
         if not self._clean(t0 + self.slot_time):
             self.flush()
-            self.scalar_slots += 1
             return False
         if not self.loaded:
             self.bank.load()
@@ -696,41 +696,3 @@ class VectorPhaseEngine:
         lc[gc.t2_ix] = t2
         b.listen_since[sidx] = t2
 
-
-def maybe_vector_engine(
-    mac: "PollingClusterMac", payload_bytes: int
-) -> VectorPhaseEngine | None:
-    """A phase engine when this MAC/PHY combination supports batch slots.
-
-    Returns ``None`` (pure scalar phase) when the MAC asked for the scalar
-    oracle or a garble callback is installed (S-MAC statistics), where
-    per-event fidelity is observable from outside the slot.  Single- and
-    multi-cluster PHYs alike get an engine; its per-slot check
-    (:meth:`VectorPhaseEngine._clean`) sends each slot that another
-    cluster, a pending event or a frame in the air could observe down the
-    event path.
-
-    A garble-callback fallback is counted with its reason — on
-    ``mac.engine_fallbacks`` always, and as an ``engine.scalar_fallback.
-    <reason>`` obs counter when telemetry is active — so a run that
-    *requested* the vector engine but ran scalar slots shows up as a gated
-    eligibility decision rather than masquerading as a perf regression.
-    The scalar *request* itself (``engine="scalar"``) is not a fallback and
-    stays uncounted.
-    """
-    if mac.engine != "vector":
-        return None
-    for trx in mac.phy.transceivers:
-        if trx._garble_callback is not None:
-            return _scalar_fallback(mac, "garble_callback")
-    return VectorPhaseEngine(mac, payload_bytes)
-
-
-def _scalar_fallback(mac: "PollingClusterMac", reason: str) -> None:
-    """Record one per-phase scalar fallback under *reason*; returns None."""
-    counts = mac.engine_fallbacks
-    counts[reason] = counts.get(reason, 0) + 1
-    tel = _obs.current()
-    if tel.enabled:
-        tel.metrics.counter(f"engine.scalar_fallback.{reason}").inc()
-    return None

@@ -56,11 +56,7 @@ from ..topology.handoff import (
     plan_field_reform,
     serving_staleness,
 )
-from ..topology.recluster import (
-    StalenessTrigger,
-    assignment_staleness,
-    discovered_cluster,
-)
+from ..topology.recluster import StalenessTrigger, discovered_cluster
 from .multicluster import TokenSchedule, assign_channels
 from ..traffic.cbr import CbrSource, attach_cbr_sources
 
@@ -1125,7 +1121,7 @@ def _run_multicluster(
         if field_coord is not None:
             mobility.staleness_probe = field_coord.current_staleness
         else:
-            mobility.staleness_probe = lambda: assignment_staleness(
+            mobility.staleness_probe = lambda: serving_staleness(
                 medium.positions[: config.n_sensors], heads, net.assignment
             )
 
@@ -1148,6 +1144,14 @@ def _run_multicluster(
             if id(trx) not in seen_trx:
                 seen_trx.add(id(trx))
                 trx.finalize()
+    packets_generated = sum(s.generated for s in sources)
+    _validate.check_delivered_stream(
+        [packet for mac in macs for packet in mac.delivered_packets()],
+        packets_generated,
+        sim_time=sim.now,
+        hint=f"MultiClusterConfig(seed={config.seed}, n_sensors={config.n_sensors}, "
+        f"n_heads={config.n_heads}, n_cycles={config.n_cycles})",
+    )
     final_staleness = 0.0
     if mobility is not None:
         if field_coord is not None:
@@ -1155,10 +1159,8 @@ def _run_multicluster(
             # coordinator's live serving map and (possibly re-placed) heads.
             final_staleness = field_coord.current_staleness()
         else:
-            final_staleness = assignment_staleness(
-                medium.positions[: config.n_sensors],
-                heads,
-                net.assignment,
+            final_staleness = serving_staleness(
+                medium.positions[: config.n_sensors], heads, net.assignment
             )
     return MultiClusterResult(
         config=config,
@@ -1166,7 +1168,7 @@ def _run_multicluster(
         macs=macs,
         channels=channels,
         elapsed=sim.now,
-        packets_generated=sum(s.generated for s in sources),
+        packets_generated=packets_generated,
         collisions=medium.tracer.counts.get("phy_rx_collision", 0),
         coordinator=coordinator,
         mobility_epochs=mobility.epochs if mobility is not None else 0,

@@ -73,12 +73,13 @@ def profile_time(spans: list[dict[str, Any]]) -> dict[str, dict[str, float]]:
 def failure_chains(trace: dict[str, Any]) -> list[dict[str, Any]]:
     """The end-to-end story of every failed poll request.
 
-    Each chain links the request span (with its retry/failover events) to
-    the blacklist event that wrote its sensor off and the ``replan``
-    events whose ``excluded`` or ``unreachable`` holds the sensor — the
-    plans that routed around the death, the acceptance path of DESIGN.md
-    §10.  Sensor ids are local to a cluster, so only events of the
-    request's cluster (read off its enclosing phase span) are linked.
+    Each chain links the request span (with its attempt/retry/failover
+    events, then one ``abandoned`` entry read off the span's close) to the
+    blacklist event that wrote its sensor off and the ``replan`` events
+    whose ``excluded`` or ``unreachable`` holds the sensor — the plans
+    that routed around the death, the acceptance path of DESIGN.md §10.
+    Sensor ids are local to a cluster, so only events of the request's
+    cluster (read off its enclosing phase span) are linked.
     """
     spans = trace["spans"]
     phase_cluster = {
@@ -86,20 +87,14 @@ def failure_chains(trace: dict[str, Any]) -> list[dict[str, Any]]:
         for span in spans
         if span["kind"] == "phase"
     }
-    blacklist_events: list[dict[str, Any]] = []
-    for span in spans:
-        for ev in span.get("events", ()):
-            if ev["name"] == "blacklist":
-                blacklist_events.append(ev)
-    blacklist_events.extend(
-        e for e in trace["timeline"] if e["name"] == "blacklist"
-    )
+    blacklist_events = [e for e in trace["timeline"] if e["name"] == "blacklist"]
     replans = [e for e in trace["timeline"] if e["name"] == "replan"]
     chains = []
     for span in spans:
-        if span["kind"] != "request" or span["attrs"].get("status") != "failed":
+        attrs = span["attrs"]
+        if span["kind"] != "request" or attrs.get("status") != "failed":
             continue
-        sensor = span["attrs"].get("sensor")
+        sensor = attrs.get("sensor")
         cluster = phase_cluster.get(span["parent_id"])
         linked_blacklists = [
             e
@@ -117,7 +112,17 @@ def failure_chains(trace: dict[str, Any]) -> list[dict[str, Any]]:
             {
                 "request": span,
                 "sensor": sensor,
-                "events": span.get("events", []),
+                "events": [
+                    *span.get("events", ()),
+                    {
+                        "time": span["end"],
+                        "name": "abandoned",
+                        "attrs": {
+                            "reason": attrs.get("reason"),
+                            "attempts": attrs.get("attempts"),
+                        },
+                    },
+                ],
                 "blacklist": linked_blacklists,
                 "repairs": linked_replans,
             }
@@ -126,25 +131,14 @@ def failure_chains(trace: dict[str, Any]) -> list[dict[str, Any]]:
 
 
 def engine_field_health(metrics: dict[str, Any]) -> list[str]:
-    """Engine-eligibility and field-staleness lines for the summary.
+    """Engine-mix and field-staleness lines for the summary.
 
-    ``engine.scalar_fallback.<reason>`` counters say why a run that asked
-    for the vector engine ran whole phases scalar (a garble callback), the
-    ``mac.vector_slots``/``mac.scalar_slots`` counters give the per-slot
-    mix on single- and multi-cluster runs alike, and the
+    The ``mac.vector_slots``/``mac.scalar_slots`` counters give the
+    per-slot mix on single- and multi-cluster runs alike, and the
     ``field.assignment_staleness`` gauge/trajectory says how stale the
     Voronoi forming was.
     """
     lines: list[str] = []
-    fallbacks = {
-        name[len("engine.scalar_fallback."):]: payload.get("value")
-        for name, payload in sorted(metrics.items())
-        if name.startswith("engine.scalar_fallback.")
-    }
-    if fallbacks:
-        total = sum(v for v in fallbacks.values() if v)
-        reasons = ", ".join(f"{r}={v}" for r, v in fallbacks.items())
-        lines.append(f"vector->scalar fallbacks: {total} ({reasons})")
     for name in ("mac.vector_slots", "mac.scalar_slots"):
         payload = metrics.get(name)
         if payload is not None:
@@ -217,10 +211,6 @@ def summarize(
         lines.append(f"  total  {sum(energy):.9f}")
 
     notable = [e for e in trace["timeline"] if e["name"] in _TIMELINE_EVENTS]
-    for span in spans:
-        for ev in span.get("events", ()):
-            if ev["name"] in _TIMELINE_EVENTS:
-                notable.append(ev)
     if notable:
         lines.append("\nviolation / failover / re-plan timeline:")
         rows = [(e["time"], e["name"], e.get("attrs", {})) for e in notable]

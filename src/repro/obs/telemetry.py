@@ -51,7 +51,7 @@ CLOCKS = ("sim", "wall", "slot")
 
 @dataclass
 class SpanEvent:
-    """A point-in-time annotation inside a span (retry, delivery, ...)."""
+    """A point-in-time annotation inside a span (attempt, retry, failover)."""
 
     time: float
     name: str

@@ -51,7 +51,6 @@ class Transceiver:
         self._stunned = False
         self.tx_done = Signal(f"trx{node}.tx_done")
         self._rx_callback: Callable[[Frame, float], None] | None = None
-        self._garble_callback: Callable[[Frame], None] | None = None
         # statistics
         self.frames_sent = 0
         self.frames_received = 0
@@ -63,10 +62,6 @@ class Transceiver:
     def on_receive(self, fn: Callable[[Frame, float], None]) -> None:
         """Install the decoded-frame callback (frame, rx_power_w)."""
         self._rx_callback = fn
-
-    def on_garbled(self, fn: Callable[[Frame], None]) -> None:
-        """Install the collision-noise callback (optional; S-MAC stats)."""
-        self._garble_callback = fn
 
     @property
     def state(self) -> RadioState:
@@ -164,8 +159,6 @@ class Transceiver:
 
     def deliver_garbled(self, frame: Frame) -> None:
         self.frames_garbled += 1
-        if self._garble_callback is not None:
-            self._garble_callback(frame)
 
     # -- internals ----------------------------------------------------------------
 

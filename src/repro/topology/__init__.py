@@ -21,7 +21,6 @@ from .recluster import (
     ReformResult,
     StalenessTracker,
     StalenessTrigger,
-    assignment_staleness,
     discovered_cluster,
     reform_cluster,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "ReformResult",
     "discovered_cluster",
     "reform_cluster",
-    "assignment_staleness",
     "HandoffMove",
     "FieldReformPlan",
     "FieldStalenessTracker",

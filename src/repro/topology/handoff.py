@@ -121,11 +121,10 @@ def serving_staleness(
     """Fraction of sensors whose nearest *live* head differs from the head
     currently serving them.
 
-    The field-scope twin of :func:`~repro.topology.recluster.
-    assignment_staleness`, except measured against the *current serving*
-    assignment (which handoffs update) rather than the deploy-time one, and
+    Measured against the *current serving* assignment (which handoffs
+    update, or the deploy-time one on a field without a coordinator) and
     restricted to surviving heads — a sensor cannot be less stale by
-    preferring a crashed head.
+    preferring a crashed head.  ``live_heads=None`` counts every head live.
     """
     serving = np.asarray(serving)
     if serving.size == 0:

@@ -34,7 +34,6 @@ import numpy as np
 
 from ..obs import profile_span as _profile_span
 from .cluster import Cluster
-from .forming import voronoi_assignment
 
 if TYPE_CHECKING:  # pragma: no cover - import-cycle guard
     from ..routing.repair import RepairResult
@@ -45,7 +44,6 @@ __all__ = [
     "ReformResult",
     "discovered_cluster",
     "reform_cluster",
-    "assignment_staleness",
 ]
 
 
@@ -233,22 +231,3 @@ def reform_cluster(
             admitted=frozenset(admitted),
             excluded=frozenset(excluded),
         )
-
-
-def assignment_staleness(
-    sensor_positions: np.ndarray,
-    head_positions: np.ndarray,
-    assignment: np.ndarray,
-) -> float:
-    """Fraction of sensors whose nearest head differs from *assignment*.
-
-    The network-level staleness gauge: a Voronoi forming computed at deploy
-    time drifts out of date as sensors move; this measures how far.  ``0``
-    means the forming is still optimal, ``1`` means every sensor would pick
-    a different head today.
-    """
-    assignment = np.asarray(assignment)
-    if assignment.size == 0:
-        return 0.0
-    fresh = voronoi_assignment(sensor_positions, head_positions)
-    return float(np.mean(fresh != assignment))

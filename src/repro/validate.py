@@ -37,7 +37,7 @@ import os
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import-cycle guards only
     from .core.online import OnlinePollingScheduler
@@ -798,31 +798,50 @@ def check_single_membership(
 
 
 def check_delivered_stream(
-    packets: Iterable[tuple[int, int]],
+    packets: Sequence,
+    generated: int,
     monitor: InvariantMonitor | None = None,
     sim_time: float | None = None,
     hint: str = "",
 ) -> int:
-    """End-to-end conservation at the head: the delivered application-packet
-    stream must be duplicate-free — one (origin, seq) can physically reach
-    the head at most once."""
+    """End-to-end conservation at the heads, checked at the end of a run.
+
+    *packets* is every application packet the heads accepted (objects with
+    ``seq`` and ``origin``).  The stream must be duplicate-free — one packet
+    can physically reach a head at most once — and can hold no more packets
+    than the sensors *generated*.  Duplicates are found by ``seq``, which
+    is unique in the process; ``origin`` is a local id that a handoff or an
+    adoption re-stamps.
+    """
     mon = _m(monitor)
     if not mon.enabled:
         return 0
-    seen: set[tuple[int, int]] = set()
-    dupes: dict[tuple[int, int], int] = {}
-    for key in packets:
-        if key in seen:
-            dupes[key] = dupes.get(key, 1) + 1
-        seen.add(key)
-    if not dupes:
-        return 0
-    mon.record(
-        "mac.delivery-duplicate",
-        f"{len(dupes)} application packets were delivered more than once: "
-        f"{sorted(dupes)[:8]}",
-        sim_time=sim_time,
-        nodes=sorted({origin for origin, _ in dupes}),
-        hint=hint,
-    )
-    return 1
+    found = 0
+    seen: set[int] = set()
+    dupes: set[int] = set()
+    origins: set[int] = set()
+    for packet in packets:
+        if packet.seq in seen:
+            dupes.add(packet.seq)
+            origins.add(packet.origin)
+        seen.add(packet.seq)
+    if dupes:
+        found += 1
+        mon.record(
+            "mac.delivery-duplicate",
+            f"{len(dupes)} application packets were delivered more than once: "
+            f"seq {sorted(dupes)[:8]}",
+            sim_time=sim_time,
+            nodes=sorted(origins),
+            hint=hint,
+        )
+    if len(packets) > generated:
+        found += 1
+        mon.record(
+            "mac.delivery-conservation",
+            f"heads collected {len(packets)} packets but sensors only "
+            f"generated {generated}",
+            sim_time=sim_time,
+            hint=hint,
+        )
+    return found

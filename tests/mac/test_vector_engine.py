@@ -173,7 +173,7 @@ def test_bank_shift_empty_index_is_noop():
     assert np.array_equal(bank.consumed, before)
 
 
-# -- scalar-fallback accounting ------------------------------------------------
+# -- per-slot engine coverage --------------------------------------------------
 
 
 def test_multicluster_slots_run_on_the_batch_engine():
@@ -182,7 +182,6 @@ def test_multicluster_slots_run_on_the_batch_engine():
 
     res = run_multicluster_simulation(MultiClusterConfig(n_cycles=4, seed=0))
     for mac in res.macs:
-        assert mac.engine_fallbacks == {}
         assert mac.vector_slots >= 0.9 * (mac.vector_slots + mac.scalar_slots)
 
 
@@ -204,35 +203,3 @@ def test_phase_cut_by_the_run_end_matches_the_event_path():
     assert out["vector"][:2] == out["scalar"][:2]
     assert out["vector"][2] and not out["scalar"][2]
 
-
-def test_garble_callback_fallback_counted_with_reason():
-    """A garble callback (S-MAC statistics) keeps whole phases scalar, and
-    each such phase is counted by reason on the MAC and in telemetry."""
-    from repro import obs
-    from repro.mac import build_cluster_phy
-    from repro.mac.pollmac import PollingClusterMac
-    from repro.sim import Simulator
-    from repro.topology import Cluster, uniform_square
-
-    tel = obs.Telemetry()
-    with obs.use(tel):
-        sim = Simulator()
-        phy = build_cluster_phy(sim, Cluster.from_deployment(uniform_square(10, seed=4)))
-        phy.trx(0).on_garbled(lambda frame: None)
-        mac = PollingClusterMac(phy, cycle_length=2.0)
-        mac.start(2)
-        sim.run(until=4.0)
-    assert mac.vector_slots == 0 < mac.scalar_slots
-    assert set(mac.engine_fallbacks) == {"garble_callback"}
-    counter = tel.metrics.counter("engine.scalar_fallback.garble_callback")
-    assert counter.value == mac.engine_fallbacks["garble_callback"] > 0
-
-
-def test_scalar_request_is_not_a_fallback():
-    from repro.net import MultiClusterConfig, run_multicluster_simulation
-
-    res = run_multicluster_simulation(
-        MultiClusterConfig(n_cycles=2, seed=0, engine="scalar")
-    )
-    for mac in res.macs:
-        assert mac.engine_fallbacks == {}

@@ -148,8 +148,11 @@ def _drive(medium_cls, seed: int):
 
         return receive
 
-    def on_garbled(i):
+    def on_garbled(i, count):
+        # The medium calls deliver_garbled through the radio instance, so
+        # an instance attribute wraps it.
         def garbled(frame):
+            count(frame)
             log.append((float.hex(sim.now), i, "garbled", frame.src, frame.size_bytes))
 
         return garbled
@@ -157,7 +160,7 @@ def _drive(medium_cls, seed: int):
     def attach(i):
         t = trxs[i]
         t.on_receive(on_receive(i))
-        t.on_garbled(on_garbled(i))
+        t.deliver_garbled = on_garbled(i, t.deliver_garbled)
 
     for i in range(len(trxs)):
         attach(i)

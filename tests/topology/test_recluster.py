@@ -13,7 +13,6 @@ from repro.net.cluster_sim import PollingSimConfig, run_polling_simulation
 from repro.topology import (
     StalenessTracker,
     StalenessTrigger,
-    assignment_staleness,
     discovered_cluster,
     reform_cluster,
 )
@@ -175,27 +174,6 @@ def test_reform_with_no_exclusions_covers_everyone(finished_run):
     assert set(result.routing.routing_plan().paths) == set(range(phy.n_sensors))
 
 
-# -- network-level staleness gauge ---------------------------------------------
-
-
-def test_assignment_staleness_zero_when_fresh():
-    sensors = np.array([[0.0, 0.0], [10.0, 0.0]])
-    heads = np.array([[0.0, 1.0], [10.0, 1.0]])
-    assign = np.array([0, 1])
-    assert assignment_staleness(sensors, heads, assign) == 0.0
-
-
-def test_assignment_staleness_counts_moved_sensors():
-    sensors = np.array([[0.0, 0.0], [10.0, 0.0]])
-    heads = np.array([[0.0, 1.0], [10.0, 1.0]])
-    stale = np.array([1, 1])  # sensor 0 would pick head 0 today
-    assert assignment_staleness(sensors, heads, stale) == 0.5
-
-
-def test_assignment_staleness_empty_is_zero():
-    assert assignment_staleness(np.empty((0, 2)), np.empty((0, 2)), np.empty(0)) == 0.0
-
-
 # -- field-scope handoff planning (DESIGN.md §13) ------------------------------
 # The field-level analogues live in repro.topology.handoff; their execution
 # side (radio retunes, queue transplant, crash safety) is tested in
@@ -217,6 +195,25 @@ def _two_head_field():
     heads = np.array([[0.0, 0.0], [100.0, 0.0]])
     serving = np.array([0, 0, 1, 1, 0])  # sensor 4 drifted toward head 1
     return sensors, heads, serving
+
+
+_PAIR = np.array([[0.0, 0.0], [10.0, 0.0]])
+_PAIR_HEADS = np.array([[0.0, 1.0], [10.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "sensors, heads, serving, expected",
+    [
+        pytest.param(_PAIR, _PAIR_HEADS, np.array([0, 1]), 0.0, id="fresh"),
+        # sensor 0 would pick head 0 today
+        pytest.param(_PAIR, _PAIR_HEADS, np.array([1, 1]), 0.5, id="moved"),
+        pytest.param(np.empty((0, 2)), np.empty((0, 2)), np.empty(0), 0.0, id="empty"),
+    ],
+)
+def test_serving_staleness_with_every_head_live(sensors, heads, serving, expected):
+    """With every head live, the gauge is the fraction of sensors whose
+    nearest head is not the one serving them."""
+    assert serving_staleness(sensors, heads, serving) == expected
 
 
 def test_serving_staleness_counts_nearest_live_head():
