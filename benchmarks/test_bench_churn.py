@@ -11,7 +11,7 @@ inside the CI 30% regression gate.
 
 from repro.faults import FaultPlan, Mobility, NodeJoin, NodeLeave
 from repro.net.cluster_sim import PollingSimConfig, run_polling_simulation
-from repro.topology import reform_cluster
+from repro.topology import StalenessTrigger, reform_cluster
 
 CHURN_PLAN = FaultPlan(
     joins=[NodeJoin(at=12.0, position=(60.0, 150.0))],
@@ -35,7 +35,7 @@ def test_bench_churn_sim_staleness(benchmark):
         n_cycles=4,
         seed=3,
         fault_plan=CHURN_PLAN,
-        recluster="staleness",
+        recluster=StalenessTrigger(),
     )
     res = benchmark(lambda: run_polling_simulation(cfg))
     assert res.mac.reclusters >= 1

@@ -2,10 +2,10 @@
 
 A seeded 24-sensor cluster suffers a realistic dynamic workload — two new
 sensors power up mid-run, two announced departures pull nodes out, and
-every survivor drifts at 0.4 m/s — and the run is repeated under the three
-re-cluster policies the MAC supports:
+every survivor drifts at 0.4 m/s — and the run is repeated under three
+re-cluster policies, each a re-form trigger for the MAC:
 
-* ``off``       — today's reactive baseline: announced leaves are repaired
+* ``off``       — no trigger, the reactive baseline: announced leaves are repaired
   around, but joiners sit dark forever and routing is never re-planned
   from the moved positions;
 * ``staleness`` — the head re-forms the cluster when its staleness trigger
@@ -34,23 +34,20 @@ plan = FaultPlan(
 )
 
 POLICIES = {
-    "off": dict(recluster="off"),
-    "staleness": dict(recluster="staleness", recluster_trigger=StalenessTrigger()),
-    "periodic": dict(
-        recluster="periodic",
-        recluster_trigger=StalenessTrigger(
-            membership_delta=0, repair_fallbacks=0, period_cycles=3
-        ),
-    ),
+    "off": None,
+    "staleness": StalenessTrigger(),
+    "periodic": StalenessTrigger(membership_delta=0, repair_fallbacks=0, period_cycles=3),
 }
 
 print("2 joins, 2 announced leaves, 0.4 m/s drift; 24 sensors, 12 cycles")
 print(f"{'policy':<10} {'delivered':>9} {'reclusters':>10} {'joins adm':>9} "
       f"{'coverage':>8} {'plan age':>8} {'announce B':>10}")
 results = {}
-for name, knobs in POLICIES.items():
+for name, trigger in POLICIES.items():
     res = run_polling_simulation(
-        PollingSimConfig(n_sensors=24, n_cycles=12, seed=7, fault_plan=plan, **knobs)
+        PollingSimConfig(
+            n_sensors=24, n_cycles=12, seed=7, fault_plan=plan, recluster=trigger
+        )
     )
     results[name] = res
     s = res.staleness

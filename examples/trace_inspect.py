@@ -21,7 +21,7 @@ from pathlib import Path
 
 from repro.faults import FaultPlan, NodeCrash
 from repro.net.cluster_sim import PollingSimConfig, run_polling_simulation
-from repro.obs import export_chrome_trace, export_jsonl, load_jsonl
+from repro.obs import Telemetry, export_chrome_trace, export_jsonl, load_jsonl, use
 from repro.obs.inspect import failure_chains
 
 # --- pick a victim relay from a fault-free reference run ----------------------
@@ -32,12 +32,10 @@ print(f"tracing a run that kills relay s{victim} at t=20.3 s\n")
 
 # --- the traced, faulted run --------------------------------------------------
 plan = FaultPlan(crashes=[NodeCrash(node=victim, at=20.3)])
-result = run_polling_simulation(
-    PollingSimConfig(
-        n_sensors=30, n_cycles=8, seed=3, fault_plan=plan, telemetry=True
+with use(Telemetry()) as tel:
+    run_polling_simulation(
+        PollingSimConfig(n_sensors=30, n_cycles=8, seed=3, fault_plan=plan)
     )
-)
-tel = result.telemetry
 print(f"collected {len(tel.spans)} spans, {len(tel.timeline)} timeline events, "
       f"{len(tel.cycle_snapshots)} cycle snapshots")
 print(f"metrics: delivered={tel.metrics.counter('polling.delivered').value}, "

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from math import ceil
 
-from ..topology.cluster import HEAD
 from .requests import PollRequest
 
 __all__ = ["makespan_lower_bound"]

@@ -24,7 +24,7 @@ size for fixed M, as the paper notes (the exponential term is in the
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .. import obs as _obs
@@ -33,7 +33,6 @@ from ..interference.base import CompatibilityOracle, Link
 from ..routing.backup import BackupRoutes
 from ..routing.paths import RelayingPath, RoutingPlan
 from ..sim.rng import RngStreams
-from ..topology.cluster import HEAD
 from .requests import PollRequest, RequestPool, RequestState
 from .schedule import PollingSchedule
 from .transmissions import Transmission
@@ -398,6 +397,16 @@ class OnlinePollingScheduler:
         )
         self._tel.metrics.counter("polling.abandoned").inc()
 
+    def _tel_failover(self, req: PollRequest, reason: str) -> None:
+        """Annotate *req*'s span: its path just changed to a backup."""
+        self._tel.add_event(
+            self._req_spans.get(req.request_id),
+            self._tel_now(),
+            "failover",
+            reason=reason,
+            new_path=list(req.path),
+        )
+
     def _lose(self, req: PollRequest) -> None:
         """Re-activate a lost request, or give it up past the retry limit.
 
@@ -437,6 +446,13 @@ class OnlinePollingScheduler:
                 # flight; re-issue along the new path with its fresh budget.
                 req.path = current
                 self._retry_base[req.request_id] = req.attempts
+                if self._tel_enabled:
+                    reason = next(
+                        ev.reason
+                        for ev in reversed(self.failover_events)
+                        if ev.sensor == req.sensor
+                    )
+                    self._tel_failover(req, reason)
             self._reinsert_active(req)
             if self._tel_enabled:
                 self._tel.add_event(
@@ -482,7 +498,9 @@ class OnlinePollingScheduler:
         streak resets (the new path has shown no evidence either way), and
         the switch is logged as a :class:`FailoverEvent` at the next slot a
         re-poll can go out.  In-flight (IDLE) requests keep their old path —
-        their transmissions are already reserved in the schedule.
+        their transmissions are already reserved in the schedule — until
+        :meth:`_lose` re-issues one on the new path.  A request's span gets
+        its ``failover`` event when its own path changes.
         """
         pool = self._backup_pool.get(sensor)
         if not pool:
@@ -499,10 +517,14 @@ class OnlinePollingScheduler:
         if new_path is None:
             return False
         self._sensor_path[sensor] = new_path
-        for req in self.pool.requests:
-            if req.sensor == sensor and req.state is RequestState.ACTIVE:
-                req.path = new_path
-                self._retry_base[req.request_id] = req.attempts
+        restamped = [
+            req
+            for req in self.pool.requests
+            if req.sensor == sensor and req.state is RequestState.ACTIVE
+        ]
+        for req in restamped:
+            req.path = new_path
+            self._retry_base[req.request_id] = req.attempts
         self._miss_streak.pop(sensor, None)
         self.failover_events.append(
             FailoverEvent(
@@ -524,15 +546,8 @@ class OnlinePollingScheduler:
                 old_path=list(old_path),
                 new_path=list(new_path),
             )
-            for req in self.pool.requests:
-                if req.sensor == sensor and req.state is not RequestState.DELETED:
-                    self._tel.add_event(
-                        self._req_spans.get(req.request_id),
-                        now,
-                        "failover",
-                        reason=reason,
-                        new_path=list(new_path),
-                    )
+            for req in restamped:
+                self._tel_failover(req, reason)
             self._tel.metrics.counter("polling.failovers").inc()
         return True
 

@@ -21,7 +21,6 @@ from itertools import combinations
 
 from ..interference.base import CompatibilityOracle
 from ..routing.paths import RoutingPlan
-from .bounds import makespan_lower_bound
 from .requests import PollRequest, RequestPool
 from .schedule import PollingSchedule
 from .transmissions import Transmission, structurally_ok

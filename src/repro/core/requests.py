@@ -12,7 +12,7 @@ sharing its relaying path for the cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from ..routing.paths import RelayingPath, RoutingPlan

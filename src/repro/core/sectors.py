@@ -26,9 +26,7 @@ is roughly proportional to sector size).  Optimal partitioning is NP-hard
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from ..interference.base import CompatibilityOracle
 from ..routing.minmax import FlowSolution

@@ -23,11 +23,11 @@ import numpy as np
 from ..core.ack import bfs_path_to_head
 from ..core.online import OnlinePollingScheduler
 from ..core.optimal import solve_optimal
-from ..core.sectors import PairingRules, partition_into_sectors
+from ..core.sectors import PairingRules
 from ..hardness.tsrfp import tsrfp_from_graph
 from ..hardness.hamiltonian import random_graph
 from ..mac.base import geometric_oracle
-from ..metrics.lifetime import EnergyRateModel, evaluate_lifetime_ratio
+from ..metrics.lifetime import evaluate_lifetime_ratio
 from ..routing.minmax import solve_min_max_load
 from ..routing.paths import RoutingPlan
 from ..topology.cluster import Cluster
@@ -232,8 +232,7 @@ def shadowing_discovery(
     """Sec. III-B's other warning: under log-normal shadowing the coverage
     area is not a disc, so geometry-assumed links and radio-discovered
     links disagree — routing must use what probing finds (Sec. V-B)."""
-    from ..interference.physical import PhysicalModelOracle
-    from ..mac.base import GROUND_SENSOR_PROPAGATION, sensor_power_for_range
+    from ..mac.base import GROUND_SENSOR_PROPAGATION
     from ..radio.propagation import LogNormalShadowing
 
     rows = []

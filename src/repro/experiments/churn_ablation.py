@@ -2,11 +2,11 @@
 
 Not a paper figure — the paper's clusters are static.  This bench puts the
 same seeded cluster under *dynamic-network* stress (DESIGN.md §11) and
-compares the three re-cluster policies the MAC supports:
+compares three re-cluster policies, each a re-form trigger for the MAC:
 
-* ``off``       — today's purely reactive machinery: announced leaves are
-  repaired around, but joiners are never admitted and routing is never
-  re-planned from fresh positions (the degradation baseline);
+* ``off``       — no trigger, the purely reactive machinery: announced
+  leaves are repaired around, but joiners are never admitted and routing
+  is never re-planned from fresh positions (the degradation baseline);
 * ``staleness`` — re-form when the staleness trigger fires (membership
   delta, repeated repair fallbacks, head overload);
 * ``periodic``  — re-form on a fixed cadence regardless of observed need.
@@ -87,18 +87,14 @@ def churn_plan(
     return FaultPlan(joins=joins, leaves=leaves, mobility=mobility)
 
 
-def _policy_config(policy: str) -> dict:
+def _trigger(policy: str) -> StalenessTrigger | None:
+    """The re-form trigger behind each policy name."""
     if policy == "off":
-        return {"recluster": "off"}
+        return None
     if policy == "staleness":
-        return {"recluster": "staleness", "recluster_trigger": StalenessTrigger()}
+        return StalenessTrigger()
     if policy == "periodic":
-        return {
-            "recluster": "periodic",
-            "recluster_trigger": StalenessTrigger(
-                membership_delta=0, repair_fallbacks=0, period_cycles=3
-            ),
-        }
+        return StalenessTrigger(membership_delta=0, repair_fallbacks=0, period_cycles=3)
     raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
 
 
@@ -129,7 +125,7 @@ def run(
                     seed=seed,
                     fault_plan=plan,
                     engine=engine,
-                    **_policy_config(policy),
+                    recluster=_trigger(policy),
                 )
                 res = run_polling_simulation(cfg)
                 stale = res.staleness

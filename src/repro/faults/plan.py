@@ -36,7 +36,7 @@ itself changes, not just its health:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..topology.cluster import HEAD
 

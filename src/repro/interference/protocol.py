@@ -10,8 +10,6 @@ that criticism against the additive-SINR physical model.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from ..topology.cluster import HEAD, Cluster

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..radio.channel import RadioMedium
 from ..radio.energy import EnergyParams
-from ..radio.packet import DEFAULT_SIZES, FrameSizes
+from ..radio.packet import FrameSizes
 from ..radio.propagation import TwoRayGround
 from ..radio.transceiver import Transceiver
 from ..sim.kernel import Simulator

@@ -20,7 +20,7 @@ Tests assert the discovered matrix equals the medium's ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

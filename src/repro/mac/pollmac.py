@@ -354,16 +354,17 @@ class CycleStats:
 class PollingClusterMac:
     """The cluster head side: orchestrates duty cycles over the PHY.
 
-    With ``failure_detection`` enabled the head additionally recovers from
-    node deaths: after each cycle it cross-examines the phase outcomes —
-    nodes on any delivered path (or whose ack count arrived) are proven
-    alive; nodes implicated only in failures accumulate suspicion — and a
-    node suspect for ``dead_after_misses`` consecutive cycles is declared
-    dead.  Declaring a death blacklists the node, repairs routing around it
-    at the duty-cycle boundary (partial coverage if survivors become
-    unreachable), and propagates the blacklist in the next wakeup broadcast.
-    Detection is off by default so fault-free runs are bit-for-bit identical
-    to the pre-recovery MAC.
+    With ``dead_after_misses`` set the head additionally recovers from node
+    deaths: after each cycle it cross-examines the phase outcomes — nodes
+    on any delivered path (or whose ack count arrived) are proven alive;
+    nodes implicated only in failures accumulate suspicion — and a node
+    suspect for ``dead_after_misses`` consecutive cycles is declared dead.
+    Declaring a death blacklists the node, repairs routing around it at the
+    duty-cycle boundary (partial coverage if survivors become unreachable),
+    and propagates the blacklist in the next wakeup broadcast.  ``None``
+    (the default) turns detection off, so fault-free runs are bit-for-bit
+    identical to the pre-recovery MAC.  ``recluster`` is the re-form
+    trigger (DESIGN.md §11); ``None`` never re-forms.
     """
 
     def __init__(
@@ -375,12 +376,10 @@ class PollingClusterMac:
         retry_limit: int | None = 12,
         use_sectors: bool = False,
         cluster_id: int = 0,
-        failure_detection: bool = False,
-        dead_after_misses: int = 2,
+        dead_after_misses: int | None = None,
         backup_k: int = 0,
         absent: set[int] | None = None,
-        recluster: str = "off",
-        recluster_trigger: StalenessTrigger | None = None,
+        recluster: StalenessTrigger | None = None,
         engine: str = "vector",
         solver_cache: "SolverCache | None" = None,
     ):
@@ -404,19 +403,16 @@ class PollingClusterMac:
         self.retry_limit = retry_limit
         self.use_sectors = use_sectors
         self.cluster_id = cluster_id
-        self.failure_detection = failure_detection
-        if dead_after_misses < 1:
+        if dead_after_misses is not None and dead_after_misses < 1:
             raise ValueError(f"dead_after_misses must be >= 1, got {dead_after_misses}")
         self.dead_after_misses = dead_after_misses
         if backup_k < 0:
             raise ValueError(f"backup_k must be >= 0, got {backup_k}")
         self.backup_k = backup_k
-        if recluster not in ("off", "staleness", "periodic"):
-            raise ValueError(
-                f"recluster must be 'off', 'staleness' or 'periodic', "
-                f"got {recluster!r}"
+        if recluster is not None and not isinstance(recluster, StalenessTrigger):
+            raise TypeError(
+                f"recluster must be a StalenessTrigger or None, got {recluster!r}"
             )
-        self.recluster = recluster
         self.packets_failed = 0
         # Dynamic membership (DESIGN.md §11): sensors the plan pre-allocated
         # but that have not powered up yet (absent), announced departures,
@@ -430,22 +426,7 @@ class PollingClusterMac:
         # The last re-form's roster announcement, charged to the next wakeup
         # once (zero otherwise, so static wakeups keep their exact size).
         self._reform_roster_bytes = 0
-        self._staleness: StalenessTracker | None = None
-        if recluster != "off":
-            trigger = recluster_trigger
-            if trigger is None:
-                trigger = (
-                    StalenessTrigger()
-                    if recluster == "staleness"
-                    else StalenessTrigger(
-                        membership_delta=0, repair_fallbacks=0, period_cycles=5
-                    )
-                )
-            if recluster == "periodic" and trigger.period_cycles <= 0:
-                raise ValueError(
-                    "recluster='periodic' needs a trigger with period_cycles > 0"
-                )
-            self._staleness = StalenessTracker(trigger=trigger)
+        self._staleness = None if recluster is None else StalenessTracker(recluster)
         # Recovery state: the topology the head currently plans on (pruned
         # after each repair), declared-dead sensors, survivors that lost
         # their last route, and per-node consecutive-suspect-cycle counters.
@@ -565,84 +546,42 @@ class PollingClusterMac:
         if self.process is not None:
             self.process.stop()
 
-    def adopt_sensors(
+    def take_roster(
         self,
         new_phy: ClusterPhy,
         agents: list[PollingSensorAgent],
-        blacklisted: set[int] = frozenset(),
-        departed: set[int] = frozenset(),
-        absent: set[int] = frozenset(),
-        suspect_misses: dict[int, int] | None = None,
-    ) -> int:
-        """Take over orphaned sensors after a neighbor head's crash.
-
-        *new_phy* is this cluster's PHY extended with the orphans' existing
-        transceivers (members keep their local ids, orphans append, head
-        still last) and *agents* the full roster: this head's own agents,
-        then fresh ones for the orphans — constructing those already
-        re-bound each orphan radio's receive callback away from the dead
-        cluster.  The exclusion evidence arrives remapped to the new local
-        ids with the dead head's included, so an orphan the dead head had
-        blacklisted stays blacklisted here.  Orphans out of this head's
-        reach come back unreachable and are logged like any other stranded
-        sensor.  Returns the number of orphans adopted.
-
-        Unlike :meth:`reform_membership`, an adoption charges no roster
-        announcement to the next wakeup (DESIGN.md §9).
-        """
-        orphans = tuple(range(len(self.sensors), len(agents)))
-        self._take_roster(
-            new_phy, agents, blacklisted, departed, absent, suspect_misses
-        )
-        self._replan(new_phy.cluster, "adoption", admitted=orphans)
-        return len(orphans)
-
-    def reform_membership(
-        self,
-        new_phy: ClusterPhy,
-        agents: list[PollingSensorAgent],
-        blacklisted: set[int] = frozenset(),
-        departed: set[int] = frozenset(),
-        absent: set[int] = frozenset(),
-        suspect_misses: dict[int, int] | None = None,
-    ) -> None:
-        """Replace this head's roster after a field-level re-form.
-
-        A cross-cluster handoff both shrinks the source and grows the
-        destination, so local ids may be reassigned wholesale: *agents* is
-        the complete new sensor list (fresh agents holding the transplanted
-        queues with re-stamped origins whenever any id shifted), and the
-        exclusion state — *blacklisted*, *departed*, *absent*,
-        *suspect_misses* — arrives already remapped to the new local ids by
-        the coordinator, which owns the global-id view.  Carrying that
-        evidence across the re-form is deliberate: a sensor's suspicion or
-        blacklist entry follows it to its new head instead of resetting,
-        so a dying node cannot launder its record by drifting over a
-        Voronoi border (the per-cluster :meth:`_recluster` clears suspicion
-        because *its* topology changed; here the sensor's evidence moved
-        with the sensor).  The next wakeup re-announces the roster.
-        """
-        self._take_roster(
-            new_phy, agents, blacklisted, departed, absent, suspect_misses
-        )
-        self._replan(new_phy.cluster, "field-reform")
-
-    def _take_roster(
-        self,
-        new_phy: ClusterPhy,
-        agents: list[PollingSensorAgent],
+        cause: str,
+        admitted: tuple[int, ...] = (),
+        *,
         blacklisted: set[int],
         departed: set[int],
         absent: set[int],
-        suspect_misses: dict[int, int] | None,
-    ) -> None:
-        """Install a roster a field coordinator rebuilt (adoption, re-form).
+        suspect_misses: dict[int, int],
+    ) -> Replan:
+        """Install a roster a field coordinator rebuilt, and re-plan on it.
 
-        A member whose agent object survived kept its local id; any other
-        id may now name a different sensor, so per-id state the evidence
-        does not carry — unreachability and pending joins — survives only
-        for kept ids.  Departures need no carrying either: the re-plan that
-        follows prunes every excluded node.
+        *cause* is ``"adoption"`` (orphans of a crashed neighbour head;
+        *admitted* names their new local ids) or ``"field-reform"`` (a
+        cross-cluster handoff; nobody is admitted).  *new_phy* is this
+        cluster's PHY over the new roster, head still last, and *agents*
+        the complete sensor list.  An adoption keeps every member's local
+        id and appends the orphans; a handoff may reassign ids wholesale
+        (fresh agents holding the transplanted queues, re-stamped).
+        Constructing a fresh agent already re-bound its radio's receive
+        callback away from the old cluster.
+
+        The exclusion evidence arrives remapped to the new local ids by the
+        coordinator, which owns the global-id view (an adoption's includes
+        the dead head's).  It follows the sensor instead of resetting, so a
+        dying node cannot launder its record by drifting over a Voronoi
+        border or outliving its head (:meth:`_recluster` clears suspicion
+        because *its* topology changed).  Unreachability and pending joins,
+        which the evidence does not carry, survive only for ids whose agent
+        object survived; departures need no carrying, as the re-plan prunes
+        every excluded node.  Sensors out of reach come back unreachable
+        and are logged like any stranded sensor.  A field re-form's roster
+        is re-announced at the next wakeup (2 bytes per present member); an
+        adoption charges none (DESIGN.md §9).  Returns the re-plan record.
         """
         kept = {
             i for i, (new, old) in enumerate(zip(agents, self.sensors)) if new is old
@@ -653,12 +592,13 @@ class PollingClusterMac:
         self.blacklisted = set(blacklisted)
         self.departed = set(departed)
         self.absent = set(absent)
-        self._suspect_misses = dict(suspect_misses or {})
+        self._suspect_misses = dict(suspect_misses)
         self.unreachable &= kept
         self.pending_joins &= kept
         self._new_departures = set()
         self.oracle = phy_truth_oracle(new_phy, self.oracle.max_group_size)
         self._adopt_oracle()
+        return self._replan(new_phy.cluster, cause, admitted=admitted)
 
     def _replan(
         self,
@@ -832,7 +772,7 @@ class PollingClusterMac:
         The join is queued, not applied: admission into routing happens only
         at a duty-cycle boundary when a re-form fires, so mid-cycle state
         (slot schedules, in-flight frames) never sees membership change.
-        Under ``recluster='off'`` the joiner stays absent forever — the
+        With no re-form trigger the joiner stays absent forever — the
         degradation the churn ablation measures.
         """
         if node in self.departed or node in self.blacklisted:
@@ -951,7 +891,7 @@ class PollingClusterMac:
             plan,
             self.oracle,
             retry_limit=self.retry_limit,
-            dead_after_misses=self.dead_after_misses if self.failure_detection else None,
+            dead_after_misses=self.dead_after_misses,
             # Both phases fail over: a relay that dies outside the data
             # phase kills next cycle's *ack* collection first, and without
             # an ack count the head never activates the data requests it
@@ -1320,7 +1260,7 @@ class PollingClusterMac:
                     )
             # 3b. recovery: cross-examine the cycle's evidence and repair
             # routing around newly declared deaths at this cycle boundary.
-            if self.failure_detection:
+            if self.dead_after_misses is not None:
                 self._update_failure_suspects()
             # 3c. dynamic membership: re-form when the plan is stale, else
             # at minimum repair around announced departures.  Both run at

@@ -28,14 +28,11 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from ..radio.packet import BROADCAST_ADDR, DEFAULT_SIZES, Frame, FrameSizes, FrameType
 from ..routing.aodv import BROADCAST as AODV_BROADCAST
-from ..routing.aodv import AodvAgent, Rerr, Rrep, Rreq
-from ..sim.kernel import Simulator
+from ..routing.aodv import AodvAgent
 from ..sim.process import AnyOf, Process, Signal, Timeout
 from ..sim.rng import RngStreams
 from ..sim.units import transmission_time

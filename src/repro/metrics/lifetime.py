@@ -109,14 +109,26 @@ class EnergyRateModel:
 
 @dataclass
 class LifetimeResult:
-    """Max power rates and the headline ratio for one cluster."""
+    """Per-sensor power rates and the headline ratio for one cluster.
+
+    Each rate map is keyed by sensor, in polling order (sensor order whole;
+    sector by sector with sectors), in joules per duty cycle.
+    """
 
     n_sensors: int
     unsectored_polling_slots: int
     sector_polling_slots: list[int]
-    max_rate_unsectored: float
-    max_rate_sectored: float
+    whole_rates: dict[int, float]
+    sector_rates: dict[int, float]
     partition: SectorPartition
+
+    @property
+    def max_rate_unsectored(self) -> float:
+        return max(self.whole_rates.values(), default=0.0)
+
+    @property
+    def max_rate_sectored(self) -> float:
+        return max(self.sector_rates.values(), default=0.0)
 
     @property
     def lifetime_ratio(self) -> float:
@@ -141,39 +153,13 @@ def cycles_to_first_death(
 
     Deterministic: per-cycle consumption is the rate model evaluated on the
     fixed routing (loads and awake slots don't change cycle to cycle in the
-    one-packet-per-sensor setting), so first death = battery / worst rate.
-    Returns ``(cycles, sensor)``.
+    one-packet-per-sensor setting), so first death = battery / worst rate
+    of :func:`evaluate_lifetime_ratio_for_cluster`.  Returns ``(cycles,
+    sensor)``.
     """
-    from ..core.ack import ack_phase_plan, plan_ack_collection
-
-    solution = solve_min_max_load(cluster)
-    ack = plan_ack_collection(cluster, solution.routing_plan())
-    ack_plan = ack_phase_plan(cluster, ack.paths)
-    ack_slots = OnlinePollingScheduler.poll(ack_plan, oracle).slots_elapsed
-
-    rates: dict[int, float] = {}
-    if not sectored:
-        tree = merge_flow_to_tree(solution)
-        plan = tree.routing_plan()
-        t = OnlinePollingScheduler.poll(plan, oracle).slots_elapsed
-        loads = plan.loads()
-        for s in range(cluster.n_sensors):
-            rates[s] = model.rate(float(loads[s]), float(t), ack_slots=ack_slots)
-    else:
-        partition = partition_into_sectors(solution, oracle=oracle, rules=rules)
-        for sec in partition.sectors:
-            sec_plan = sec.routing_plan(cluster)
-            t = (
-                OnlinePollingScheduler.poll(sec_plan, oracle).slots_elapsed
-                if sec_plan.paths
-                else 0
-            )
-            sec_loads = sec.loads(cluster)
-            for s in sec.sensors:
-                rates[s] = model.rate(
-                    float(sec_loads[s]), float(t), ack_slots=ack_slots, wake_events=2
-                )
-    worst_sensor = max(rates, key=lambda s: rates[s])
+    result = evaluate_lifetime_ratio_for_cluster(cluster, oracle, model=model, rules=rules)
+    rates = result.sector_rates if sectored else result.whole_rates
+    worst_sensor = max(rates, key=rates.get)
     worst = rates[worst_sensor]
     cycles = model.energy.battery_j / worst if worst > 0 else float("inf")
     return cycles, worst_sensor
@@ -221,43 +207,36 @@ def evaluate_lifetime_ratio_for_cluster(
 
     # --- unsectored: whole-cluster polling, everyone awake throughout.
     plan = tree.routing_plan()
-    whole = OnlinePollingScheduler.poll(plan, oracle)
-    t_whole = whole.slots_elapsed
+    t_whole = OnlinePollingScheduler.poll(plan, oracle).slots_elapsed
     loads_whole = plan.loads()
-    rates_unsect = [
-        model.rate(
-            float(loads_whole[s]), float(t_whole), ack_slots=ack_slots, wake_events=1
-        )
+    whole_rates = {
+        s: model.rate(float(loads_whole[s]), float(t_whole), ack_slots=ack_slots)
         for s in range(cluster.n_sensors)
-    ]
-    max_unsect = max(rates_unsect) if rates_unsect else 0.0
+    }
 
     # --- sectored: same tree, paired branches; awake for the cluster-wide
     # ack phase plus only their own sector's polling turn (two rendezvous).
     partition = partition_into_sectors(solution, oracle=oracle, rules=rules)
     sector_slots: list[int] = []
-    max_sect = 0.0
+    sector_rates: dict[int, float] = {}
     for sec in partition.sectors:
         sec_plan = sec.routing_plan(cluster)
-        if sec_plan.paths:
-            result = OnlinePollingScheduler.poll(sec_plan, oracle)
-            t_sec = result.slots_elapsed
-        else:
-            t_sec = 0
+        t_sec = (
+            OnlinePollingScheduler.poll(sec_plan, oracle).slots_elapsed
+            if sec_plan.paths
+            else 0
+        )
         sector_slots.append(t_sec)
         sec_loads = sec.loads(cluster)
         for s in sec.sensors:
-            max_sect = max(
-                max_sect,
-                model.rate(
-                    float(sec_loads[s]), float(t_sec), ack_slots=ack_slots, wake_events=2
-                ),
+            sector_rates[s] = model.rate(
+                float(sec_loads[s]), float(t_sec), ack_slots=ack_slots, wake_events=2
             )
     return LifetimeResult(
         n_sensors=cluster.n_sensors,
         unsectored_polling_slots=t_whole,
         sector_polling_slots=sector_slots,
-        max_rate_unsectored=max_unsect,
-        max_rate_sectored=max_sect,
+        whole_rates=whole_rates,
+        sector_rates=sector_rates,
         partition=partition,
     )

@@ -9,7 +9,6 @@ time, throughput and energy.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -25,7 +24,6 @@ from ..metrics.availability import AvailabilityReport, availability_report
 from ..metrics.degradation import DegradationReport, degradation_report
 from ..metrics.staleness import StalenessReport, staleness_report
 from ..radio.energy import EnergyParams
-from ..radio.packet import DEFAULT_SIZES, FrameSizes
 from ..routing.warmcache import SolverCache
 from ..sim.kernel import Simulator
 from ..topology.cluster import Cluster
@@ -55,8 +53,8 @@ class PollingSimConfig:
     energy: EnergyParams = EnergyParams()
     timings: MacTimings = MacTimings()
     # Fault injection (None = the exact pre-fault code path, bit for bit).
-    # A non-empty plan also arms the head's failure detection; the
-    # thresholds below only matter when it is armed.
+    # A non-empty plan also arms the head's failure detection, with the
+    # dead_after_misses threshold below.
     fault_plan: FaultPlan | None = None
     retry_limit: int | None = 12
     dead_after_misses: int = 2
@@ -64,13 +62,13 @@ class PollingSimConfig:
     # in-cycle failover.  0 (the default) is the exact pre-survivability
     # code path, bit for bit.
     backup_k: int = 0
-    # Online re-clustering under churn/mobility (DESIGN.md §11): "off" keeps
-    # today's purely reactive machinery (announced leaves still repair;
-    # joiners are never admitted), "staleness" re-forms when the trigger
-    # fires, "periodic" re-forms on a fixed cadence.  "off" with no dynamic
-    # plan is the exact pre-churn code path, bit for bit.
-    recluster: str = "off"
-    recluster_trigger: StalenessTrigger | None = None
+    # Online re-clustering under churn/mobility (DESIGN.md §11): the head
+    # re-forms whenever this trigger fires (a trigger with only
+    # period_cycles set re-forms on a fixed cadence).  None keeps the purely
+    # reactive machinery (announced leaves still repair; joiners are never
+    # admitted); with no dynamic plan it is the exact pre-churn code path,
+    # bit for bit.
+    recluster: StalenessTrigger | None = None
     # Slot execution engine (DESIGN.md §12): "vector" (default) batches
     # clean polling slots into closed-form numpy updates, "scalar" forces
     # the event-at-a-time oracle.  The two are bit-identical by contract.
@@ -81,12 +79,6 @@ class PollingSimConfig:
     # bit-for-bit instead of recomputing them.  None (the default) solves
     # cold, exactly as before.
     solver_cache: SolverCache | None = None
-    # Telemetry (repro.obs).  False (the default) is the exact untraced
-    # code path, bit for bit — unless a collector was already activated
-    # around the call with ``obs.use(...)``, which this flag cannot turn
-    # off.  True creates a run-local collector and attaches it to
-    # ``PollingSimResult.telemetry``.
-    telemetry: bool = False
 
 
 @dataclass
@@ -106,8 +98,8 @@ class PollingSimResult:
     (always empty for a healthy run; populated in ``warn`` mode — ``strict``
     raises instead, see :mod:`repro.validate`)."""
     telemetry: "_obs.Telemetry | None" = None
-    """The run's telemetry collector (``config.telemetry=True`` or an
-    ambient ``obs.use(...)`` scope); ``None`` for untraced runs."""
+    """The collector the run was traced into (activated around the call
+    with ``obs.use(...)``); ``None`` for untraced runs."""
 
     @property
     def degradation(self) -> DegradationReport:
@@ -172,160 +164,153 @@ def run_polling_simulation(
 ) -> PollingSimResult:
     """Run the full DES polling stack and collect the paper's metrics.
 
-    Telemetry: with ``config.telemetry=True`` a run-local
-    :class:`repro.obs.Telemetry` collector is activated around the run and
-    returned on :attr:`PollingSimResult.telemetry`.  Alternatively an
-    ambient collector activated by the caller (``with obs.use(tel): ...``)
-    is picked up and returned the same way — that is how sweeps aggregate
-    several runs into one collector.
+    Telemetry: a :class:`repro.obs.Telemetry` collector the caller
+    activated (``with obs.use(tel): ...``) traces the run and is returned
+    on :attr:`PollingSimResult.telemetry` — that is also how sweeps
+    aggregate several runs into one collector.  With none active the run
+    takes the exact untraced code path, bit for bit.
     """
     monitor = _validate.MONITOR
     mark = monitor.mark()
-    own_tel = _obs.Telemetry() if config.telemetry else None
-    scope = nullcontext() if own_tel is None else _obs.use(own_tel)
-    with scope:
-        tel = _obs.current()
-        traced = tel.enabled
-        run_span = None
-        if traced:
-            run_span = tel.begin(
-                "run",
-                "polling-sim",
-                perf_counter(),
-                clock="wall",
-                seed=config.seed,
-                n_sensors=config.n_sensors,
-                n_cycles=config.n_cycles,
-                faulted=config.fault_plan is not None
-                and not config.fault_plan.is_empty,
-            )
-            # Cycle spans parent on the collector's root; point it at this
-            # run so repeated runs under one ambient collector nest right.
-            tel.root = run_span
-        sim = Simulator()
-        if traced:
-            sim.telemetry = tel
-        dep = deployment or uniform_square(
-            config.n_sensors,
+    faulted = config.fault_plan is not None and not config.fault_plan.is_empty
+    tel = _obs.current()
+    traced = tel.enabled
+    run_span = None
+    if traced:
+        run_span = tel.begin(
+            "run",
+            "polling-sim",
+            perf_counter(),
+            clock="wall",
             seed=config.seed,
-            side=config.side_m,
-            comm_range=config.sensor_range_m,
+            n_sensors=config.n_sensors,
+            n_cycles=config.n_cycles,
+            faulted=faulted,
         )
-        # Churn pre-allocation: the plan's joiners get PHY slots (appended
-        # after the deployed sensors, in plan order) so ids, frames and
-        # energy meters exist from t=0; their radios stay asleep and they
-        # are excluded from planning until their join fires and a re-form
-        # admits them.  with_positions() returns a fresh Deployment, so the
-        # cached adjacency can never go stale.
-        plan = config.fault_plan
-        joiner_ids: list[int] = []
-        if plan is not None and plan.joins:
-            base_n = dep.n_sensors
-            joiner_ids = list(range(base_n, base_n + len(plan.joins)))
-            join_pos = np.array([j.position for j in plan.joins], dtype=np.float64)
-            dep = dep.with_positions(np.vstack([dep.positions, join_pos]))
-        geo_cluster = Cluster.from_deployment(dep)
-        phy = build_cluster_phy(
+        # Cycle spans parent on the collector's root; point it at this
+        # run so repeated runs under one ambient collector nest right.
+        tel.root = run_span
+    sim = Simulator()
+    if traced:
+        sim.telemetry = tel
+    dep = deployment or uniform_square(
+        config.n_sensors,
+        seed=config.seed,
+        side=config.side_m,
+        comm_range=config.sensor_range_m,
+    )
+    # Churn pre-allocation: the plan's joiners get PHY slots (appended
+    # after the deployed sensors, in plan order) so ids, frames and
+    # energy meters exist from t=0; their radios stay asleep and they
+    # are excluded from planning until their join fires and a re-form
+    # admits them.  with_positions() returns a fresh Deployment, so the
+    # cached adjacency can never go stale.
+    plan = config.fault_plan
+    joiner_ids: list[int] = []
+    if plan is not None and plan.joins:
+        base_n = dep.n_sensors
+        joiner_ids = list(range(base_n, base_n + len(plan.joins)))
+        join_pos = np.array([j.position for j in plan.joins], dtype=np.float64)
+        dep = dep.with_positions(np.vstack([dep.positions, join_pos]))
+    geo_cluster = Cluster.from_deployment(dep)
+    phy = build_cluster_phy(
+        sim,
+        geo_cluster,
+        sensor_range_m=config.sensor_range_m,
+        bitrate=config.bitrate,
+        energy=config.energy,
+        frame_error_rate=config.frame_error_rate,
+        error_seed=config.seed,
+    )
+    # Discover connectivity from the radio (Sec. V-B), then route on
+    # what was heard, not on the geometric disc the deployment assumed.
+    phy.cluster = discovered_cluster(phy)
+    # Fault injection arms first so bursty-link loss shapes the run from
+    # t=0; an empty/absent plan schedules nothing and draws no RNG, keeping
+    # the fault-free path bit-for-bit identical.
+    injector: FaultInjector | None = None
+    if faulted:
+        injector = FaultInjector(
             sim,
-            geo_cluster,
-            sensor_range_m=config.sensor_range_m,
-            bitrate=config.bitrate,
-            energy=config.energy,
-            frame_error_rate=config.frame_error_rate,
-            error_seed=config.seed,
-        )
-        # Discover connectivity from the radio (Sec. V-B), then route on
-        # what was heard, not on the geometric disc the deployment assumed.
-        phy.cluster = discovered_cluster(phy)
-        # Fault injection arms first so bursty-link loss shapes the run from
-        # t=0; an empty/absent plan schedules nothing and draws no RNG, keeping
-        # the fault-free path bit-for-bit identical.
-        injector: FaultInjector | None = None
-        faulted = config.fault_plan is not None and not config.fault_plan.is_empty
-        if faulted:
-            injector = FaultInjector(
-                sim,
-                phy,
-                config.fault_plan,
-                base_seed=config.seed,
-                cycle_length=config.cycle_length,
-                n_cycles=config.n_cycles,
-                joiner_ids=joiner_ids or None,
-            )
-        mac = PollingClusterMac(
             phy,
+            config.fault_plan,
+            base_seed=config.seed,
             cycle_length=config.cycle_length,
-            max_group_size=config.max_group_size,
-            timings=config.timings,
-            use_sectors=config.use_sectors,
-            retry_limit=config.retry_limit,
-            failure_detection=faulted,
-            dead_after_misses=config.dead_after_misses,
-            backup_k=config.backup_k,
-            absent=set(joiner_ids) or None,
-            recluster=config.recluster,
-            recluster_trigger=config.recluster_trigger,
-            engine=config.engine,
-            solver_cache=config.solver_cache,
+            n_cycles=config.n_cycles,
+            joiner_ids=joiner_ids or None,
         )
-        if injector is not None:
-            # Churn events (join/leave) report straight to the head MAC; the
-            # binding is a plain attribute set, so static plans are untouched.
-            injector.membership_listener = mac
-        sources = attach_cbr_sources(
-            sim,
-            mac.sensors,
-            rate_bps=config.rate_bps,
-            packet_bytes=config.packet_bytes,
-            seed=config.seed,
-            start_ats={
-                node: join.at for node, join in zip(joiner_ids, plan.joins)
-            }
-            if joiner_ids
-            else None,
+    mac = PollingClusterMac(
+        phy,
+        cycle_length=config.cycle_length,
+        max_group_size=config.max_group_size,
+        timings=config.timings,
+        use_sectors=config.use_sectors,
+        retry_limit=config.retry_limit,
+        dead_after_misses=config.dead_after_misses if faulted else None,
+        backup_k=config.backup_k,
+        absent=set(joiner_ids) or None,
+        recluster=config.recluster,
+        engine=config.engine,
+        solver_cache=config.solver_cache,
+    )
+    if injector is not None:
+        # Churn events (join/leave) report straight to the head MAC; the
+        # binding is a plain attribute set, so static plans are untouched.
+        injector.membership_listener = mac
+    sources = attach_cbr_sources(
+        sim,
+        mac.sensors,
+        rate_bps=config.rate_bps,
+        packet_bytes=config.packet_bytes,
+        seed=config.seed,
+        start_ats={
+            node: join.at for node, join in zip(joiner_ids, plan.joins)
+        }
+        if joiner_ids
+        else None,
+    )
+    mac.start(config.n_cycles)
+    sim.run(until=config.n_cycles * config.cycle_length)
+    phy.finalize()
+    packets_generated = sum(s.generated for s in sources)
+    if monitor.enabled:
+        hint = (
+            f"PollingSimConfig(seed={config.seed}, n_sensors={config.n_sensors}, "
+            f"n_cycles={config.n_cycles}, faults={'yes' if faulted else 'no'})"
         )
-        mac.start(config.n_cycles)
-        sim.run(until=config.n_cycles * config.cycle_length)
-        phy.finalize()
-        packets_generated = sum(s.generated for s in sources)
-        if monitor.enabled:
-            hint = (
-                f"PollingSimConfig(seed={config.seed}, n_sensors={config.n_sensors}, "
-                f"n_cycles={config.n_cycles}, faults={'yes' if faulted else 'no'})"
-            )
-            _validate.check_delivered_stream(
-                mac.delivered_packets(), packets_generated, sim_time=sim.now, hint=hint
-            )
-        if traced:
-            # Post-finalize ground truth the inspector reconciles against
-            # metrics/energy.py (sensors in local order, head last).
-            tel.extras["energy_per_radio_j"] = [
-                trx.meter.consumed_j for trx in phy.transceivers
-            ]
-            # Accumulating counter (not a gauge): trials that run several
-            # sims sum their energy, and sweep-level merges stay lossless —
-            # the campaign monitor MAD-scans this for energy outliers.
-            tel.metrics.counter("mac.energy_j").inc(
-                float(sum(tel.extras["energy_per_radio_j"]))
-            )
-            tel.extras["seed"] = config.seed
-            tel.extras["n_sensors"] = config.n_sensors
-            tel.finish(
-                run_span,
-                perf_counter(),
-                sim_time=sim.now,
-                generated=packets_generated,
-                delivered=mac.packets_delivered,
-            )
-        return PollingSimResult(
-            config=config,
-            phy=phy,
-            mac=mac,
-            elapsed=sim.now,
-            packets_generated=packets_generated,
-            packets_delivered=mac.packets_delivered,
-            active_fraction=phy.sensor_active_fraction(),
-            injector=injector,
-            violations=monitor.since(mark),
-            telemetry=tel if traced else None,
+        _validate.check_delivered_stream(
+            mac.delivered_packets(), packets_generated, sim_time=sim.now, hint=hint
         )
+    if traced:
+        # Post-finalize ground truth the inspector reconciles against
+        # metrics/energy.py (sensors in local order, head last).
+        tel.extras["energy_per_radio_j"] = [
+            trx.meter.consumed_j for trx in phy.transceivers
+        ]
+        # Accumulating counter (not a gauge): trials that run several
+        # sims sum their energy, and sweep-level merges stay lossless —
+        # the campaign monitor MAD-scans this for energy outliers.
+        tel.metrics.counter("mac.energy_j").inc(
+            float(sum(tel.extras["energy_per_radio_j"]))
+        )
+        tel.extras["seed"] = config.seed
+        tel.extras["n_sensors"] = config.n_sensors
+        tel.finish(
+            run_span,
+            perf_counter(),
+            sim_time=sim.now,
+            generated=packets_generated,
+            delivered=mac.packets_delivered,
+        )
+    return PollingSimResult(
+        config=config,
+        phy=phy,
+        mac=mac,
+        elapsed=sim.now,
+        packets_generated=packets_generated,
+        packets_delivered=mac.packets_delivered,
+        active_fraction=phy.sensor_active_fraction(),
+        injector=injector,
+        violations=monitor.since(mark),
+        telemetry=tel if traced else None,
+    )

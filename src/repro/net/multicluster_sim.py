@@ -21,10 +21,9 @@ All three run the full per-cluster polling MAC; the shared
 from __future__ import annotations
 
 import dataclasses
-from contextlib import nullcontext
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -104,10 +103,6 @@ class MultiClusterConfig:
     # forming is *not* recomputed mid-run; ``final_assignment_staleness``
     # on the result quantifies how far the deploy-time forming drifted.
     mobility_speed_mps: float = 0.0
-    # Telemetry (repro.obs): False is the exact untraced path, bit for bit
-    # (an ambient obs.use(...) scope still traces); True attaches a
-    # run-local collector to ``MultiClusterResult.telemetry``.
-    telemetry: bool = False
     # Slot engine (DESIGN.md §12): "vector" (the default) replays each slot
     # that nothing outside its cluster's channel can observe in closed
     # form, bit for bit; "scalar" runs every slot through the event path.
@@ -129,11 +124,11 @@ class MultiClusterConfig:
     # crash-safety surface — a head dying inside it aborts its moves.
     handoff_commit_lead: float = 0.25
     # Per-cluster MAC passthroughs (all defaults = the exact current MAC
-    # arguments, bit for bit): the PR 4 liveness machinery and PR 7 warm
-    # solver cache, so handoff runs can exercise blacklist carryover and
-    # backup-bundle rebuilds end to end.
-    failure_detection: bool = False
-    dead_after_misses: int = 2
+    # arguments, bit for bit): failure detection (a threshold of silent
+    # cycles; None is off), backup paths and the warm solver cache, so
+    # handoff runs can exercise blacklist carryover and backup-bundle
+    # rebuilds end to end.
+    dead_after_misses: int | None = None
     backup_k: int = 0
     use_solver_cache: bool = False
 
@@ -205,8 +200,8 @@ class MultiClusterResult:
     handoff coordinator's live serving map when field re-forming is armed
     (0.0 for static runs)."""
     telemetry: "_obs.Telemetry | None" = None
-    """The run's telemetry collector (``config.telemetry=True`` or an
-    ambient ``obs.use(...)`` scope); ``None`` for untraced runs."""
+    """The collector the run was traced into (activated around the call
+    with ``obs.use(...)``); ``None`` for untraced runs."""
     field_coordinator: "FieldReformCoordinator | None" = None
     """Present only when ``config.handoff != "off"``; carries the re-form/
     handoff timeline and the live serving map."""
@@ -297,10 +292,10 @@ class _FieldMobility:
         # Per-duty-cycle assignment staleness (satellite of DESIGN.md §13):
         # the probe is pure computation over the fresh positions — no RNG,
         # no events — so sampling it every epoch leaves mobility-only runs
-        # bit-for-bit unchanged.  ``_run_multicluster`` wires it to either
-        # the deploy-time assignment or the handoff coordinator's live
-        # serving map.
-        self.staleness_probe = None  # set after construction
+        # bit-for-bit unchanged.  ``_run_multicluster`` wires it, before the
+        # run, to either the deploy-time assignment or the handoff
+        # coordinator's live serving map, and reads it once more at the end.
+        self.staleness_probe: Callable[[], float] | None = None
         self.staleness_trajectory: list[float] = []
         for k in range(1, int(n_cycles)):
             sim.at(k * cycle_length, self._epoch)
@@ -320,15 +315,12 @@ class _FieldMobility:
             )
         self.medium.update_positions(positions)
         self.epochs += 1
-        if self.staleness_probe is not None:
-            value = float(self.staleness_probe())
-            self.staleness_trajectory.append(value)
-            tel = _obs.current()
-            if tel.enabled:
-                tel.metrics.gauge("field.assignment_staleness").set(value)
-                tel.metrics.histogram(
-                    "field.assignment_staleness.trajectory"
-                ).observe(value)
+        value = float(self.staleness_probe())
+        self.staleness_trajectory.append(value)
+        tel = _obs.current()
+        if tel.enabled:
+            tel.metrics.gauge("field.assignment_staleness").set(value)
+            tel.metrics.histogram("field.assignment_staleness.trajectory").observe(value)
 
 
 class HeadFailoverCoordinator:
@@ -443,6 +435,7 @@ class HeadFailoverCoordinator:
         follow the orphans to their adopter."""
         mac = self.macs[adopter]
         members = [int(g) for g in mac.phy.index_map[:-1]]
+        pending_before = _field_pending(self.macs)
         new_phy, agents, evidence = _rebuild_roster(
             mac,
             members + orphan_globals,
@@ -450,7 +443,15 @@ class HeadFailoverCoordinator:
             _roster_view([mac, self.macs[dead_head]]),
             self.source_by_global,
         )
-        mac.adopt_sensors(new_phy, agents, **evidence)
+        orphans = tuple(range(len(members), len(agents)))
+        mac.take_roster(new_phy, agents, "adoption", orphans, **evidence)
+        _check_roster_change(
+            self.macs,
+            pending_before,
+            len(orphans),
+            sim_time=self.sim.now,
+            hint=f"head {adopter} adopts head {dead_head}'s orphans t={self.sim.now:g}",
+        )
         self.adoption_events.append(
             AdoptionEvent(
                 time=self.sim.now,
@@ -586,12 +587,6 @@ class FieldReformCoordinator:
                         int(im[l]) for l in path[1:] if l != HEAD
                     }
         return frozen
-
-    def _field_pending(self) -> int:
-        """Total queued application packets across every cluster's agents."""
-        return sum(
-            agent.pending_count for mac in self.macs for agent in mac.sensors
-        )
 
     def _hears_into(self, g: int, dst: int) -> bool:
         """Whether sensor *g* has a bidirectional link into *dst*'s roster.
@@ -778,7 +773,7 @@ class FieldReformCoordinator:
 
     def _execute(self, committable) -> None:
         affected = sorted({m.src for m in committable} | {m.dst for m in committable})
-        pending_before = self._field_pending()
+        pending_before = _field_pending(self.macs)
         # One global-id view across the affected heads, taken before any of
         # them is rebuilt.
         view = _roster_view(self.macs[h] for h in affected)
@@ -798,25 +793,44 @@ class FieldReformCoordinator:
             new_phy, agents, evidence = _rebuild_roster(
                 mac, retained + incoming, set(incoming), view, self.source_by_global
             )
-            mac.reform_membership(new_phy, agents, **evidence)
-        pending_after = self._field_pending()
-        hint = f"field re-form t={self.sim.now:g}"
-        _validate.check_handoff_conservation(
+            mac.take_roster(new_phy, agents, "field-reform", **evidence)
+        _check_roster_change(
+            self.macs,
             pending_before,
-            pending_after,
-            moved=len(committable),
+            len(committable),
             sim_time=self.sim.now,
-            hint=hint,
-        )
-        live_rosters = {
-            h: [int(g) for g in self.macs[h].phy.index_map[:-1]]
-            for h in self._live()
-        }
-        _validate.check_single_membership(
-            live_rosters, sim_time=self.sim.now, hint=hint
+            hint=f"field re-form t={self.sim.now:g}",
         )
         for m in committable:
             self._record(m, "committed")
+
+
+def _field_pending(macs: list[PollingClusterMac]) -> int:
+    """Total queued application packets across every cluster's agents."""
+    return sum(agent.pending_count for mac in macs for agent in mac.sensors)
+
+
+def _check_roster_change(
+    macs: list[PollingClusterMac],
+    pending_before: int,
+    moved: int,
+    sim_time: float,
+    hint: str,
+) -> None:
+    """The invariants every roster change keeps, adoption and handoff
+    commit alike (DESIGN.md §13): the field's queued packets, counted
+    before the rebuild as *pending_before*, all survive the transplant of
+    the *moved* sensors, and no live head claims a sensor another live head
+    claims."""
+    _validate.check_handoff_conservation(
+        pending_before, _field_pending(macs), moved=moved, sim_time=sim_time, hint=hint
+    )
+    live_rosters = {
+        h: [int(g) for g in mac.phy.index_map[:-1]]
+        for h, mac in enumerate(macs)
+        if not mac.halted
+    }
+    _validate.check_single_membership(live_rosters, sim_time=sim_time, hint=hint)
 
 
 @dataclass
@@ -937,33 +951,29 @@ def run_multicluster_simulation(
         raise ValueError(f"unknown mode {config.mode!r}")
     if config.handoff not in ("off", "staleness", "periodic"):
         raise ValueError(f"unknown handoff policy {config.handoff!r}")
-    own_tel = _obs.Telemetry() if config.telemetry else None
-    scope = nullcontext() if own_tel is None else _obs.use(own_tel)
-    with scope:
-        tel = _obs.current()
-        run_span = None
-        if tel.enabled:
-            run_span = tel.begin(
-                "run",
-                "multicluster-sim",
-                perf_counter(),
-                clock="wall",
-                seed=config.seed,
-                n_heads=config.n_heads,
-                mode=config.mode,
-            )
-            tel.root = run_span
-        result = _run_multicluster(config, tel if tel.enabled else None)
-        if tel.enabled:
-            tel.finish(
-                run_span,
-                perf_counter(),
-                sim_time=result.elapsed,
-                delivered=result.packets_delivered,
-                collisions=result.collisions,
-            )
-            result.telemetry = tel
-        return result
+    tel = _obs.current()
+    if not tel.enabled:
+        return _run_multicluster(config, None)
+    run_span = tel.begin(
+        "run",
+        "multicluster-sim",
+        perf_counter(),
+        clock="wall",
+        seed=config.seed,
+        n_heads=config.n_heads,
+        mode=config.mode,
+    )
+    tel.root = run_span
+    result = _run_multicluster(config, tel)
+    tel.finish(
+        run_span,
+        perf_counter(),
+        sim_time=result.elapsed,
+        delivered=result.packets_delivered,
+        collisions=result.collisions,
+    )
+    result.telemetry = tel
+    return result
 
 
 def _run_multicluster(
@@ -1053,7 +1063,6 @@ def _run_multicluster(
         mac = PollingClusterMac(
             phy, cycle_length=config.cycle_length, cluster_id=h,
             engine=config.engine,
-            failure_detection=config.failure_detection,
             dead_after_misses=config.dead_after_misses,
             backup_k=config.backup_k,
             solver_cache=solver_cache,
@@ -1152,16 +1161,6 @@ def _run_multicluster(
         hint=f"MultiClusterConfig(seed={config.seed}, n_sensors={config.n_sensors}, "
         f"n_heads={config.n_heads}, n_cycles={config.n_cycles})",
     )
-    final_staleness = 0.0
-    if mobility is not None:
-        if field_coord is not None:
-            # Measured against the assignment actually in force: the
-            # coordinator's live serving map and (possibly re-placed) heads.
-            final_staleness = field_coord.current_staleness()
-        else:
-            final_staleness = serving_staleness(
-                medium.positions[: config.n_sensors], heads, net.assignment
-            )
     return MultiClusterResult(
         config=config,
         net=net,
@@ -1172,7 +1171,9 @@ def _run_multicluster(
         collisions=medium.tracer.counts.get("phy_rx_collision", 0),
         coordinator=coordinator,
         mobility_epochs=mobility.epochs if mobility is not None else 0,
-        final_assignment_staleness=final_staleness,
+        final_assignment_staleness=(
+            0.0 if mobility is None else float(mobility.staleness_probe())
+        ),
         field_coordinator=field_coord,
         staleness_trajectory=(
             () if mobility is None else tuple(mobility.staleness_trajectory)

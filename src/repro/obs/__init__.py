@@ -2,18 +2,20 @@
 
 Causal polling-cycle tracing, a typed metrics registry, wall-clock
 profiling, and trace export for the whole polling stack.  Activation is
-explicit and scoped::
+explicit and scoped, and it is the only switch::
 
     from repro import obs
     from repro.net.cluster_sim import PollingSimConfig, run_polling_simulation
 
-    result = run_polling_simulation(PollingSimConfig(telemetry=True))
-    obs.export_chrome_trace(result.telemetry, "run.trace.json")
-    obs.export_jsonl(result.telemetry, "run.jsonl")
+    with obs.use(obs.Telemetry()) as tel:
+        result = run_polling_simulation(PollingSimConfig())
+    assert result.telemetry is tel
+    obs.export_chrome_trace(tel, "run.trace.json")
+    obs.export_jsonl(tel, "run.jsonl")
     # then: python -m repro.obs.inspect run.jsonl
 
-or, for code that doesn't thread a config through (the schedule-level
-experiments, custom sweeps)::
+The same scope traces code that runs no simulation harness (the
+schedule-level experiments, custom sweeps)::
 
     with obs.use(obs.Telemetry()) as tel:
         fig2.run()

@@ -25,7 +25,7 @@ import os
 from pathlib import Path
 from typing import Any
 
-from .telemetry import Span, SpanEvent, Telemetry
+from .telemetry import Span, Telemetry
 
 __all__ = [
     "export_jsonl",

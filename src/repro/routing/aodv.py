@@ -16,7 +16,6 @@ expanding rings abstracted to a simple retry budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 __all__ = ["Rreq", "Rrep", "Rerr", "RouteEntry", "AodvAgent", "BROADCAST"]
 

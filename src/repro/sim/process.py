@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator, Iterable
 
-from .kernel import SimulationError, Simulator
+from .kernel import Simulator
 
 __all__ = [
     "Timeout",

@@ -48,21 +48,18 @@ def _chaos_plan(seed: int) -> FaultPlan:
     )
 
 
+PERIOD_3 = StalenessTrigger(membership_delta=0, repair_fallbacks=0, period_cycles=3)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 5, 9, 17])
 @pytest.mark.parametrize("policy", ["staleness", "periodic"])
 def test_chaos_churn_strict_clean(seed, policy):
-    trigger = (
-        StalenessTrigger()
-        if policy == "staleness"
-        else StalenessTrigger(membership_delta=0, repair_fallbacks=0, period_cycles=3)
-    )
     cfg = PollingSimConfig(
         n_sensors=SENSORS,
         n_cycles=CYCLES,
         seed=seed,
         fault_plan=_chaos_plan(seed),
-        recluster=policy,
-        recluster_trigger=trigger,
+        recluster=StalenessTrigger() if policy == "staleness" else PERIOD_3,
         backup_k=1,
     )
     with validate.strict():
@@ -91,7 +88,7 @@ def test_chaos_churn_is_deterministic(seed):
         n_cycles=CYCLES,
         seed=seed,
         fault_plan=_chaos_plan(seed),
-        recluster="staleness",
+        recluster=StalenessTrigger(),
     )
     a = run_polling_simulation(cfg)
     b = run_polling_simulation(cfg)
@@ -107,7 +104,7 @@ def test_joiners_admitted_and_served():
         n_cycles=6,
         seed=3,
         fault_plan=plan,
-        recluster="staleness",
+        recluster=StalenessTrigger(),
     )
     with validate.strict():
         res = run_polling_simulation(cfg)
@@ -129,7 +126,7 @@ def test_recluster_off_never_admits_but_still_repairs_leaves():
         leaves=[NodeLeave(node=2, at=2.5 * CYCLE)],
     )
     cfg = PollingSimConfig(
-        n_sensors=12, n_cycles=6, seed=3, fault_plan=plan, recluster="off"
+        n_sensors=12, n_cycles=6, seed=3, fault_plan=plan, recluster=None
     )
     with validate.strict():
         res = run_polling_simulation(cfg)
@@ -145,6 +142,12 @@ def test_recluster_off_never_admits_but_still_repairs_leaves():
     assert 2 not in mac.blacklisted
 
 
+def test_recluster_takes_a_trigger_not_a_policy_name():
+    cfg = PollingSimConfig(n_sensors=6, n_cycles=1, recluster="staleness")
+    with pytest.raises(TypeError, match="StalenessTrigger"):
+        run_polling_simulation(cfg)
+
+
 # -- bit-for-bit regression ----------------------------------------------------
 
 # sha256 over the full-precision (float.hex) run fingerprint, captured
@@ -155,6 +158,11 @@ GOLDEN = {
     "static-seed0": "b04afab7ed04f4e49ff5e488fc99aa7f7bd3238916b191bcf9d7220592c6c80c",
     "static-seed3": "c0effcff8b8c560637d5810c7a2358c26fdc2425fb255b32a9b11dcd1600f3b8",
     "crash-seed3": "f4639e986445054536eda7f7e827ee57cd1e5d1d6387a80e50a08d10af751842",
+    # The chaos run of _chaos_plan(1) under each re-form trigger; "period5"
+    # spells out the cadence a periodic policy once got with no trigger.
+    "chaos-staleness": "a46cd404bc2b5e076f2e62ce233bd8d69f7853d7564d14a234479908fd73afba",
+    "chaos-period3": "a5ac90b0cfd0f3f68e2dde45eac744794afd71060821229d6d47c6c3aec88922",
+    "chaos-period5": "e3af7032ed1f6f904069730caeaae8786cfb3cbad05ac7a3bf42ce8afe8b436b",
 }
 
 
@@ -183,9 +191,9 @@ def test_static_run_bit_for_bit_golden(seed):
 
 
 def test_empty_dynamic_plan_bit_for_bit_golden():
-    # FaultPlan() and explicit recluster="off" must ride the same path.
+    # FaultPlan() and explicit recluster=None must ride the same path.
     cfg = PollingSimConfig(
-        n_sensors=30, n_cycles=8, seed=3, fault_plan=FaultPlan(), recluster="off"
+        n_sensors=30, n_cycles=8, seed=3, fault_plan=FaultPlan(), recluster=None
     )
     assert _run_fingerprint(cfg) == GOLDEN["static-seed3"]
 
@@ -196,6 +204,28 @@ def test_crash_plan_bit_for_bit_golden():
     plan = FaultPlan(crashes=[NodeCrash(node=1, at=20.3)])
     cfg = PollingSimConfig(n_sensors=30, n_cycles=8, seed=3, fault_plan=plan)
     assert _run_fingerprint(cfg) == GOLDEN["crash-seed3"]
+
+
+CHAOS_TRIGGERS = {
+    "chaos-staleness": StalenessTrigger(),
+    "chaos-period3": PERIOD_3,
+    "chaos-period5": StalenessTrigger(
+        membership_delta=0, repair_fallbacks=0, period_cycles=5
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAOS_TRIGGERS))
+def test_chaos_recluster_bit_for_bit_golden(name):
+    cfg = PollingSimConfig(
+        n_sensors=SENSORS,
+        n_cycles=10,
+        seed=1,
+        fault_plan=_chaos_plan(1),
+        backup_k=1,
+        recluster=CHAOS_TRIGGERS[name],
+    )
+    assert _run_fingerprint(cfg) == GOLDEN[name]
 
 
 def test_fig2_fig4_bit_for_bit_golden():

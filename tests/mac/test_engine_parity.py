@@ -30,6 +30,7 @@ from repro.faults import (
     NodeLeave,
 )
 from repro.net.cluster_sim import PollingSimConfig, run_polling_simulation
+from repro.topology import StalenessTrigger
 
 CYCLE = 10.0
 
@@ -92,7 +93,7 @@ def test_engines_bit_identical(regime, seed):
         frame_error_rate=0.1 if regime == "static" and seed == 5 else 0.0,
     )
     if regime == "churn":
-        kwargs["recluster"] = "staleness"
+        kwargs["recluster"] = StalenessTrigger()
     vec, vec_slots = _fingerprint(PollingSimConfig(engine="vector", **kwargs))
     sca, sca_slots = _fingerprint(PollingSimConfig(engine="scalar", **kwargs))
     assert vec == sca, f"engines diverged on {regime}/seed{seed}"

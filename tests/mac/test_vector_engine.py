@@ -9,7 +9,6 @@ for ``ndarray.sum``) long before a golden-fingerprint run would.
 """
 
 import numpy as np
-import pytest
 
 from repro.mac.vector_engine import VectorRadioBank, _as_index, ordered_sum
 from repro.radio.energy import EnergyMeter, EnergyParams, RadioState

@@ -142,6 +142,33 @@ def test_energy_report_from_simulation():
     assert len(table) == 6 and table[0]["sensor"] == 0
 
 
+# (cycles.hex(), first sensor to die) on a 30-sensor cluster per seed,
+# unsectored then sectored, captured while cycles_to_first_death still ran
+# its own copy of the Fig. 7c computation.
+FIRST_DEATH = {
+    0: (("0x1.4f1c7e258dbd8p+14", 1), ("0x1.61417e31de986p+15", 1)),
+    1: (("0x1.2951ed6543b00p+14", 17), ("0x1.3fb0c32e8458ep+15", 17)),
+    2: (("0x1.6e50856b8dd41p+14", 22), ("0x1.5bb1f141d1a5cp+15", 22)),
+    3: (("0x1.26987cd03dc02p+14", 18), ("0x1.04ad666ac6003p+15", 18)),
+    4: (("0x1.3419873ca7748p+14", 23), ("0x1.d3a3acde934c5p+14", 23)),
+    5: (("0x1.1f91a5098e8ecp+14", 0), ("0x1.21fd6576ef0bcp+15", 6)),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FIRST_DEATH))
+def test_cycles_to_first_death_golden(seed):
+    from repro.mac.base import geometric_oracle
+    from repro.metrics.lifetime import cycles_to_first_death
+    from repro.topology import Cluster, uniform_square
+
+    oracle, cluster = geometric_oracle(Cluster.from_deployment(uniform_square(30, seed=seed)))
+    got = []
+    for sectored in (False, True):
+        cycles, sensor = cycles_to_first_death(cluster, oracle, sectored=sectored)
+        got.append((cycles.hex(), sensor))
+    assert tuple(got) == FIRST_DEATH[seed]
+
+
 def test_cycles_to_first_death_sectored_wins():
     from repro.mac.base import geometric_oracle
     from repro.metrics.lifetime import cycles_to_first_death

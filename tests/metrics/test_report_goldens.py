@@ -23,6 +23,7 @@ from repro.net import (
     run_multicluster_simulation,
 )
 from repro.net.cluster_sim import PollingSimConfig, run_polling_simulation
+from repro.topology import StalenessTrigger
 
 CONFIGS = {
     # A relay dies in a sleep phase; k=1 fails its victims over in-cycle.
@@ -43,7 +44,7 @@ CONFIGS = {
             leaves=[NodeLeave(node=4, at=27.0)],
             mobility=Mobility(speed_mps=0.4),
         ),
-        recluster="staleness",
+        recluster=StalenessTrigger(),
     ),
     # Gilbert-Elliott loss on every link: false positives and repairs.
     "bursty": PollingSimConfig(

@@ -76,6 +76,23 @@ GOLDEN = {
         ),
         "bce00476e6889d1b98e26e938d39096643d21c8b09bd99f7a571f566c489e70e",
     ),
+    # Failure detection on: the crash-failover-backups config of
+    # test_multicluster_engine_parity.py and the EVIDENCE config of
+    # test_head_failover.py.
+    "crash-failover-backups-seed2": (
+        MultiClusterConfig(
+            n_cycles=6, seed=2, head_failover=True, head_crashes=((1, 8.0),),
+            dead_after_misses=2, backup_k=2,
+        ),
+        "9969239fc99f2e253f74c1ebac440377393ef4a78d321ffe032ead9c0328ac85",
+    ),
+    "evidence-mobility-crash-seed2": (
+        MultiClusterConfig(
+            n_cycles=8, seed=2, mobility_speed_mps=3.0, dead_after_misses=2,
+            head_failover=True, head_crashes=((1, 33.0),),
+        ),
+        "788a46d83451a1c38d6c3adb5191c3a522754c0dad47b4a65ceb0fed0b88a7dd",
+    ),
 }
 
 
@@ -171,9 +188,10 @@ def test_rebuild_keeps_agents_only_while_local_ids_hold(monkeypatch):
     from repro.topology import StalenessTrigger
 
     seen = {"kept": 0, "fresh": 0}
-    reform = PollingClusterMac.reform_membership
+    take_roster = PollingClusterMac.take_roster
 
-    def spy(mac, new_phy, agents, **evidence):
+    def spy(mac, new_phy, agents, cause, admitted=(), **evidence):
+        assert cause == "field-reform"  # no head crashes in this run
         old = {
             int(g): (l, mac.sensors[l])
             for l, g in enumerate(mac.phy.index_map[:-1])
@@ -187,12 +205,12 @@ def test_rebuild_keeps_agents_only_while_local_ids_hold(monkeypatch):
         reused = [agents[l] is old[g][1] for l, g in stayed]
         assert all(reused) if ids_hold else not any(reused)
         seen["kept" if ids_hold else "fresh"] += 1
-        return reform(mac, new_phy, agents, **evidence)
+        return take_roster(mac, new_phy, agents, cause, admitted, **evidence)
 
-    monkeypatch.setattr(PollingClusterMac, "reform_membership", spy)
+    monkeypatch.setattr(PollingClusterMac, "take_roster", spy)
     cfg = MultiClusterConfig(
         n_cycles=8, seed=2, mobility_speed_mps=3.0,
-        handoff="staleness", failure_detection=True,
+        handoff="staleness", dead_after_misses=2,
         handoff_trigger=StalenessTrigger(membership_delta=1, repair_fallbacks=0),
     )
     with validate.strict():
@@ -315,7 +333,7 @@ def test_solver_cache_and_liveness_passthroughs():
     cfg = MultiClusterConfig(
         n_cycles=8, seed=2, mobility_speed_mps=3.0,
         handoff="staleness", use_solver_cache=True,
-        failure_detection=True, backup_k=1,
+        dead_after_misses=2, backup_k=1,
         # failure detection blacklists (and therefore freezes) some of the
         # drifters the default threshold counts on; fire on the first one
         handoff_trigger=StalenessTrigger(membership_delta=1, repair_fallbacks=0),

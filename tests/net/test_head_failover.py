@@ -159,7 +159,7 @@ EVIDENCE = dict(
     n_cycles=8,
     seed=2,
     mobility_speed_mps=3.0,
-    failure_detection=True,
+    dead_after_misses=2,
     head_failover=True,
     head_crashes=((1, 33.0),),
 )
@@ -172,16 +172,17 @@ def adopted_with_evidence():
     # Watch each adoption from inside: the adopter's agents and roster
     # announcement before and after the takeover.
     calls = []
-    adopt = PollingClusterMac.adopt_sensors
+    take_roster = PollingClusterMac.take_roster
 
-    def spy(mac, new_phy, agents, **evidence):
+    def spy(mac, new_phy, agents, cause, admitted=(), **evidence):
+        assert cause == "adoption"  # handoff is off in this run
         before = (list(mac.sensors), mac._reform_roster_bytes)
-        out = adopt(mac, new_phy, agents, **evidence)
+        out = take_roster(mac, new_phy, agents, cause, admitted, **evidence)
         calls.append((mac, before, (list(mac.sensors), mac._reform_roster_bytes)))
         return out
 
     mp = pytest.MonkeyPatch()
-    mp.setattr(PollingClusterMac, "adopt_sensors", spy)
+    mp.setattr(PollingClusterMac, "take_roster", spy)
     try:
         with validate.strict():  # the whole run stays strict-clean
             res = run_multicluster_simulation(MultiClusterConfig(**EVIDENCE))
@@ -243,6 +244,38 @@ def test_adoption_keeps_agents_and_announces_no_roster(adopted_with_evidence):
         assert all(a is b for a, b in zip(agents_after, agents_before))
         assert len(agents_after) > len(agents_before)
         assert bytes_after == bytes_before
+
+
+def test_adoption_is_checked_like_a_handoff_commit(monkeypatch):
+    """An adoption transplants queues and changes a roster, so it runs the
+    checks a handoff commit runs: a rebuild that loses one queued packet of
+    an incoming orphan is one ``dynamic.handoff-conservation`` per adopter.
+    Beacons every 0.25 s declare head 1 dead at 12.25 s."""
+    from repro.net import multicluster_sim
+
+    rebuild = multicluster_sim._rebuild_roster
+    dropped = []
+
+    def lossy(mac, roster, incoming, view, source_by_global):
+        new_phy, agents, evidence = rebuild(mac, roster, incoming, view, source_by_global)
+        for agent, g in zip(agents, roster):
+            if g in incoming and agent.own_queue:
+                dropped.append(agent.own_queue.pop())
+                break
+        return new_phy, agents, evidence
+
+    monkeypatch.setattr(multicluster_sim, "_rebuild_roster", lossy)
+    cfg = MultiClusterConfig(
+        n_cycles=4, seed=0, head_failover=True, head_crashes=((1, 11.7),),
+        beacon_interval=0.25,
+    )
+    with validate.warn(), validate.MONITOR.capture() as found:
+        with pytest.warns(validate.InvariantWarning):
+            res = run_multicluster_simulation(cfg)
+    assert len(res.coordinator.adoption_events) == len(dropped) == 2
+    assert [(v.invariant, v.sim_time) for v in found] == [
+        ("dynamic.handoff-conservation", 12.25)
+    ] * 2
 
 
 # -- adoption by the head nearest each orphan's current position ---------------

@@ -12,9 +12,11 @@ adoptions inside a running phase, and telemetry.
 
 import dataclasses
 import functools
+from contextlib import nullcontext
 
 import pytest
 
+from repro import obs
 from repro.mac.pollmac import PollingClusterMac
 from repro.mac.vector_engine import VectorPhaseEngine
 from repro.net import MultiClusterConfig, run_multicluster_simulation
@@ -40,7 +42,7 @@ CONFIGS = {
     ),
     "crash-failover-backups": MultiClusterConfig(
         n_cycles=6, seed=2, head_failover=True, head_crashes=((1, 8.0),),
-        failure_detection=True, backup_k=2,
+        dead_after_misses=2, backup_k=2,
     ),
     # Beacons every 0.25 s: head 1 is declared dead at 12.25 s, inside the
     # cycle-2 phases of both adopters.
@@ -49,10 +51,11 @@ CONFIGS = {
         beacon_interval=0.25,
     ),
     "telemetry": MultiClusterConfig(
-        n_cycles=4, seed=1, mobility_speed_mps=2.0, handoff="staleness",
-        telemetry=True,
+        n_cycles=4, seed=1, mobility_speed_mps=2.0, handoff="staleness"
     ),
 }
+# Configs run traced, each into a fresh collector.
+TRACED = {"telemetry"}
 
 
 def _record(res) -> dict:
@@ -71,14 +74,15 @@ def _record(res) -> dict:
     }
 
 
-def _run(cfg: MultiClusterConfig, engine: str):
-    return run_multicluster_simulation(dataclasses.replace(cfg, engine=engine))
+def _run(cfg: MultiClusterConfig, engine: str, traced: bool = False):
+    with obs.use(obs.Telemetry()) if traced else nullcontext():
+        return run_multicluster_simulation(dataclasses.replace(cfg, engine=engine))
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_engines_agree_on_field_runs(name):
-    cfg = CONFIGS[name]
-    vector, scalar = _run(cfg, "vector"), _run(cfg, "scalar")
+    cfg, traced = CONFIGS[name], name in TRACED
+    vector, scalar = _run(cfg, "vector", traced), _run(cfg, "scalar", traced)
     assert _record(vector) == _record(scalar)
     assert sum(mac.vector_slots for mac in scalar.macs) == 0
 

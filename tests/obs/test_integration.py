@@ -38,10 +38,9 @@ def faulted_traced(tmp_path_factory):
     base = run_polling_simulation(PollingSimConfig(n_sensors=30, n_cycles=8, seed=3))
     victim = _relay_of(base)
     plan = FaultPlan(crashes=[NodeCrash(node=victim, at=20.3)])
-    cfg = PollingSimConfig(
-        n_sensors=30, n_cycles=8, seed=3, fault_plan=plan, telemetry=True
-    )
-    res = run_polling_simulation(cfg)
+    cfg = PollingSimConfig(n_sensors=30, n_cycles=8, seed=3, fault_plan=plan)
+    with obs.use(obs.Telemetry()):
+        res = run_polling_simulation(cfg)
     assert res.telemetry is not None
     out = tmp_path_factory.mktemp("trace")
     jsonl = export_jsonl(res.telemetry, out / "trace.jsonl")
@@ -52,9 +51,8 @@ def faulted_traced(tmp_path_factory):
 def test_telemetry_off_is_bit_for_bit_identical():
     cfg = PollingSimConfig(n_sensors=20, n_cycles=4, seed=7)
     plain = run_polling_simulation(cfg)
-    traced = run_polling_simulation(
-        PollingSimConfig(n_sensors=20, n_cycles=4, seed=7, telemetry=True)
-    )
+    with obs.use(obs.Telemetry()):
+        traced = run_polling_simulation(cfg)
     assert plain.telemetry is None
     assert traced.telemetry is not None
     assert plain.packets_generated == traced.packets_generated

@@ -12,7 +12,7 @@ import pytest
 from repro.faults import FaultPlan, NodeCrash
 from repro.net import MultiClusterConfig, run_multicluster_simulation
 from repro.net.cluster_sim import PollingSimConfig, run_polling_simulation
-from repro.obs import export_jsonl, load_jsonl
+from repro.obs import Telemetry, export_jsonl, load_jsonl, use
 from repro.obs.inspect import failure_chains
 
 
@@ -27,19 +27,24 @@ FIELD_RUNS = {
         handoff="staleness",
         head_failover=True,
         head_crashes=((2, 14.0),),
-        failure_detection=True,
-        telemetry=True,
+        dead_after_misses=2,
     ),
     # Fast drift under periodic handoff: field re-form re-plans.
     "field-reform": MultiClusterConfig(
-        n_cycles=6, seed=2, mobility_speed_mps=4.0, handoff="periodic", telemetry=True
+        n_cycles=6, seed=2, mobility_speed_mps=4.0, handoff="periodic"
     ),
 }
 
 
+def _traced(run, config):
+    """``run(config)`` traced into a fresh collector."""
+    with use(Telemetry()):
+        return run(config)
+
+
 @pytest.fixture(scope="module", params=sorted(FIELD_RUNS))
 def field_run(request):
-    return run_multicluster_simulation(FIELD_RUNS[request.param])
+    return _traced(run_multicluster_simulation, FIELD_RUNS[request.param])
 
 
 def _events_of(tel, cluster):
@@ -85,14 +90,14 @@ def test_replan_counters_equal_reductions_over_the_records(field_run):
 
 
 def test_single_cluster_replans_are_timeline_events():
-    res = run_polling_simulation(
+    res = _traced(
+        run_polling_simulation,
         PollingSimConfig(
             n_sensors=30,
             n_cycles=8,
             seed=3,
             fault_plan=FaultPlan(crashes=[NodeCrash(node=3, at=20.3)]),
-            telemetry=True,
-        )
+        ),
     )
     assert [r.cause for r in res.mac.replans] == ["initial", "repair"]
     _assert_one_event_per_record(res.telemetry, res.mac)
@@ -101,7 +106,7 @@ def test_single_cluster_replans_are_timeline_events():
 def test_failure_chains_link_only_the_requests_cluster(tmp_path):
     """Sensor ids are local to a cluster: a failed request's chain links the
     blacklist and re-plan events of its own cluster only."""
-    res = run_multicluster_simulation(FIELD_RUNS["head-crash"])
+    res = _traced(run_multicluster_simulation, FIELD_RUNS["head-crash"])
     trace = load_jsonl(export_jsonl(res.telemetry, tmp_path / "trace.jsonl"))
     cluster_of = {
         span["span_id"]: span["attrs"]["cluster"]

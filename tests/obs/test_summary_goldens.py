@@ -12,6 +12,8 @@ import pytest
 
 from repro.faults import FaultPlan, Mobility, NodeCrash, NodeJoin, NodeLeave
 from repro.net.cluster_sim import PollingSimConfig, run_polling_simulation
+from repro.obs import Telemetry, use
+from repro.topology import StalenessTrigger
 
 CONFIGS = {
     # Sensor 3 is the first relay of the seed-3 plan.
@@ -20,7 +22,6 @@ CONFIGS = {
         n_cycles=8,
         seed=3,
         fault_plan=FaultPlan(crashes=[NodeCrash(node=3, at=20.3)]),
-        telemetry=True,
     ),
     "churn-mobility": PollingSimConfig(
         n_sensors=24,
@@ -31,8 +32,7 @@ CONFIGS = {
             leaves=[NodeLeave(node=4, at=27.0)],
             mobility=Mobility(speed_mps=0.4),
         ),
-        recluster="staleness",
-        telemetry=True,
+        recluster=StalenessTrigger(),
     ),
 }
 
@@ -95,7 +95,9 @@ EXPECTED = {
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_traced_summary_matches_golden(name):
-    summary = run_polling_simulation(CONFIGS[name]).telemetry.summary()
+    with use(Telemetry()) as tel:
+        run_polling_simulation(CONFIGS[name])
+    summary = tel.summary()
     metrics = {
         k: v for k, v in summary["metrics"].items() if not k.endswith("_wall_s")
     }

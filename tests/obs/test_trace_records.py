@@ -17,7 +17,7 @@ import pytest
 from repro.faults import BurstyLinks, FaultPlan, NodeCrash
 from repro.net import MultiClusterConfig, run_multicluster_simulation
 from repro.net.cluster_sim import PollingSimConfig, run_polling_simulation
-from repro.obs import export_jsonl, load_jsonl
+from repro.obs import Telemetry, export_jsonl, load_jsonl, use
 from repro.obs.inspect import failure_chains, summarize
 
 # The relay crash of tests/obs/test_integration.py (relay 3 is the lowest
@@ -27,14 +27,11 @@ FAULTED = PollingSimConfig(
     n_cycles=8,
     seed=3,
     fault_plan=FaultPlan(crashes=[NodeCrash(node=3, at=20.3)]),
-    telemetry=True,
 )
 
 TRACED_RUNS = {
     "faulted": FAULTED,
-    "sectored": PollingSimConfig(
-        n_sensors=30, n_cycles=4, seed=1, use_sectors=True, telemetry=True
-    ),
+    "sectored": PollingSimConfig(n_sensors=30, n_cycles=4, seed=1, use_sectors=True),
     # The head-crash field run of tests/obs/test_replan_events.py.
     "field-head-crash": MultiClusterConfig(
         n_sensors=60,
@@ -45,8 +42,7 @@ TRACED_RUNS = {
         handoff="staleness",
         head_failover=True,
         head_crashes=((2, 14.0),),
-        failure_detection=True,
-        telemetry=True,
+        dead_after_misses=2,
     ),
 }
 
@@ -58,16 +54,21 @@ BURSTY_BACKUP = PollingSimConfig(
     seed=1,
     fault_plan=FaultPlan(bursty_links=BurstyLinks()),
     backup_k=1,
-    telemetry=True,
 )
 
 
+def _traced_run(config):
+    """Run *config* traced into a fresh collector."""
+    with use(Telemetry()):
+        if isinstance(config, MultiClusterConfig):
+            return run_multicluster_simulation(config)
+        return run_polling_simulation(config)
+
+
 def _run(config):
-    if isinstance(config, MultiClusterConfig):
-        res = run_multicluster_simulation(config)
-        return res.telemetry, list(res.macs)
-    res = run_polling_simulation(config)
-    return res.telemetry, [res.mac]
+    res = _traced_run(config)
+    macs = res.macs if isinstance(config, MultiClusterConfig) else [res.mac]
+    return res.telemetry, list(macs)
 
 
 @pytest.fixture(scope="module", params=sorted(TRACED_RUNS))
@@ -201,7 +202,7 @@ failed poll requests (2):
 
 @pytest.fixture(scope="module")
 def faulted_trace(tmp_path_factory):
-    res = run_polling_simulation(FAULTED)
+    res = _traced_run(FAULTED)
     path = tmp_path_factory.mktemp("trace") / "faulted.jsonl"
     return load_jsonl(export_jsonl(res.telemetry, path))
 
@@ -232,7 +233,7 @@ def test_summarize_failed_requests_golden(faulted_trace):
 
 @pytest.fixture(scope="module")
 def bursty_trace(tmp_path_factory):
-    res = run_polling_simulation(BURSTY_BACKUP)
+    res = _traced_run(BURSTY_BACKUP)
     path = tmp_path_factory.mktemp("trace") / "bursty.jsonl"
     return res.telemetry, load_jsonl(export_jsonl(res.telemetry, path))
 
@@ -265,3 +266,19 @@ def test_summarize_timeline_lists_each_failover_once(bursty_trace):
     # Each row is f"  t={time:>10.4f}  {name:<20} {attrs}".
     rows = section.split("\n\n", 1)[0].splitlines()[1:]
     assert sum(row[16:36].strip() == "failover" for row in rows) == failovers
+
+
+def test_no_delivered_request_holds_a_failover_it_never_used(bursty_trace):
+    """A request's ``failover`` event marks a change of its own path, so a
+    request delivered after one was polled again on the new path."""
+    tel, _ = bursty_trace
+    annotated, unused = 0, []
+    for span in tel.spans_of("request"):
+        names = [ev.name for ev in span.events]
+        annotated += "failover" in names
+        attempts = [i for i, name in enumerate(names) if name == "attempt"]
+        tail = names[attempts[-1] + 1 :] if attempts else names
+        if span.attrs.get("status") == "ok" and "failover" in tail:
+            unused.append(span.attrs["request_id"])
+    assert annotated > 0
+    assert unused == []

@@ -326,7 +326,7 @@ def _handoff_carryover_result():
 
     cfg = MultiClusterConfig(
         n_cycles=8, seed=2, mobility_speed_mps=3.0,
-        handoff="staleness", failure_detection=True,
+        handoff="staleness", dead_after_misses=2,
         handoff_trigger=StalenessTrigger(membership_delta=1, repair_fallbacks=0),
     )
     with validate.strict():
@@ -354,16 +354,17 @@ def test_reform_membership_remaps_evidence_to_new_local_ids(monkeypatch):
     from repro.mac.pollmac import PollingClusterMac
 
     reforms = []
-    reform = PollingClusterMac.reform_membership
+    take_roster = PollingClusterMac.take_roster
 
-    def spy(mac, new_phy, agents, **evidence):
+    def spy(mac, new_phy, agents, cause, admitted=(), **evidence):
+        assert cause == "field-reform"  # no head crashes in this run
         old_ids = [int(g) for g in mac.phy.index_map[:-1]]
         before = {old_ids[l]: l for l in mac.blacklisted}
-        reform(mac, new_phy, agents, **evidence)
+        take_roster(mac, new_phy, agents, cause, admitted, **evidence)
         new_ids = [int(g) for g in mac.phy.index_map[:-1]]
         reforms.append((before, {new_ids[l]: l for l in mac.blacklisted}))
 
-    monkeypatch.setattr(PollingClusterMac, "reform_membership", spy)
+    monkeypatch.setattr(PollingClusterMac, "take_roster", spy)
     _handoff_carryover_result()
     assert reforms
     shifted = 0
