@@ -4,7 +4,9 @@ Deploys 120 sensors and 6 cluster heads over a 500 m field, forms clusters
 by Voronoi cells (Sec. V-A), discovers members hop by hop, routes each
 cluster, estimates each duty cycle's length with the real polling
 scheduler, and then compares the two inter-cluster coordination schemes of
-Sec. V-G: token rotation vs channel coloring.
+Sec. V-G: token rotation vs channel coloring.  The event-driven comparison
+at the end runs all three coordination modes on one shared radio medium,
+where the coloring reads which clusters hear each other.
 
 Run:  python examples/multicluster.py
 """
@@ -14,9 +16,9 @@ import numpy as np
 from repro import solve_min_max_load
 from repro.core import OnlinePollingScheduler
 from repro.mac import MacTimings, geometric_oracle
-from repro.net import TokenSchedule, assign_channels, concurrency_gain
+from repro.net import TokenSchedule, concurrency_gain
 from repro.radio.packet import DEFAULT_SIZES
-from repro.topology import bfs_discover, cluster_adjacency, form_clusters
+from repro.topology import bfs_discover, form_clusters
 from repro.sim import RngStreams
 
 FIELD = 500.0
@@ -69,15 +71,9 @@ def main() -> None:
         print(f"  cluster {k} window: {a*1000:7.1f} .. {b*1000:7.1f} ms")
 
     # --- channel coloring (concurrent) ------------------------------------------
-    colors = assign_channels(net, interference_range=2 * RANGE)
-    print(f"\nchannel assignment (interference range {2*RANGE:.0f} m): "
-          f"{colors.tolist()} -> {int(colors.max()) + 1} channels")
-    gain = concurrency_gain(net, 2 * RANGE, duties)
-    print(f"coloring lets all clusters poll concurrently: "
+    gain = concurrency_gain(duties)
+    print(f"\nchannel coloring lets all clusters poll concurrently: "
           f"{gain:.1f}x shorter than token rotation")
-    adj = cluster_adjacency(net, 2 * RANGE)
-    print(f"(cluster adjacency pairs: "
-          f"{[(int(i), int(j)) for i, j in zip(*np.nonzero(np.triu(adj))) ]})")
 
 
 def des_comparison() -> None:
@@ -92,6 +88,8 @@ def des_comparison() -> None:
         )
         print(f"{mode:<16} {r.packets_delivered:>9} {r.packets_failed:>7} "
               f"{r.delivery_ratio:>7.3f} {r.collisions:>11}")
+    print(f"channel assignment of the channels run: {r.channels.tolist()} "
+          f"-> {int(r.channels.max()) + 1} channels")
     print("uncoordinated clusters jam each other at the borders; either the")
     print("token or the channel coloring removes the loss entirely.")
 

@@ -5,7 +5,8 @@ sustain 100% throughput.  The paper reports a ratio that is always above 1
 and grows with cluster size (~1.55 at 10 sensors to ~2.05 at 50): larger
 clusters split into more sectors, so each sensor's awake share shrinks
 more.  Our absolute ratios depend on the energy constants (documented in
-EXPERIMENTS.md); the monotone >1 shape is the reproduced claim.
+EXPERIMENTS.md); the monotone >1 shape of the mean over deployments is the
+reproduced claim.  Single deployments can read below 1.
 """
 
 from __future__ import annotations
@@ -13,14 +14,20 @@ from __future__ import annotations
 from ..metrics.lifetime import EnergyRateModel, evaluate_lifetime_ratio
 from .common import print_table
 
-__all__ = ["DEFAULT_SIZES_SWEEP", "run", "run_point", "main"]
+__all__ = ["DEFAULT_SIZES_SWEEP", "DEFAULT_SEEDS", "run", "run_point", "main"]
 
 DEFAULT_SIZES_SWEEP = (10, 15, 20, 25, 30, 35, 40, 45, 50)
+
+# Deployments averaged per size.  One deployment's ratio has a standard
+# deviation of 0.15-0.30, while adjacent sizes differ by 0.05-0.15 on
+# average: means over 3 or 6 deployments are not monotone in n, means over
+# 12 or more are.
+DEFAULT_SEEDS = tuple(range(24))
 
 
 def run_point(
     n_sensors: int,
-    seeds: tuple[int, ...] = (0, 1, 2),
+    seeds: tuple[int, ...] = DEFAULT_SEEDS,
     model: EnergyRateModel = EnergyRateModel(),
     **overrides,
 ) -> dict:
@@ -41,7 +48,7 @@ def run_point(
 
 def run(
     sizes: tuple[int, ...] = DEFAULT_SIZES_SWEEP,
-    seeds: tuple[int, ...] = (0, 1, 2),
+    seeds: tuple[int, ...] = DEFAULT_SEEDS,
     model: EnergyRateModel = EnergyRateModel(),
     **overrides,
 ) -> list[dict]:

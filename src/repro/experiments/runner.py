@@ -109,6 +109,9 @@ __all__ = [
 
 DEFAULT_CACHE_DIR = Path("results") / "sweep_cache"
 
+# Cap on the healing executor's retry backoff, in seconds.
+_BACKOFF_MAX_S = 8.0
+
 # The keys of a trial's summary (see run_trial_with_summary).
 _SUMMARY_FIELDS = ("metrics", "violations", "wall_s", "peak_rss_kb")
 
@@ -456,7 +459,6 @@ def _run_healing(
     timeout: float | None,
     retries: int,
     backoff_base: float,
-    backoff_max: float,
     run: Callable[[Trial], Any],
     report: Callable[..., None],
 ) -> None:
@@ -465,7 +467,7 @@ def _run_healing(
     Each attempt forks its own worker, so a crash or SIGKILL takes down one
     attempt, not a shared pool; a hung worker is terminated at its deadline.
     Failures are retried up to *retries* times with bounded exponential
-    backoff (``backoff_base * 2**(attempt-1)``, capped at ``backoff_max``
+    backoff (``backoff_base * 2**(attempt-1)``, capped at ``_BACKOFF_MAX_S``
     seconds), then reported ``failed`` with the settled
     :class:`TrialFailure`.
     """
@@ -492,7 +494,7 @@ def _run_healing(
         slot: int, trial: Trial, attempt: int, error: str, timed_out: bool
     ) -> None:
         if attempt <= retries:
-            delay = min(backoff_max, backoff_base * (2 ** (attempt - 1)))
+            delay = min(_BACKOFF_MAX_S, backoff_base * (2 ** (attempt - 1)))
             parked.append((time.monotonic() + delay, slot, trial, attempt + 1))
             report("retry", slot, attempt, error=error, timed_out=timed_out, next_delay_s=delay)
             return
@@ -558,7 +560,6 @@ def run_sweep(
     timeout: float | None = None,
     retries: int = 0,
     backoff_base: float = 0.5,
-    backoff_max: float = 8.0,
     resume: bool = False,
     campaign_dir: str | os.PathLike | None = None,
 ) -> list[Any]:
@@ -684,7 +685,7 @@ def run_sweep(
     run = run_trial_with_summary if feed is not None else run_trial
     if timeout is not None or retries > 0:
         _run_healing(
-            pending, processes or 1, timeout, retries, backoff_base, backoff_max, run, report
+            pending, processes or 1, timeout, retries, backoff_base, run, report
         )
     else:
         _run_fail_fast(pending, processes, run, report)

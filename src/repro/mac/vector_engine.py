@@ -341,8 +341,9 @@ class VectorPhaseEngine:
         2. every radio of the PHY is on the head's channel;
         3. no frame is in the air on that channel;
         4. the medium is not stale, when it has radios outside the PHY;
-        5. no radio outside the PHY on that channel can reach carrier sense
-           from the summed receive power of the PHY's radios;
+        5. no radio outside the PHY on that channel is in carrier-sense
+           reach of the PHY's radios (:meth:`RadioMedium.in_cs_reach`, the
+           test the channel coloring shares);
         6. no live event up to *t_end* is owned by a radio on that channel
            or by a MAC whose head is on it (on a lossy medium, no live event
            at all: every decode draws from its shared loss streams);
@@ -385,23 +386,12 @@ class VectorPhaseEngine:
         outside = [g for g in med._transceivers if g not in inside]
         near = [g for g in outside if channel_of[g] == ch]
         self._scope_ok = all(channel_of[g] == ch for g in nodes) and not (
-            near and self._overheard(near)
+            near and med.in_cs_reach(near, nodes)
         )
         self._channel = ch
         self._channel_of = channel_of
         self._shared = bool(outside)
         self._mixed = any(channel_of[g] != ch for g in med._transceivers)
-
-    def _overheard(self, near: list[int]) -> bool:
-        """Rule 5: can a radio in *near* (outside the PHY, on its channel)
-        reach carrier sense from the summed power of the PHY's radios?
-
-        The sum over every radio of the PHY bounds any in-air sum a slot can
-        put there, listening or not; the margin covers summation order.
-        """
-        med = self.medium
-        heard = med.rx_power[np.ix_(near, self.nodes)].sum(axis=1)
-        return bool(np.any(heard >= med.cs_threshold * (1.0 - 1e-9)))
 
     def _touches(self, owner) -> bool:
         """Whether an event owned by *owner* — a radio, or a MAC through its

@@ -5,7 +5,7 @@ from .cluster_sim import (
     PollingSimResult,
     run_polling_simulation,
 )
-from .coloring import greedy_coloring, is_proper_coloring, six_color_planar
+from .coloring import is_proper_coloring, six_color_planar
 from .multicluster import TokenSchedule, assign_channels, concurrency_gain
 from .multicluster_sim import (
     AdoptionEvent,
@@ -27,7 +27,6 @@ __all__ = [
     "SmacSimResult",
     "run_smac_simulation",
     "six_color_planar",
-    "greedy_coloring",
     "is_proper_coloring",
     "TokenSchedule",
     "MultiClusterConfig",

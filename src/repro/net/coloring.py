@@ -1,18 +1,20 @@
 """Channel assignment by graph coloring (paper Sec. V-G).
 
-Adjacent clusters (whose boundary sensors can interfere) must use different
-radio channels.  The cluster-adjacency graph of a planar head layout is
-planar, so 4 colors suffice in principle; the paper settles for the simple
-classical algorithm guaranteeing **at most 6 colors**: a planar graph always
-has a vertex of degree <= 5, so peel minimum-degree vertices onto a stack
-and color greedily on the way back.
+Adjacent clusters (whose radios can hear each other) must use different
+radio channels.  The paper takes the cluster graph to be planar and uses
+the classical algorithm that guarantees **at most 6 colors** there: peel
+minimum-degree vertices onto a stack and color greedily on the way back.
+The coloring is proper on any graph; only the 6-color bound needs
+planarity (every planar graph has a vertex of degree <= 5).  A hearing
+graph need not be planar — five heads that all hear each other make K5 —
+so the number of colors is what the graph needs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["six_color_planar", "greedy_coloring", "is_proper_coloring"]
+__all__ = ["six_color_planar", "is_proper_coloring"]
 
 
 def _validate(adj: np.ndarray) -> np.ndarray:
@@ -28,11 +30,10 @@ def _validate(adj: np.ndarray) -> np.ndarray:
 
 
 def six_color_planar(adj: np.ndarray) -> np.ndarray:
-    """Min-degree-peeling coloring; <= 6 colors on planar graphs.
+    """Min-degree-peeling coloring: proper on any graph.
 
-    Works on any graph (colors <= max_core_degree + 1); the 6-color bound
-    holds whenever every subgraph has a vertex of degree <= 5, which planar
-    graphs guarantee.
+    Uses at most (degeneracy + 1) colors, so <= 6 whenever every subgraph
+    has a vertex of degree <= 5, which planar graphs guarantee.
     """
     adj = _validate(adj)
     n = adj.shape[0]
@@ -51,23 +52,6 @@ def six_color_planar(adj: np.ndarray) -> np.ndarray:
         work_adj[:, v] = False
     colors = np.full(n, -1, dtype=np.int64)
     for v in reversed(stack):
-        used = {int(colors[u]) for u in np.flatnonzero(adj[v]) if colors[u] >= 0}
-        c = 0
-        while c in used:
-            c += 1
-        colors[v] = c
-    return colors
-
-
-def greedy_coloring(adj: np.ndarray, order: list[int] | None = None) -> np.ndarray:
-    """Plain first-fit coloring in a given vertex order (baseline)."""
-    adj = _validate(adj)
-    n = adj.shape[0]
-    seq = list(order) if order is not None else list(range(n))
-    if sorted(seq) != list(range(n)):
-        raise ValueError("order must be a permutation of the vertices")
-    colors = np.full(n, -1, dtype=np.int64)
-    for v in seq:
         used = {int(colors[u]) for u in np.flatnonzero(adj[v]) if colors[u] >= 0}
         c = 0
         while c in used:

@@ -6,19 +6,21 @@ Two mechanisms, both implemented:
   duty cycle; simple, correct, and fine when clusters are few and duty
   cycles short relative to the cycle.  :class:`TokenSchedule` produces the
   per-cluster transmission windows and utilization figures.
-* **Channel coloring** — nearby clusters get different radio channels via
-  the <= 6-color planar coloring (:mod:`repro.net.coloring`); all clusters
-  then poll concurrently.  :func:`assign_channels` returns the channel map
-  and :func:`concurrency_gain` quantifies the speedup over token rotation.
+* **Channel coloring** — clusters whose radios can hear each other get
+  different radio channels via the min-degree-peeling coloring
+  (:mod:`repro.net.coloring`); all clusters then poll concurrently.
+  :func:`assign_channels` returns the channel map and
+  :func:`concurrency_gain` quantifies the speedup over token rotation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from ..topology.forming import FormedNetwork, cluster_adjacency
+from ..radio.channel import RadioMedium
 from .coloring import is_proper_coloring, six_color_planar
 
 __all__ = ["TokenSchedule", "assign_channels", "concurrency_gain"]
@@ -73,38 +75,41 @@ class TokenSchedule:
         return sum(self.duty_durations) / self.period
 
 
-def assign_channels(net: FormedNetwork, interference_range: float) -> np.ndarray:
-    """Color the cluster-adjacency graph; returns a channel per cluster.
+def assign_channels(
+    medium: RadioMedium, rosters: Sequence[Sequence[int]]
+) -> np.ndarray:
+    """Color the cluster hearing graph; returns a channel per cluster.
 
-    Raises if the coloring ends up improper (cannot happen; defensive) and
-    warns through the return value's max: planar layouts stay <= 6.
+    ``rosters[h]`` lists cluster *h*'s medium indices, head last.  Clusters
+    *a* and *b* are adjacent when either one's radios are in carrier-sense
+    reach of the other's (:meth:`RadioMedium.in_cs_reach`, rule 5 of the
+    batch slot engine's per-slot check).  A hearing graph need not be
+    planar, so the channel count is whatever the graph needs, not <= 6.
     """
-    adj = cluster_adjacency(net, interference_range)
+    k = len(rosters)
+    adj = np.zeros((k, k), dtype=bool)
+    for a in range(k):
+        for b in range(a + 1, k):
+            ra, rb = rosters[a], rosters[b]
+            heard = medium.in_cs_reach(ra, rb) or medium.in_cs_reach(rb, ra)
+            adj[a, b] = adj[b, a] = heard
     colors = six_color_planar(adj)
     if not is_proper_coloring(adj, colors):  # pragma: no cover - invariant
         raise RuntimeError("coloring is improper — internal error")
     return colors
 
 
-def concurrency_gain(
-    net: FormedNetwork,
-    interference_range: float,
-    duty_durations: list[float],
-) -> float:
-    """Rotation period / colored-schedule period.
+def concurrency_gain(duty_durations: Sequence[float]) -> float:
+    """Token-rotation period / longest duty.
 
-    With channels assigned, *every* cluster can poll concurrently: adjacent
-    clusters sit on different channels, and same-channel clusters are
-    non-adjacent (out of interference range) by construction.  The colored
-    schedule therefore lasts only as long as the slowest cluster, versus
-    the token rotation's sum — the paper's argument for coloring over
-    token rotation.  (The call still computes and checks the coloring, so
-    an inconsistent adjacency surfaces here.)
+    With channels assigned, every cluster polls at once, so the colored
+    schedule lasts as long as the slowest cluster where token rotation
+    lasts the sum of all duties: the paper's argument for coloring over
+    token rotation.  The gain holds only while no co-channel clusters hear
+    each other; :func:`assign_channels` ensures that for the geometry it
+    colors.
     """
-    if len(duty_durations) != net.n_clusters:
-        raise ValueError("need one duty duration per cluster")
     token = TokenSchedule(duty_durations=list(duty_durations))
-    assign_channels(net, interference_range)  # validates colorability
     colored_period = max(duty_durations, default=0.0)
     if colored_period <= 0:
         return 1.0

@@ -11,8 +11,9 @@ paper offers two remedies, both runnable here:
 * ``mode="token"`` — one channel, but duty cycles staggered into windows
   (the head-to-head token of Sec. V-G; the second-layer token passing
   itself is out of band);
-* ``mode="channels"`` — adjacent clusters on different radio channels via
-  the <= 6-coloring; everyone polls concurrently.
+* ``mode="channels"`` — clusters whose radios hear each other on different
+  radio channels, colored once at build from the shared medium's receive
+  powers; everyone polls concurrently.
 
 All three run the full per-cluster polling MAC; the shared
 :class:`~repro.radio.channel.RadioMedium` decides what actually decodes.
@@ -34,6 +35,7 @@ from ..mac.base import (
     GROUND_SENSOR_PROPAGATION,
     ClusterPhy,
     MacTimings,
+    _tx_power,
     sensor_power_for_range,
 )
 from ..mac.pollmac import PollingClusterMac, PollingSensorAgent
@@ -511,7 +513,6 @@ class FieldReformCoordinator:
         net: FormedNetwork,
         medium: RadioMedium,
         macs: list[PollingClusterMac],
-        channels: np.ndarray,
         head_positions: np.ndarray,
         source_by_global: dict[int, CbrSource],
     ):
@@ -519,7 +520,6 @@ class FieldReformCoordinator:
         self.config = config
         self.medium = medium
         self.macs = macs
-        self.channels = channels
         # The SAME array HeadFailoverCoordinator holds: head re-placement
         # mutates rows in place, so failover adoption groups orphans around
         # the heads' *current* positions automatically.
@@ -604,6 +604,11 @@ class FieldReformCoordinator:
             if t != g and self.medium.hears(t, g) and self.medium.hears(g, t):
                 return True
         return False
+
+    def _retune(self, sensor: int, h: int) -> None:
+        """Tune *sensor*'s radio to head *h*'s channel (heads never retune)."""
+        medium = self.medium
+        medium.set_channel(sensor, int(medium.channels[self.macs[h].head_trx.node]))
 
     def _record(self, move: HandoffMove, state: str) -> None:
         """Write the per-move record: *move* ended in *state* now."""
@@ -708,7 +713,7 @@ class FieldReformCoordinator:
             roster_left[m.dst] += 1
             # PREPARE: retune while the field sleeps.  Commit re-checks
             # liveness; an abort retunes the radio back.
-            self.medium.set_channel(m.sensor, int(self.channels[m.dst]))
+            self._retune(m.sensor, m.dst)
             staged.append(m)
         self._pending = (plan, staged)
         _obs.current().timeline_event(
@@ -742,7 +747,7 @@ class FieldReformCoordinator:
             else:
                 committable.append(m)
                 continue
-            self.medium.set_channel(m.sensor, int(self.channels[m.src]))
+            self._retune(m.sensor, m.src)
             self._record(m, state)
         if self.config.handoff_head_step_m > 0.0:
             self._apply_head_placement(plan)
@@ -994,14 +999,9 @@ def _run_multicluster(
     sensor_power = sensor_power_for_range(prop, config.sensor_range_m, 1e-11)
     tx_power = np.full(n_total, sensor_power)
     for h in range(config.n_heads):
-        members = net.members[h]
-        if members.size:
-            d = np.sqrt(((sensors[members] - heads[h]) ** 2).sum(axis=1)).max()
-        else:
-            d = config.sensor_range_m
-        tx_power[config.n_sensors + h] = 4.0 * sensor_power_for_range(
-            prop, max(float(d), config.sensor_range_m), 1e-11
-        )
+        tx_power[config.n_sensors + h] = _tx_power(
+            net.clusters[h], prop, config.sensor_range_m, 1e-11
+        )[-1]
     medium = RadioMedium(
         sim=sim,
         positions=all_positions,
@@ -1025,8 +1025,14 @@ def _run_multicluster(
         )
 
     # --- channel assignment -----------------------------------------------------
+    # Each cluster's medium indices, members then head: the coloring's
+    # input and the cluster PHY's index map.
+    rosters = [
+        [int(m) for m in net.members[h]] + [config.n_sensors + h]
+        for h in range(config.n_heads)
+    ]
     if config.mode == "channels":
-        channels = assign_channels(net, interference_range=2 * config.sensor_range_m)
+        channels = assign_channels(medium, rosters)
     else:
         channels = np.zeros(config.n_heads, dtype=np.int64)
 
@@ -1037,9 +1043,7 @@ def _run_multicluster(
     macs: list[PollingClusterMac] = []
     all_agents = []
     duty_estimates: list[float] = []
-    for h in range(config.n_heads):
-        members = [int(m) for m in net.members[h]]
-        index_map = members + [config.n_sensors + h]
+    for h, index_map in enumerate(rosters):
         transceivers = [
             Transceiver(sim, medium, g, energy=config.energy) for g in index_map
         ]
@@ -1122,7 +1126,6 @@ def _run_multicluster(
             net=net,
             medium=medium,
             macs=macs,
-            channels=channels,
             head_positions=heads,
             source_by_global=source_by_global,
         )

@@ -31,7 +31,7 @@ re-evaluates every radio, exactly when an unscoped medium would have.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -197,6 +197,16 @@ class RadioMedium:
     def carrier_busy(self, node: int) -> bool:
         """Carrier-sense: anything audible above the CS threshold?"""
         return self.in_air_power_at(node) >= self.cs_threshold
+
+    def in_cs_reach(self, listeners: Sequence[int], senders: Sequence[int]) -> bool:
+        """Can a radio in *listeners* reach carrier sense from the summed
+        receive power of every radio in *senders*?
+
+        The sum over every sender bounds any in-air sum that a subset of the
+        senders can make; the margin covers summation order.
+        """
+        heard = self.rx_power[np.ix_(listeners, senders)].sum(axis=1)
+        return bool(np.any(heard >= self.cs_threshold * (1.0 - 1e-9)))
 
     def hears(self, receiver: int, sender: int) -> bool:
         """Static link predicate (power alone clears sensitivity & capture)."""

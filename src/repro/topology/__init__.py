@@ -13,7 +13,6 @@ from .forming import (
     DiscoveryResult,
     FormedNetwork,
     bfs_discover,
-    cluster_adjacency,
     form_clusters,
     voronoi_assignment,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "DiscoveryResult",
     "form_clusters",
     "FormedNetwork",
-    "cluster_adjacency",
     "StalenessTrigger",
     "StalenessTracker",
     "ReformResult",

@@ -23,7 +23,6 @@ __all__ = [
     "bfs_discover",
     "form_clusters",
     "FormedNetwork",
-    "cluster_adjacency",
 ]
 
 
@@ -172,27 +171,3 @@ def form_clusters(
         clusters=clusters,
         members=members,
     )
-
-
-def cluster_adjacency(net: FormedNetwork, interference_range: float) -> np.ndarray:
-    """Which cluster pairs can interfere at their boundaries.
-
-    Clusters *a* and *b* are adjacent when some sensor of *a* is within
-    *interference_range* of some sensor of *b* — those are the pairs that
-    must not poll simultaneously on the same channel (Sec. V-G).
-    """
-    k = net.n_clusters
-    out = np.zeros((k, k), dtype=bool)
-    for a in range(k):
-        pa = net.sensor_positions[net.members[a]]
-        if pa.shape[0] == 0:
-            continue
-        for b in range(a + 1, k):
-            pb = net.sensor_positions[net.members[b]]
-            if pb.shape[0] == 0:
-                continue
-            diff = pa[:, np.newaxis, :] - pb[np.newaxis, :, :]
-            d2 = np.einsum("ijk,ijk->ij", diff, diff)
-            if (d2 <= interference_range * interference_range).any():
-                out[a, b] = out[b, a] = True
-    return out

@@ -702,7 +702,6 @@ def check_dynamic_membership(
 def check_reform_conservation(
     pending_before: int,
     pending_after: int,
-    purged: int = 0,
     monitor: InvariantMonitor | None = None,
     sim_time: float | None = None,
     hint: str = "",
@@ -710,19 +709,17 @@ def check_reform_conservation(
     """Re-form boundary conservation (DESIGN.md §11): queued application
     packets survive a cluster re-form — the sum of pending packets across
     surviving members immediately after the re-form equals the sum just
-    before, minus packets explicitly purged (stranded on newly unreachable
-    nodes).  A re-form reshapes routing state only; it must never silently
+    before.  A re-form reshapes routing state only; it must never silently
     create or destroy buffered data."""
     mon = _m(monitor)
     if not mon.enabled:
         return 0
-    if pending_after == pending_before - purged:
+    if pending_after == pending_before:
         return 0
     mon.record(
         "dynamic.reform-conservation",
         f"re-form changed queued application packets from {pending_before} "
-        f"to {pending_after} with only {purged} explicitly purged "
-        f"(expected {pending_before - purged})",
+        f"to {pending_after}",
         sim_time=sim_time,
         hint=hint,
     )

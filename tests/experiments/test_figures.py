@@ -1,5 +1,7 @@
 """Tests that the figure harnesses regenerate the paper's shapes (scaled down)."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import ablations as _abl
@@ -9,6 +11,8 @@ from repro.experiments import fig6 as _fig6
 from repro.experiments import fig7a as _fig7a
 from repro.experiments import fig7c as _fig7c
 from repro.experiments.common import format_table, series_from_rows
+
+RESULTS = Path(__file__).resolve().parents[2] / "results"
 
 
 def test_fig2_rows():
@@ -61,6 +65,18 @@ def test_fig7c_points_above_one():
     assert rows[0]["lifetime_ratio"] > 0.9
     assert rows[1]["lifetime_ratio"] > rows[0]["lifetime_ratio"]
     assert rows[1]["lifetime_ratio"] > 1.2
+
+
+def test_archived_fig7c_table_has_the_paper_shape():
+    """The published table, not a subset: the mean lifetime ratio is above 1
+    at every size and rises with the cluster size."""
+    lines = (RESULTS / "fig7c.txt").read_text().splitlines()
+    rows = [line.split() for line in lines if line[:1].isdigit()]
+    sizes = [int(row[0]) for row in rows]
+    ratios = [float(row[1]) for row in rows]
+    assert sizes == list(_fig7c.DEFAULT_SIZES_SWEEP)
+    assert min(ratios) > 1.0
+    assert all(a < b for a, b in zip(ratios, ratios[1:]))
 
 
 def test_ablation_greedy_vs_optimal_ratio_bounded():

@@ -8,12 +8,13 @@ from repro.net import (
     TokenSchedule,
     assign_channels,
     concurrency_gain,
-    greedy_coloring,
     is_proper_coloring,
     six_color_planar,
 )
+from repro.mac.base import GROUND_SENSOR_PROPAGATION, sensor_power_for_range
+from repro.radio.channel import RadioMedium
 from repro.topology import form_clusters
-from repro.sim import RngStreams
+from repro.sim import RngStreams, Simulator
 
 
 def planar_grid_adjacency(rows, cols):
@@ -54,16 +55,6 @@ def test_coloring_empty_graph():
     assert (colors == 0).all()
 
 
-def test_greedy_coloring_proper_and_order_dependent():
-    adj = planar_grid_adjacency(3, 3)
-    c1 = greedy_coloring(adj)
-    assert is_proper_coloring(adj, c1)
-    c2 = greedy_coloring(adj, order=list(range(8, -1, -1)))
-    assert is_proper_coloring(adj, c2)
-    with pytest.raises(ValueError):
-        greedy_coloring(adj, order=[0, 0, 1, 2, 3, 4, 5, 6, 7])
-
-
 def test_is_proper_coloring_detects_violations():
     adj = planar_grid_adjacency(2, 2)
     assert not is_proper_coloring(adj, np.zeros(4, dtype=int))
@@ -77,21 +68,39 @@ def test_coloring_validation():
         six_color_planar(np.ones((2, 2), dtype=bool))
 
 
-@given(st.integers(0, 100))
-@settings(max_examples=30, deadline=None)
-def test_coloring_proper_on_random_geometric(seed):
-    """Cluster-adjacency graphs from head layouts: always properly colored,
-    <= 6 colors (disc graphs of spread-out heads stay planar-ish and sparse)."""
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_coloring_proper_on_random_graphs(seed):
+    """Hearing graphs need not be planar: on any graph the min-degree
+    peeling colors properly, with at most max degree + 1 colors, and a
+    complete graph takes one color per vertex."""
     rng = np.random.default_rng(seed)
-    k = int(rng.integers(2, 9))
-    heads = rng.uniform(0, 400, size=(k, 2))
-    sensors = rng.uniform(0, 400, size=(40, 2))
-    net = form_clusters(sensors, heads, comm_range=50.0)
-    colors = assign_channels(net, interference_range=100.0)
-    from repro.topology import cluster_adjacency
-
-    adj = cluster_adjacency(net, 100.0)
+    n = int(rng.integers(1, 13))
+    density = rng.uniform(0.0, 1.2)  # complete graphs in a sixth of draws
+    upper = np.triu(rng.uniform(size=(n, n)) < density, 1)
+    adj = upper | upper.T
+    colors = six_color_planar(adj)
     assert is_proper_coloring(adj, colors)
+    assert colors.max() <= adj.sum(axis=1).max()
+    if adj.sum() == n * (n - 1):
+        assert sorted(colors.tolist()) == list(range(n))
+
+
+@pytest.mark.parametrize("loud_head, channels", [(False, [0, 0]), (True, [1, 0])])
+def test_assign_channels_separates_clusters_one_head_reaches(loud_head, channels):
+    """Clusters are adjacent when either one reaches the other's carrier
+    sense: here only cluster 0's head, at its loud setting, reaches cluster
+    1, whose radios never reach cluster 0."""
+    prop = GROUND_SENSOR_PROPAGATION
+    power = np.full(4, sensor_power_for_range(prop, 50.0, 1e-11))
+    if loud_head:
+        power[1] = sensor_power_for_range(prop, 200.0, 1e-12)
+    positions = np.array([[0.0, 0.0], [10.0, 0.0], [200.0, 0.0], [210.0, 0.0]])
+    medium = RadioMedium(Simulator(), positions, power, prop)
+    rosters = [[0, 1], [2, 3]]
+    assert not medium.in_cs_reach(rosters[0], rosters[1])
+    assert medium.in_cs_reach(rosters[1], rosters[0]) == loud_head
+    assert assign_channels(medium, rosters).tolist() == channels
 
 
 # --- token rotation ------------------------------------------------------------------
@@ -121,13 +130,21 @@ def test_token_validation():
 
 
 def test_concurrency_gain_vs_token():
+    # token period = 1.0, colored period = max duty 0.3 -> gain ~3.33
+    assert concurrency_gain([0.2, 0.3, 0.25, 0.25]) == pytest.approx(1.0 / 0.3)
+    assert concurrency_gain([]) == 1.0
+    with pytest.raises(ValueError):
+        concurrency_gain([0.1, -0.1])
+
+
+def test_formed_clusters_are_indexed_by_head():
+    """Per-cluster lists (duties, channels) index clusters by head: cluster
+    *h* holds exactly the sensors nearest head *h*."""
     rng = RngStreams(3).get("x")
     sensors = rng.uniform(0, 500, size=(40, 2))
     heads = np.array([[100.0, 100.0], [400.0, 100.0], [100.0, 400.0], [400.0, 400.0]])
     net = form_clusters(sensors, heads, comm_range=60.0)
-    duties = [0.2, 0.3, 0.25, 0.25]
-    gain = concurrency_gain(net, 120.0, duties)
-    # token period = 1.0, colored period = max duty 0.3 -> gain ~3.33
-    assert gain == pytest.approx(1.0 / 0.3, rel=0.01)
-    with pytest.raises(ValueError):
-        concurrency_gain(net, 120.0, [0.1])
+    assert net.n_clusters == 4
+    nearest = np.linalg.norm(sensors[:, None] - heads[None], axis=2).argmin(axis=1)
+    for h in range(4):
+        assert net.members[h].tolist() == np.flatnonzero(nearest == h).tolist()

@@ -7,7 +7,6 @@ from repro.topology import (
     HEAD,
     bfs_discover,
     build_tsrf,
-    cluster_adjacency,
     form_clusters,
     voronoi_assignment,
 )
@@ -83,16 +82,6 @@ def test_form_clusters_partitions_everyone():
             assert np.allclose(
                 net.clusters[h].positions[local], sensors[global_idx]
             )
-
-
-def test_cluster_adjacency_symmetry():
-    rng = np.random.default_rng(1)
-    sensors = rng.uniform(0, 200, size=(30, 2))
-    heads = np.array([[50.0, 50.0], [150.0, 150.0], [50.0, 150.0]])
-    net = form_clusters(sensors, heads, comm_range=50.0)
-    adj = cluster_adjacency(net, interference_range=80.0)
-    assert np.array_equal(adj, adj.T)
-    assert not np.diagonal(adj).any()
 
 
 # --- hop-by-hop discovery --------------------------------------------------------
