@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -35,7 +36,48 @@ from ..sim.rng import mobility_rng
 from .gilbert import GilbertElliottLoss
 from .plan import FaultPlan
 
-__all__ = ["FaultEvent", "FaultInjector"]
+__all__ = ["FaultEvent", "FaultInjector", "drift_step"]
+
+
+def _reflect(v: float, lo: float, hi: float) -> float:
+    """Reflect *v* back into [lo, hi] (bounded drift, no edge pile-up)."""
+    span = hi - lo
+    if span <= 0:
+        return lo
+    t = (v - lo) % (2.0 * span)
+    return lo + (span - abs(t - span))
+
+
+def drift_step(
+    positions: np.ndarray,
+    nodes: Iterable[int],
+    rngs: Mapping[int, np.random.Generator] | Sequence[np.random.Generator],
+    step_max: float,
+    bounds: tuple[float, float, float, float],
+    total: float = 0.0,
+) -> float:
+    """One bounded-drift step for each of *nodes*, in order (DESIGN.md §11).
+
+    The one drift of the code base: a cluster's mobility fault and the
+    multi-cluster field both step through here.  Each node draws a heading
+    and then a distance in ``[0, step_max)`` from its own substream
+    ``rngs[node]``, steps, is reflected into ``bounds = (xmin, xmax, ymin,
+    ymax)`` and has its row of *positions* overwritten.  A node draws from
+    nothing but its own substream, so skipping one leaves every other
+    node's step unchanged.  Returns *total* plus each node's distance
+    travelled, added node by node.
+    """
+    xmin, xmax, ymin, ymax = bounds
+    for node in nodes:
+        rng = rngs[node]
+        angle = float(rng.uniform(0.0, 2.0 * math.pi))
+        dist = float(rng.uniform(0.0, step_max))
+        x = _reflect(positions[node, 0] + dist * math.cos(angle), xmin, xmax)
+        y = _reflect(positions[node, 1] + dist * math.sin(angle), ymin, ymax)
+        total += math.hypot(x - positions[node, 0], y - positions[node, 1])
+        positions[node, 0] = x
+        positions[node, 1] = y
+    return total
 
 
 @dataclass(frozen=True)
@@ -247,52 +289,27 @@ class FaultInjector:
 
     # -- cycle-boundary epochs -------------------------------------------------------
 
-    @staticmethod
-    def _reflect(v: float, lo: float, hi: float) -> float:
-        """Reflect *v* back into [lo, hi] (bounded drift, no edge pile-up)."""
-        span = hi - lo
-        if span <= 0:
-            return lo
-        t = (v - lo) % (2.0 * span)
-        return lo + (span - abs(t - span))
-
     def _mobility_epoch(self) -> None:
-        """One bounded-drift step per mobile node, then refresh the medium.
+        """One bounded-drift step per live mobile node, then refresh the medium.
 
         Runs at a duty-cycle boundary (scheduled before the MAC's events at
         the same timestamp), so no frame is in the air: the whole cycle that
-        follows sees one consistent geometry.  Each node draws from its own
-        mobility substream — skipping dead/departed/not-yet-joined nodes
-        cannot perturb any other node's trajectory.
+        follows sees one consistent geometry.  Dead, departed and
+        not-yet-joined nodes stay put and draw nothing, which perturbs no
+        other node's trajectory (each draws from its own substream).
         """
-        mob = self.plan.mobility
-        step_max = mob.speed_mps * float(self.cycle_length)
-        xmin, xmax, ymin, ymax = self._bounds
+        gone = self.dead | self.departed | self.pending_joiners
+        live = [node for node in self._mobile_nodes if node not in gone]
         positions = self.phy.medium.positions.copy()
-        moved = False
-        for node in self._mobile_nodes:
-            if (
-                node in self.dead
-                or node in self.departed
-                or node in self.pending_joiners
-            ):
-                continue
-            rng = self._mob_rngs[node]
-            angle = float(rng.uniform(0.0, 2.0 * math.pi))
-            dist = float(rng.uniform(0.0, step_max))
-            x = self._reflect(
-                positions[node, 0] + dist * math.cos(angle), xmin, xmax
-            )
-            y = self._reflect(
-                positions[node, 1] + dist * math.sin(angle), ymin, ymax
-            )
-            dx = x - positions[node, 0]
-            dy = y - positions[node, 1]
-            self.total_displacement_m += math.hypot(dx, dy)
-            positions[node, 0] = x
-            positions[node, 1] = y
-            moved = True
-        if moved:
+        self.total_displacement_m = drift_step(
+            positions,
+            live,
+            self._mob_rngs,
+            self.plan.mobility.speed_mps * float(self.cycle_length),
+            self._bounds,
+            self.total_displacement_m,
+        )
+        if live:
             self.phy.medium.update_positions(positions)
         self.mobility_epochs += 1
 

@@ -1147,7 +1147,7 @@ class PollingClusterMac:
         self._replan(self.phy.cluster, "recluster", reason, tuple(sorted(admitted)))
         pending_after = sum(self.sensors[i].pending_count for i in present)
         hint = f"cluster {self.cluster_id} recluster ({reason})"
-        _validate.check_reform_conservation(
+        _validate.check_queue_conservation(
             pending_before, pending_after, sim_time=self.sim.now, hint=hint
         )
         if self._staleness is not None:

@@ -1,4 +1,6 @@
-"""Measurement layer: active time, throughput, lifetime, energy, degradation."""
+"""Measurement layer: active time, lifetime, energy, degradation,
+availability and staleness.  Fig. 7(b)'s throughput is read off the run
+results (``PollingSimResult.throughput_ratio``, ``SmacSimResult.throughput_bps``)."""
 
 from .activetime import ActiveTimeConfig, ActiveTimeResult, CycleRecord, simulate_active_time
 from .availability import AvailabilityReport, FaultRecovery, availability_report
@@ -11,7 +13,6 @@ from .lifetime import (
     evaluate_lifetime_ratio,
     evaluate_lifetime_ratio_for_cluster,
 )
-from .throughput import ThroughputWindow, delivery_ratio, throughput_bps
 
 __all__ = [
     "ActiveTimeConfig",
@@ -28,9 +29,6 @@ __all__ = [
     "LifetimeResult",
     "evaluate_lifetime_ratio",
     "evaluate_lifetime_ratio_for_cluster",
-    "ThroughputWindow",
-    "throughput_bps",
-    "delivery_ratio",
     "EnergyReport",
     "energy_report",
     "StalenessReport",

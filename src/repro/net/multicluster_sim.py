@@ -45,19 +45,18 @@ from ..radio.packet import DEFAULT_SIZES
 from ..radio.transceiver import Transceiver
 from ..routing.repair import prune_dead_nodes
 from ..routing.warmcache import SolverCache
-from ..faults.injector import FaultInjector
+from ..faults.injector import drift_step
 from ..sim.kernel import Simulator
 from ..sim.rng import RngStreams, mobility_rng
 from ..topology.cluster import HEAD, Cluster
 from ..topology.forming import FormedNetwork, form_clusters
 from ..topology.handoff import (
     FieldReformPlan,
-    FieldStalenessTracker,
     HandoffMove,
     plan_field_reform,
     serving_staleness,
 )
-from ..topology.recluster import StalenessTrigger, discovered_cluster
+from ..topology.recluster import StalenessTracker, StalenessTrigger, discovered_cluster
 from .multicluster import TokenSchedule, assign_channels
 from ..traffic.cbr import CbrSource, attach_cbr_sources
 
@@ -71,6 +70,9 @@ __all__ = [
     "FieldReformCoordinator",
     "run_multicluster_simulation",
 ]
+
+BEACON_MISS_LIMIT = 3
+"""Consecutive missed inter-cluster beacons that declare a head dead."""
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,6 @@ class MultiClusterConfig:
     head_failover: bool = False
     head_crashes: tuple[tuple[int, float], ...] = ()
     beacon_interval: float = 1.0
-    beacon_miss_limit: int = 3
     # Field-level mobility (DESIGN.md §11): every sensor drifts a bounded
     # random step at each duty-cycle boundary (speed * cycle_length max,
     # reflected into the field).  0 (the default) schedules nothing and
@@ -118,7 +119,6 @@ class MultiClusterConfig:
     # re-forms on a fixed cycle cadence regardless of drift.
     handoff: str = "off"  # "off" | "staleness" | "periodic"
     handoff_trigger: "StalenessTrigger | None" = None
-    handoff_max_moves: int = 8  # handoffs per boundary (backlog defers)
     handoff_head_step_m: float = 0.0  # quantization placement step budget
     # The prepare->commit lead: moves are planned and radios retuned this
     # long before the boundary (inside the field-wide sleep tail), then
@@ -288,7 +288,7 @@ class _FieldMobility:
         self.medium = medium
         self.n_sensors = n_sensors
         self.step_max = speed_mps * cycle_length
-        self.field = field_m
+        self.bounds = (0.0, field_m, 0.0, field_m)
         self._rngs = [mobility_rng(base_seed, i) for i in range(n_sensors)]
         self.epochs = 0
         # Per-duty-cycle assignment staleness (satellite of DESIGN.md §13):
@@ -303,18 +303,10 @@ class _FieldMobility:
             sim.at(k * cycle_length, self._epoch)
 
     def _epoch(self) -> None:
-        reflect = FaultInjector._reflect
         positions = self.medium.positions.copy()
-        for i in range(self.n_sensors):
-            rng = self._rngs[i]
-            angle = float(rng.uniform(0.0, 2.0 * np.pi))
-            dist = float(rng.uniform(0.0, self.step_max))
-            positions[i, 0] = reflect(
-                positions[i, 0] + dist * np.cos(angle), 0.0, self.field
-            )
-            positions[i, 1] = reflect(
-                positions[i, 1] + dist * np.sin(angle), 0.0, self.field
-            )
+        drift_step(
+            positions, range(self.n_sensors), self._rngs, self.step_max, self.bounds
+        )
         self.medium.update_positions(positions)
         self.epochs += 1
         value = float(self.staleness_probe())
@@ -331,7 +323,7 @@ class HeadFailoverCoordinator:
     Cluster heads exchange periodic inter-cluster beacons (modeled out of
     band, like the Sec. V-G token passing itself — heads are wired/
     high-power nodes whose coordination traffic does not contend with the
-    sensor channel).  A head that misses ``beacon_miss_limit`` consecutive
+    sensor channel).  A head that misses ``BEACON_MISS_LIMIT`` consecutive
     beacons is declared dead by its peers; its orphaned sensors are then
     **adopted** by the nearest surviving head: their radios move to the
     adopter's channel, fresh sensor agents re-bind the existing
@@ -396,7 +388,7 @@ class HeadFailoverCoordinator:
         for h in range(self.config.n_heads):
             if h in self._declared:
                 continue
-            if self._missed_beacons[h] >= self.config.beacon_miss_limit:
+            if self._missed_beacons[h] >= BEACON_MISS_LIMIT:
                 self._declared.add(h)
                 self._declare_dead(h)
         self.sim.schedule(self.config.beacon_interval, self._beacon_tick)
@@ -450,9 +442,9 @@ class HeadFailoverCoordinator:
         _check_roster_change(
             self.macs,
             pending_before,
-            len(orphans),
             sim_time=self.sim.now,
-            hint=f"head {adopter} adopts head {dead_head}'s orphans t={self.sim.now:g}",
+            hint=f"head {adopter} adopts {len(orphans)} of head {dead_head}'s "
+            f"orphans t={self.sim.now:g}",
         )
         self.adoption_events.append(
             AdoptionEvent(
@@ -502,7 +494,7 @@ class FieldReformCoordinator:
     that is the ``dynamic.no-dual-membership`` invariant); a dead
     destination aborts and retunes the movers home.  Either way no queue
     is stranded: packets sit untouched in the old agents until a commit or
-    an adoption transplants them, and the ``dynamic.handoff-conservation``
+    an adoption transplants them, and the ``dynamic.queue-conservation``
     invariant checks the field-wide pending count across every commit.
     """
 
@@ -534,7 +526,7 @@ class FieldReformCoordinator:
             )
         else:
             trigger = StalenessTrigger(membership_delta=3, repair_fallbacks=0)
-        self.tracker = FieldStalenessTracker(trigger=trigger)
+        self.tracker = StalenessTracker(trigger)
         self.events: list[FieldHandoffEvent] = []
         self.reform_events: list[FieldReformEvent] = []
         self._pending: tuple[FieldReformPlan, list] | None = None
@@ -640,12 +632,15 @@ class FieldReformCoordinator:
             self.serving,
             reason="probe",
             live_heads=live,
-            max_moves=cfg.handoff_max_moves,
             head_step_m=0.0,
             frozen_sensors=frozen,
         )
-        misassigned = probe.n_moves + len(probe.deferred)
-        reason = self.tracker.observe_boundary(misassigned)
+        # The field's pending membership delta is the count misassigned now,
+        # replacing the last boundary's: the field either is or is not out of
+        # shape, and a sensor that drifts out and back owes no re-form.
+        self.tracker.note_cycle()
+        self.tracker.joins_pending = probe.n_moves + len(probe.deferred)
+        reason = self.tracker.due()
         if reason is None:
             return
         if cfg.handoff_head_step_m > 0.0:
@@ -655,7 +650,6 @@ class FieldReformCoordinator:
                 self.serving,
                 reason=reason,
                 live_heads=live,
-                max_moves=cfg.handoff_max_moves,
                 head_step_m=cfg.handoff_head_step_m,
                 frozen_sensors=frozen,
             )
@@ -751,7 +745,7 @@ class FieldReformCoordinator:
             self._record(m, state)
         if self.config.handoff_head_step_m > 0.0:
             self._apply_head_placement(plan)
-        self.tracker.fired()
+        self.tracker.reset()
         if committable:
             self._execute(committable)
         committed, aborted = len(committable), len(staged) - len(committable)
@@ -802,9 +796,8 @@ class FieldReformCoordinator:
         _check_roster_change(
             self.macs,
             pending_before,
-            len(committable),
             sim_time=self.sim.now,
-            hint=f"field re-form t={self.sim.now:g}",
+            hint=f"field re-form of {len(committable)} sensors t={self.sim.now:g}",
         )
         for m in committable:
             self._record(m, "committed")
@@ -818,17 +811,15 @@ def _field_pending(macs: list[PollingClusterMac]) -> int:
 def _check_roster_change(
     macs: list[PollingClusterMac],
     pending_before: int,
-    moved: int,
     sim_time: float,
     hint: str,
 ) -> None:
     """The invariants every roster change keeps, adoption and handoff
     commit alike (DESIGN.md §13): the field's queued packets, counted
-    before the rebuild as *pending_before*, all survive the transplant of
-    the *moved* sensors, and no live head claims a sensor another live head
-    claims."""
-    _validate.check_handoff_conservation(
-        pending_before, _field_pending(macs), moved=moved, sim_time=sim_time, hint=hint
+    before the rebuild as *pending_before*, all survive the transplant,
+    and no live head claims a sensor another live head claims."""
+    _validate.check_queue_conservation(
+        pending_before, _field_pending(macs), sim_time=sim_time, hint=hint
     )
     live_rosters = {
         h: [int(g) for g in mac.phy.index_map[:-1]]
@@ -1042,7 +1033,6 @@ def _run_multicluster(
     solver_cache = SolverCache() if config.use_solver_cache else None
     macs: list[PollingClusterMac] = []
     all_agents = []
-    duty_estimates: list[float] = []
     for h, index_map in enumerate(rosters):
         transceivers = [
             Transceiver(sim, medium, g, energy=config.energy) for g in index_map
@@ -1073,16 +1063,6 @@ def _run_multicluster(
         )
         macs.append(mac)
         all_agents.append(mac.sensors)
-        # nominal duty estimate for token windows (planning-only run: keep
-        # its phantom requests out of the live trace)
-        plan = mac.routing.routing_plan()
-        nominal_slots = OnlinePollingScheduler(
-            plan, mac.oracle, telemetry=_obs.NULL_TELEMETRY
-        ).run().slots_elapsed
-        slot = MacTimings().poll_slot_time(
-            config.bitrate, DEFAULT_SIZES, DEFAULT_SIZES.data
-        )
-        duty_estimates.append(nominal_slots * slot * 2.0 + 0.2)
 
     # --- traffic --------------------------------------------------------------------
     sources = []
@@ -1139,7 +1119,21 @@ def _run_multicluster(
 
     # --- start: aligned, staggered, or concurrent -------------------------------------
     if config.mode == "token":
-        windows = TokenSchedule(duty_durations=duty_estimates).windows()
+        # Each head's nominal duty sizes its token window: a planning-only
+        # run of its schedule (NULL_TELEMETRY keeps the run's phantom
+        # requests out of the live trace).
+        slot = MacTimings().poll_slot_time(
+            config.bitrate, DEFAULT_SIZES, DEFAULT_SIZES.data
+        )
+        nominal_slots = [
+            OnlinePollingScheduler(
+                mac.routing.routing_plan(), mac.oracle, telemetry=_obs.NULL_TELEMETRY
+            ).run().slots_elapsed
+            for mac in macs
+        ]
+        windows = TokenSchedule(
+            duty_durations=[n * slot * 2.0 + 0.2 for n in nominal_slots]
+        ).windows()
         for mac, (start, _) in zip(macs, windows):
             _start_delayed(sim, mac, config.n_cycles, start)
     else:

@@ -25,7 +25,6 @@ from .recluster import (
 )
 from .handoff import (
     FieldReformPlan,
-    FieldStalenessTracker,
     HandoffMove,
     plan_field_reform,
     quantization_head_step,
@@ -64,7 +63,6 @@ __all__ = [
     "reform_cluster",
     "HandoffMove",
     "FieldReformPlan",
-    "FieldStalenessTracker",
     "plan_field_reform",
     "quantization_head_step",
     "serving_staleness",

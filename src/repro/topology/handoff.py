@@ -7,11 +7,6 @@ pure decision side of the loop that closes it — a field-scope analogue of
 :mod:`repro.topology.recluster`, consumed by the coordinator in
 :mod:`repro.net.multicluster_sim`:
 
-* :class:`FieldStalenessTracker` — the :class:`~repro.topology.recluster.
-  StalenessTrigger` machinery reused at field scope: the per-boundary
-  "membership delta" is the number of sensors whose nearest live head no
-  longer matches the head that serves them, and the periodic condition
-  works unchanged;
 * :func:`quantization_head_step` — one bounded Lloyd/quantization iteration
   (Karimi-Bidhendi et al., two-tier quantization; Tandon, optimal cluster
   count): each live head steps toward the centroid of its *current* Voronoi
@@ -30,17 +25,15 @@ retune, queue transplant, CBR re-target) and crash safety.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .forming import voronoi_assignment
-from .recluster import StalenessTracker, StalenessTrigger
 
 __all__ = [
     "HandoffMove",
     "FieldReformPlan",
-    "FieldStalenessTracker",
     "quantization_head_step",
     "plan_field_reform",
     "serving_staleness",
@@ -70,46 +63,6 @@ class FieldReformPlan:
     @property
     def n_moves(self) -> int:
         return len(self.moves)
-
-
-@dataclass
-class FieldStalenessTracker:
-    """The :class:`StalenessTrigger` machinery reused at field scope.
-
-    The per-cluster tracker counts joins/leaves between re-forms; at field
-    scope the analogous quantity is the number of sensors whose nearest
-    live head differs from the head serving them — a "pending membership
-    change" the deploy-time forming never applied.  ``observe_boundary``
-    loads that count into the tracker and asks :meth:`StalenessTracker.due`
-    for a verdict, so the thresholds (``membership_delta``,
-    ``period_cycles``) keep their exact per-cluster semantics; the repair/
-    overload conditions have no field-scope feeder and simply never fire
-    unless the caller notes them explicitly.
-    """
-
-    trigger: StalenessTrigger = field(
-        default_factory=lambda: StalenessTrigger(membership_delta=3)
-    )
-    tracker: StalenessTracker = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.tracker = StalenessTracker(trigger=self.trigger)
-
-    def observe_boundary(self, misassigned: int) -> str | None:
-        """Feed one duty-cycle boundary; returns the firing reason or None.
-
-        *misassigned* replaces (not accumulates into) the pending membership
-        delta: the field either is or is not out of shape right now, and a
-        sensor that drifts out and back between boundaries owes no re-form.
-        """
-        self.tracker.note_cycle()
-        self.tracker.joins_pending = int(misassigned)
-        self.tracker.leaves_pending = 0
-        return self.tracker.due()
-
-    def fired(self) -> None:
-        """A re-form executed: reset the counters."""
-        self.tracker.reset()
 
 
 def serving_staleness(

@@ -69,8 +69,7 @@ __all__ = [
     "check_delivered_stream",
     "check_backup_routes",
     "check_dynamic_membership",
-    "check_reform_conservation",
-    "check_handoff_conservation",
+    "check_queue_conservation",
     "check_single_membership",
 ]
 
@@ -699,58 +698,29 @@ def check_dynamic_membership(
     return found
 
 
-def check_reform_conservation(
+def check_queue_conservation(
     pending_before: int,
     pending_after: int,
     monitor: InvariantMonitor | None = None,
     sim_time: float | None = None,
     hint: str = "",
 ) -> int:
-    """Re-form boundary conservation (DESIGN.md §11): queued application
-    packets survive a cluster re-form — the sum of pending packets across
-    surviving members immediately after the re-form equals the sum just
-    before.  A re-form reshapes routing state only; it must never silently
-    create or destroy buffered data."""
+    """Queue conservation across a roster change (DESIGN.md §11, §13): a
+    cluster re-form, a field handoff commit and a failover adoption reshape
+    membership and routing state, never buffered data — the queued
+    application packets counted just after the change equal those counted
+    just before.  A sensor that changes cluster takes its queue along
+    (re-stamped origins, same packets); nothing is stranded, duplicated or
+    dropped."""
     mon = _m(monitor)
     if not mon.enabled:
         return 0
     if pending_after == pending_before:
         return 0
     mon.record(
-        "dynamic.reform-conservation",
-        f"re-form changed queued application packets from {pending_before} "
-        f"to {pending_after}",
-        sim_time=sim_time,
-        hint=hint,
-    )
-    return 1
-
-
-def check_handoff_conservation(
-    pending_before: int,
-    pending_after: int,
-    moved: int = 0,
-    monitor: InvariantMonitor | None = None,
-    sim_time: float | None = None,
-    hint: str = "",
-) -> int:
-    """Cross-cluster handoff conservation (DESIGN.md §13): queued
-    application packets survive a field-level handoff batch — the sum of
-    pending packets across every live cluster immediately after the batch
-    commits equals the sum just before.  A handoff transplants each moved
-    sensor's queue into its new cluster (re-stamped origins, same packets);
-    it must never strand, duplicate, or silently drop buffered data, no
-    matter how many sensors *moved* or which heads died mid-transfer."""
-    mon = _m(monitor)
-    if not mon.enabled:
-        return 0
-    if pending_after == pending_before:
-        return 0
-    mon.record(
-        "dynamic.handoff-conservation",
-        f"handoff batch ({moved} sensors moved) changed queued application "
-        f"packets from {pending_before} to {pending_after}; transplants must "
-        "conserve buffered data exactly",
+        "dynamic.queue-conservation",
+        f"queued application packets went from {pending_before} to "
+        f"{pending_after} across a roster change",
         sim_time=sim_time,
         hint=hint,
     )

@@ -1,5 +1,9 @@
-"""Tests for the fault injector against a live PHY: crash, stun, battery."""
+"""Tests for the fault injector against a live PHY: crash, stun, battery,
+and the bounded-drift step that both mobility layers run."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.faults import (
@@ -10,10 +14,12 @@ from repro.faults import (
     NodeCrash,
     TransientStun,
 )
+from repro.faults.injector import drift_step
 from repro.mac.base import build_cluster_phy
 from repro.radio.energy import RadioState
 from repro.radio.packet import Frame, FrameType
 from repro.sim import Simulator
+from repro.sim.rng import mobility_rng
 from repro.topology import Cluster, line
 
 
@@ -127,3 +133,45 @@ def test_empty_plan_schedules_nothing():
     assert inj.link_loss is None
     assert phy.medium.link_loss is None
     assert sim.pending_count == before
+
+
+# -- the drift step (cluster mobility faults and the field share it) -----------
+
+BOX = (0.0, 50.0, 0.0, 10.0)  # (xmin, xmax, ymin, ymax)
+
+
+def _walkers(n=6, seed=3):
+    positions = np.column_stack([np.linspace(0.0, 50.0, n), np.full(n, 5.0)])
+    return positions, {node: mobility_rng(seed, node) for node in range(n)}
+
+
+def test_drift_step_reflects_every_node_into_its_bounds():
+    positions, rngs = _walkers()
+    for _ in range(25):  # steps far longer than the 10 m side
+        before = positions.copy()
+        drift_step(positions, range(6), rngs, 40.0, BOX)
+        assert ((positions[:, 0] >= 0.0) & (positions[:, 0] <= 50.0)).all()
+        assert ((positions[:, 1] >= 0.0) & (positions[:, 1] <= 10.0)).all()
+        # reflection never lengthens a step
+        assert (np.hypot(*(positions - before).T) <= 40.0).all()
+
+
+def test_skipping_a_node_leaves_every_other_node_where_it_would_be():
+    every, rngs = _walkers()
+    some, other_rngs = _walkers()
+    start = some[2].copy()
+    drift_step(every, range(6), rngs, 8.0, BOX)
+    drift_step(some, [0, 1, 3, 4, 5], other_rngs, 8.0, BOX)
+    assert np.array_equal(np.delete(every, 2, axis=0), np.delete(some, 2, axis=0))
+    assert np.array_equal(some[2], start)
+
+
+def test_drift_step_adds_each_move_onto_the_running_total_in_node_order():
+    positions, rngs = _walkers()
+    before = positions.copy()
+    total = drift_step(positions, range(6), rngs, 8.0, BOX, total=100.0)
+    expected = 100.0
+    for node in range(6):
+        expected += math.hypot(*(positions[node] - before[node]))
+    assert total == expected
+    assert drift_step(positions, [], rngs, 8.0, BOX, total=total) == total

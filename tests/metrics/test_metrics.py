@@ -1,4 +1,4 @@
-"""Tests for the measurement layer: active time, lifetime, throughput, energy."""
+"""Tests for the measurement layer: active time, lifetime, energy."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,9 @@ import pytest
 from repro.metrics import (
     ActiveTimeConfig,
     EnergyRateModel,
-    ThroughputWindow,
-    delivery_ratio,
     energy_report,
     evaluate_lifetime_ratio,
     simulate_active_time,
-    throughput_bps,
 )
 
 
@@ -95,31 +92,6 @@ def test_energy_rate_model_grounding():
     assert m.lifetime_cycles(2, 10) == pytest.approx(
         m.energy.battery_j / m.rate(2, 10)
     )
-
-
-# --- throughput helpers --------------------------------------------------------------------
-
-def test_throughput_bps():
-    assert throughput_bps(100, 80, 10.0) == 800.0
-    with pytest.raises(ValueError):
-        throughput_bps(100, 80, 0.0)
-    with pytest.raises(ValueError):
-        throughput_bps(-1, 80, 1.0)
-
-
-def test_delivery_ratio():
-    assert delivery_ratio(5, 10) == 0.5
-    assert delivery_ratio(0, 0) == 1.0
-    with pytest.raises(ValueError):
-        delivery_ratio(-1, 2)
-
-
-def test_throughput_window():
-    w = ThroughputWindow(start=10.0, end=20.0, packet_bytes=80)
-    assert w.record(created_at=12.0, delivered_at=13.0)
-    assert not w.record(created_at=5.0, delivered_at=12.0)  # pre-warmup
-    assert w.delivered == 1
-    assert w.bps == pytest.approx(8.0)
 
 
 # --- energy report -----------------------------------------------------------------------

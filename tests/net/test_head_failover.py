@@ -17,6 +17,7 @@ import pytest
 
 from repro import validate
 from repro.net import MultiClusterConfig, run_multicluster_simulation
+from repro.net.multicluster_sim import BEACON_MISS_LIMIT
 
 BASE = dict(
     n_sensors=60,
@@ -73,7 +74,7 @@ def test_beacon_watchdog_detects_within_miss_limit(adopted):
     cfg = adopted.config
     detection = min(ev.time for ev in coord.adoption_events)
     latency = detection - CRASH_AT
-    assert 0 < latency <= (cfg.beacon_miss_limit + 1) * cfg.beacon_interval
+    assert 0 < latency <= (BEACON_MISS_LIMIT + 1) * cfg.beacon_interval
 
 
 def test_orphans_are_adopted_by_surviving_heads(adopted):
@@ -249,7 +250,7 @@ def test_adoption_keeps_agents_and_announces_no_roster(adopted_with_evidence):
 def test_adoption_is_checked_like_a_handoff_commit(monkeypatch):
     """An adoption transplants queues and changes a roster, so it runs the
     checks a handoff commit runs: a rebuild that loses one queued packet of
-    an incoming orphan is one ``dynamic.handoff-conservation`` per adopter.
+    an incoming orphan is one ``dynamic.queue-conservation`` per adopter.
     Beacons every 0.25 s declare head 1 dead at 12.25 s."""
     from repro.net import multicluster_sim
 
@@ -274,7 +275,7 @@ def test_adoption_is_checked_like_a_handoff_commit(monkeypatch):
             res = run_multicluster_simulation(cfg)
     assert len(res.coordinator.adoption_events) == len(dropped) == 2
     assert [(v.invariant, v.sim_time) for v in found] == [
-        ("dynamic.handoff-conservation", 12.25)
+        ("dynamic.queue-conservation", 12.25)
     ] * 2
 
 

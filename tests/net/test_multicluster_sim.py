@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.online import OnlinePollingScheduler
 from repro.net import MultiClusterConfig, run_multicluster_simulation
 
 RUN_FIELD = dict(n_sensors=40, n_heads=3, seed=2, field_m=330.0)
@@ -47,6 +48,22 @@ def test_no_co_channel_radio_of_another_cluster_in_carrier_sense_reach():
                 in_reach += int((heard >= medium.cs_threshold).sum())
     assert in_reach == 0
     assert [mac.scalar_slots for mac in res.macs] == [0] * len(res.macs)
+
+
+@pytest.mark.parametrize("mode, runs_per_head", [("channels", 0), ("token", 1)])
+def test_only_token_mode_plans_duty_windows(monkeypatch, mode, runs_per_head):
+    """Token windows are sized by one planning run of each head's schedule;
+    no other mode has windows, so no other mode plans them."""
+    planned = []
+    plan_run = OnlinePollingScheduler.run
+
+    def counted(scheduler, *args, **kwargs):
+        planned.append(scheduler)
+        return plan_run(scheduler, *args, **kwargs)
+
+    monkeypatch.setattr(OnlinePollingScheduler, "run", counted)
+    run_multicluster_simulation(MultiClusterConfig(n_cycles=1, seed=0, mode=mode))
+    assert len(planned) == runs_per_head * MultiClusterConfig.n_heads
 
 
 @pytest.fixture(scope="module")

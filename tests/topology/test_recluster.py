@@ -174,13 +174,36 @@ def test_reform_with_no_exclusions_covers_everyone(finished_run):
     assert set(result.routing.routing_plan().paths) == set(range(phy.n_sensors))
 
 
+def test_a_recluster_that_loses_a_queued_packet_breaks_queue_conservation(
+    monkeypatch,
+):
+    """A re-form reshapes routing state, never buffered data: a rediscovery
+    that drops one queued packet records one ``dynamic.queue-conservation``."""
+    from repro import validate
+    from repro.mac import pollmac
+
+    mac = run_polling_simulation(PollingSimConfig(n_sensors=12, n_cycles=2, seed=5)).mac
+    queued = [agent for agent in mac.sensors if agent.own_queue]
+    assert queued, "the run must end with queued packets to lose"
+    rediscover = pollmac.discovered_cluster
+
+    def lossy(phy):
+        queued[0].own_queue.pop()
+        return rediscover(phy)
+
+    monkeypatch.setattr(pollmac, "discovered_cluster", lossy)
+    with validate.warn(), validate.MONITOR.capture() as found:
+        with pytest.warns(validate.InvariantWarning):
+            mac._recluster("membership")
+    assert [v.invariant for v in found] == ["dynamic.queue-conservation"]
+
+
 # -- field-scope handoff planning (DESIGN.md §13) ------------------------------
 # The field-level analogues live in repro.topology.handoff; their execution
 # side (radio retunes, queue transplant, crash safety) is tested in
 # tests/net/test_handoff.py — here we pin the pure decisions.
 
 from repro.topology import (  # noqa: E402
-    FieldStalenessTracker,
     HandoffMove,
     plan_field_reform,
     quantization_head_step,
@@ -226,24 +249,31 @@ def test_serving_staleness_counts_nearest_live_head():
     assert serving_staleness(sensors, heads, serving, live_heads=[0]) == pytest.approx(0.4)
 
 
+def _field_boundary(tracker: StalenessTracker, misassigned: int) -> str | None:
+    """One field boundary, fed as ``FieldReformCoordinator._prepare`` feeds
+    its tracker: count the cycle, set the membership delta to the count
+    misassigned now, ask for a verdict."""
+    tracker.note_cycle()
+    tracker.joins_pending = misassigned
+    return tracker.due()
+
+
 def test_field_tracker_reuses_trigger_semantics():
-    tr = FieldStalenessTracker(
-        trigger=StalenessTrigger(membership_delta=2, repair_fallbacks=0)
-    )
-    assert tr.observe_boundary(1) is None
+    tr = StalenessTracker(StalenessTrigger(membership_delta=2, repair_fallbacks=0))
+    assert _field_boundary(tr, 1) is None
     # misassignment replaces, never accumulates: 1 then 1 stays below 2
-    assert tr.observe_boundary(1) is None
-    assert tr.observe_boundary(2) == "membership"
-    tr.fired()
-    assert tr.observe_boundary(1) is None
+    assert _field_boundary(tr, 1) is None
+    assert _field_boundary(tr, 2) == "membership"
+    tr.reset()  # a commit
+    assert _field_boundary(tr, 1) is None
 
 
 def test_field_tracker_periodic_mode():
-    tr = FieldStalenessTracker(
-        trigger=StalenessTrigger(membership_delta=0, repair_fallbacks=0, period_cycles=2)
+    tr = StalenessTracker(
+        StalenessTrigger(membership_delta=0, repair_fallbacks=0, period_cycles=2)
     )
-    assert tr.observe_boundary(0) is None
-    assert tr.observe_boundary(0) == "periodic"
+    assert _field_boundary(tr, 0) is None
+    assert _field_boundary(tr, 0) == "periodic"
 
 
 def test_plan_moves_misassigned_sensor_to_nearest_head():
