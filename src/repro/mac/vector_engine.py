@@ -1,4 +1,4 @@
-"""Vectorized batch slot engine for the polling MAC (DESIGN.md §12).
+"""Batch slot engine for the polling MAC (DESIGN.md §12).
 
 The event-at-a-time PHY spends ~80% of a polling run executing the *same*
 slot choreography over and over: head polls at ``t0``, the poll lands at
@@ -6,18 +6,30 @@ slot choreography over and over: head polls at ``t0``, the poll lands at
 ``t_tx = t1 + turnaround``, everything decodes at ``t2 = t_tx +
 airtime(payload)``, and the slot pads out to ``slot_time``.  Nothing else
 happens inside a *clean* slot — no fault event, no radio wake, no second
-cluster — so the whole slot collapses into a handful of closed-form numpy
-array updates over per-radio state banks.
+cluster — so the whole slot collapses into closed-form updates of
+per-radio state banks.
 
-This module implements that collapse.  The contract with the scalar oracle
-(the untouched event path in :mod:`repro.radio`) is **bit-identical floats**:
+This module implements that collapse in two parts.  The slot loop
+(:meth:`VectorPhaseEngine._run_slot`) makes every decision the MAC can
+see — who answers the poll, which frames decode, the random loss draws,
+the handler calls, the PHY's per-kind counts — and logs only the slot's
+start time and its group cache (and, on a lossy medium, whom each drawn
+decode reached or garbled).  :meth:`VectorPhaseEngine._apply_log` then
+folds up to ``_LOG_SLOTS`` logged slots into the bank in one pass, at
+every flush and whenever the log fills.  The contract with the scalar
+oracle (the untouched event path in :mod:`repro.radio`) is
+**bit-identical floats**:
 
 * every energy integration replays the exact per-radio ``change_state``
   sequence the event path would perform — the same ``(power * dt)``
   products added in the same chronological order, with ``dt`` always
   computed as the *difference of the actual event timestamps* (``t1 - t0``
-  is not the poll airtime bit-for-bit!), and radios whose state never
-  changes keep their old ``last_change`` untouched;
+  is not the poll airtime bit-for-bit!) and a radio's ``last_change``
+  moving only when it changes state.  The apply forms four ``dt`` rows per
+  slot (``t0``, ``t1``, ``t_tx``, ``t2``), with an exact ``0.0`` wherever
+  a radio takes no step, and sums them down the time axis with
+  :func:`row_sum`, so each meter gets the same rounded adds in the same
+  order as one update per step;
 * every summation the scalar path performs left-to-right (carrier-sense
   in-air power, accumulated SINR interference) is reproduced as an
   *ordered* sequence of elementwise adds (:func:`ordered_sum`), never a
@@ -27,23 +39,16 @@ This module implements that collapse.  The contract with the scalar oracle
   issued as the same scalar calls in the same candidate order the decode
   loop would make.
 
-Two observations keep the per-slot op count low without breaking the
-contract: a clean slot starts and ends with every touched radio IDLE, so
-the bank's state codes never need intermediate writes; and after the ``t0``
-flip every touched radio shares the same ``last_change``, so the ``t1`` /
-``t_tx`` / ``t2`` integrations use one *scalar* ``dt`` against cached
-per-radio power slices (one multiply + one fancy-indexed add each), with
-``last_change`` written back just twice per slot.
-
 Clusters sharing a multi-cluster medium (``index_map``) run on the same
 engine, with one per-slot check scoped to the cluster's channel and MAC
 (:meth:`VectorPhaseEngine._clean`).  Slots that are *not* clean — a pending
 fault/wake/battery event inside the slot window, a frame already in the air
 on the channel, another cluster within carrier-sense reach — fall back to
-the scalar path for exactly that slot: the bank
-flushes to the live transceivers first, so mid-slot readers (battery
-depletion checks) always see true meters.  A replayed slot adds its frames
-to the medium's per-kind PHY counts exactly as the event path would.
+the scalar path for exactly that slot: the engine applies its log and
+flushes the bank to the live transceivers first, so mid-slot readers
+(battery depletion checks) always see true meters.  A replayed slot adds
+its frames to the medium's per-kind PHY counts exactly as the event path
+would.
 """
 
 from __future__ import annotations
@@ -66,6 +71,7 @@ __all__ = [
     "VectorRadioBank",
     "VectorPhaseEngine",
     "ordered_sum",
+    "row_sum",
 ]
 
 # Integer state codes for the bank arrays, in a fixed order.
@@ -73,18 +79,13 @@ SLEEP, IDLE, RX, TX = 0, 1, 2, 3
 _STATES = (RadioState.SLEEP, RadioState.IDLE, RadioState.RX, RadioState.TX)
 _CODE = {s: i for i, s in enumerate(_STATES)}
 
+# Slots the log holds before _apply_log folds them into the bank.
+_LOG_SLOTS = 64
 
-def _as_index(idx: np.ndarray):
-    """Basic-slice form of a sorted index array when it is contiguous.
-
-    Basic slicing skips numpy's fancy-index machinery (a large fraction of
-    per-slot overhead: the poll flip set is usually *all* sensors).  The
-    arithmetic is unchanged — the same elements see the same elementwise
-    ops — so bit-exactness is unaffected.
-    """
-    if idx.size > 1 and int(idx[-1]) - int(idx[0]) + 1 == idx.size:
-        return slice(int(idx[0]), int(idx[-1]) + 1)
-    return idx
+# A radio's part in a slot's data exchange, as a group cache's role codes:
+# it sends, it hears the data after taking part in the poll exchange (or is
+# the head), or it hears the data without having heard the poll.
+_SENDER, _LISTENER, _STRAGGLER = 1, 2, 3
 
 
 def ordered_sum(columns):
@@ -105,6 +106,18 @@ def ordered_sum(columns):
     for col in it:
         acc = acc + col
     return acc
+
+
+def row_sum(rows: np.ndarray) -> np.ndarray:
+    """Left-to-right sum of the rows of a 2-D float array.
+
+    ``np.add.accumulate`` along axis 0 adds row ``k`` onto the running sum
+    of rows ``0..k-1``, one IEEE add per element per row, so every column
+    gets the rounding of a sequential ``total += x`` loop over its rows.
+    A reduction (``np.add.reduce``, ``ndarray.sum``) promises no order and
+    sums a contiguous axis pairwise, which rounds differently.
+    """
+    return np.add.accumulate(rows, axis=0)[-1]
 
 
 class VectorRadioBank:
@@ -179,55 +192,41 @@ class VectorRadioBank:
 class _PollCache:
     """Static decode geometry of the head's poll broadcast."""
 
-    __slots__ = (
-        "rx_ix",
-        "ok_ix",
-        "ok_nodes",
-        "coll_idx",
-        "n_coll",
-        "pw_idle",
-        "pw_rx",
-        "mask_t1",
-    )
+    __slots__ = ("ok_nodes", "ok", "n_coll", "polled", "counts")
 
-    def __init__(self, rx_idx, ok_idx, ok_nodes, coll_idx, ptab, head, n):
-        self.rx_ix = _as_index(rx_idx)
-        self.ok_ix = _as_index(ok_idx)
-        self.ok_nodes = ok_nodes
-        self.coll_idx = coll_idx
-        self.n_coll = len(coll_idx)
-        # Power slices for the two poll-side integrations (IDLE over
-        # [last_change, t0], RX over [t0, t1]).
-        self.pw_idle = ptab[IDLE, rx_idx]
-        self.pw_rx = ptab[RX, rx_idx]
-        # Radios whose last_change is t1 right after the poll exchange: the
-        # flip set plus the head.  Group caches use this to tell constant-dt
-        # data listeners from stragglers that missed the poll.
-        mask = np.zeros(n, dtype=bool)
-        mask[rx_idx] = True
-        mask[head] = True
-        self.mask_t1 = mask
+    def __init__(self, flip, ok, coll, ok_nodes, head):
+        self.ok_nodes = ok_nodes  # the radios that decode, in decode order
+        self.ok = frozenset(ok_nodes)
+        self.n_coll = int(coll.sum())
+        # Radios whose last_change is t1 after the poll exchange: the
+        # carrier-sense flip set plus the head.
+        polled = flip.copy()
+        polled[head] = True
+        self.polled = polled
+        # One poll's increments of frames sent, received and garbled.
+        counts = np.zeros((3, flip.size), dtype=np.int16)
+        counts[0, head] = 1
+        counts[1] = ok
+        counts[2] = coll
+        self.counts = counts
 
 
 class _GroupCache:
-    """Static decode geometry for one set of concurrent data senders."""
+    """Static decode geometry for one set of concurrent data senders.
 
-    __slots__ = (
-        "s_ix",
-        "rx_ix",
-        "n_rx",
-        "rx_c_ix",
-        "n_c",
-        "rx_v_ix",
-        "n_v",
-        "t2_ix",
-        "pw_s_idle",
-        "pw_s_tx",
-        "pw_c_idle",
-        "pw_v_idle",
-        "pw_rx",
-        "records",
-    )
+    ``role`` holds each radio's part in the exchange (``_SENDER``,
+    ``_LISTENER``, ``_STRAGGLER`` or 0), ``counts`` its increments of frames
+    sent, received and garbled, and ``records`` one ``(decoded mask, decoders
+    in decode order, collision count)`` per sender in begin order; the mask
+    is bytes, so ``mask[i]`` is 1 where radio ``i`` decodes.
+    """
+
+    __slots__ = ("role", "counts", "records")
+
+    def __init__(self, role, counts, records):
+        self.role = role
+        self.counts = counts
+        self.records = records
 
 
 class _GeomEntry:
@@ -257,12 +256,14 @@ class VectorPhaseEngine:
 
     One engine instance serves one ``_run_phase`` call of a MAC built
     with ``engine="vector"``.  The radio bank is loaded lazily on the first
-    clean slot and flushed back before any scalar-fallback slot and at
-    phase end, so live readers always see true state whenever real events
-    can fire.  A replayed slot keeps the radios' frame counters in the bank
-    and calls the MAC's frame handlers directly, never a transceiver's
-    ``deliver`` or ``deliver_garbled``, so a caller who needs every
-    per-frame PHY callback runs ``engine="scalar"``.
+    clean slot.  Replayed slots are logged and applied to the bank in runs
+    (:meth:`_apply_log`); the log is applied and the bank flushed back
+    before any scalar-fallback slot and at phase end, so live readers
+    always see true state whenever real events can fire.  A replayed slot
+    keeps the radios' frame counters in the bank and calls the MAC's frame
+    handlers directly, never a transceiver's ``deliver`` or
+    ``deliver_garbled``, so a caller who needs every per-frame PHY callback
+    runs ``engine="scalar"``.
     """
 
     def __init__(self, mac: "PollingClusterMac", payload_bytes: int):
@@ -277,8 +278,15 @@ class VectorPhaseEngine:
         self.turnaround = mac.timings.turnaround
         self.slot_time = mac._slot_time(payload_bytes)
         self.bank = VectorRadioBank(self.phy.transceivers)
-        self.head_idle_w = float(self.bank.ptab[IDLE, self.head])
-        self.head_tx_w = float(self.bank.ptab[TX, self.head])
+        n = len(self.bank.transceivers)
+        self._no_roles = np.zeros(n, dtype=np.int8)
+        self._no_counts = np.zeros((3, n), dtype=np.int16)
+        # Power of the state a radio leaves at each of a slot's four steps:
+        # IDLE at t0, RX at t1 (the head: TX), IDLE at t_tx, RX at t2 (a
+        # sender's TX is set per slot).
+        ptab = self.bank.ptab
+        self._step_power = ptab[[IDLE, RX, IDLE, RX]]
+        self._step_power[1, self.head] = ptab[TX, self.head]
         self.loaded = False
         self.dynamic = med.frame_error_rate > 0.0 or med.link_loss is not None
         # Medium index of each local radio, and each one's rank in the
@@ -286,11 +294,12 @@ class VectorPhaseEngine:
         # side effects and random draws.
         index_map = self.phy.index_map
         if index_map is None:
-            self.nodes = list(range(len(self.bank.transceivers)))
+            self.nodes = list(range(n))
+            self._rank = None
         else:
             self.nodes = [int(g) for g in index_map]
             rank = {node: i for i, node in enumerate(med._transceivers)}
-            self._decode_rank = [rank[g] for g in self.nodes]
+            self._rank = [rank[g] for g in self.nodes].__getitem__
         # Rule 7's reach past the slot end: no frame the polling MACs send is
         # longer than their largest frame plus a roster announcement of two
         # bytes per radio on the medium.
@@ -308,6 +317,12 @@ class VectorPhaseEngine:
         self._entry: _GeomEntry | None = None
         self._poll_cache: _PollCache | None = None
         self._group_cache: dict[tuple[int, ...], _GroupCache] = {}
+        # The slots replayed since the last apply, as (t0, group cache or
+        # None), and on a lossy medium the radios each drawn decode reached
+        # or garbled, in draw order.
+        self._log: list[tuple[float, _GroupCache | None]] = []
+        self._received: list[int] = []
+        self._garbled: list[int] = []
         self.vector_slots = 0
 
     # -- lifecycle ---------------------------------------------------------------
@@ -400,8 +415,10 @@ class VectorPhaseEngine:
         return self._channel_of[trx.node] == self._channel
 
     def flush(self) -> None:
-        """Write the bank back to the live transceivers (idempotent)."""
+        """Apply the slot log and write the bank back to the live
+        transceivers (idempotent)."""
         if self.loaded:
+            self._apply_log()
             self.bank.store()
             self.loaded = False
 
@@ -419,10 +436,7 @@ class VectorPhaseEngine:
 
     def _in_decode_order(self, idx: np.ndarray) -> list[int]:
         """Local radios *idx* in the order the medium decodes to them."""
-        nodes = [int(x) for x in idx]
-        if self.phy.index_map is not None:
-            nodes.sort(key=self._decode_rank.__getitem__)
-        return nodes
+        return sorted((int(x) for x in idx), key=self._rank)
 
     def _build_poll_cache(self) -> _PollCache:
         med = self.medium
@@ -437,16 +451,7 @@ class VectorPhaseEngine:
         # sum (integer 0), so the capture threshold is beta * (noise + 0).
         coll = audible & (sig < med.beta * (med.noise + 0))
         ok = audible & ~coll
-        ok_idx = np.nonzero(ok)[0]
-        cache = _PollCache(
-            rx_idx=np.nonzero(flip)[0],
-            ok_idx=ok_idx,
-            ok_nodes=self._in_decode_order(ok_idx),
-            coll_idx=np.nonzero(coll)[0],
-            ptab=b.ptab,
-            head=head,
-            n=len(b.transceivers),
-        )
+        cache = _PollCache(flip, ok, coll, self._in_decode_order(np.nonzero(ok)[0]), head)
         self._poll_cache = cache
         self._entry.pc = cache
         return cache
@@ -455,15 +460,15 @@ class VectorPhaseEngine:
         med = self.medium
         b = self.bank
         rxp = self._entry.local
-        n = len(b.transceivers)
-        smask = np.zeros(n, dtype=bool)
-        sender_idx = np.array(key, dtype=np.int64)
-        smask[sender_idx] = True
+        smask = np.zeros(len(b.transceivers), dtype=bool)
+        smask[list(key)] = True
         listen = b.listening & ~smask
         # Carrier sense: the final in-air power each listener compares
         # against cs is the left-to-right sum over senders in begin order.
         total = ordered_sum(rxp[:, s] for s in key)
         rx_flip = listen & (total >= med.cs_threshold)
+        counts = np.zeros((3, smask.size), dtype=np.int16)
+        counts[0] = smask
         records = []
         for sk in key:
             sig = rxp[:, sk]
@@ -475,37 +480,19 @@ class VectorPhaseEngine:
             audible = listen & (sig >= med.rx_sensitivity)
             coll = audible & (sig < thr)
             ok = audible & ~coll
-            ok_idx = np.nonzero(ok)[0]
+            counts[1] += ok
+            counts[2] += coll
             records.append(
-                (ok, _as_index(ok_idx), self._in_decode_order(ok_idx), np.nonzero(coll)[0])
+                (ok.tobytes(), self._in_decode_order(np.nonzero(ok)[0]), int(coll.sum()))
             )
-        gc = _GroupCache()
-        gc.s_ix = _as_index(sender_idx)
-        rx_idx = np.nonzero(rx_flip)[0]
-        gc.rx_ix = _as_index(rx_idx)
-        gc.n_rx = len(rx_idx)
         # Listeners that took part in the poll exchange (or are the head)
-        # have last_change == t1 at t_tx: their IDLE integration uses the
-        # shared scalar dt.  The rest (heard the data but not the poll)
-        # integrate against their own last_change.
-        rx_c = rx_flip & pc.mask_t1
-        rx_v = rx_flip & ~pc.mask_t1
-        rx_c_idx = np.nonzero(rx_c)[0]
-        rx_v_idx = np.nonzero(rx_v)[0]
-        gc.rx_c_ix = _as_index(rx_c_idx)
-        gc.n_c = len(rx_c_idx)
-        gc.rx_v_ix = _as_index(rx_v_idx)
-        gc.n_v = len(rx_v_idx)
-        # Only ever used for scalar assignment (lc[...] = t2), so sorting
-        # for the contiguity check is safe.
-        gc.t2_ix = _as_index(np.sort(np.concatenate([sender_idx, rx_idx])))
-        ptab = b.ptab
-        gc.pw_s_idle = ptab[IDLE, sender_idx]
-        gc.pw_s_tx = ptab[TX, sender_idx]
-        gc.pw_c_idle = ptab[IDLE, rx_c_idx]
-        gc.pw_v_idle = ptab[IDLE, rx_v_idx]
-        gc.pw_rx = ptab[RX, rx_idx]
-        gc.records = records
+        # enter the data exchange with last_change == t1; stragglers heard
+        # the data but not the poll and enter with their own last_change.
+        role = np.zeros(smask.size, dtype=np.int8)
+        role[rx_flip & pc.polled] = _LISTENER
+        role[rx_flip & ~pc.polled] = _STRAGGLER
+        role[smask] = _SENDER
+        gc = _GroupCache(role, counts, records)
         self._group_cache[key] = gc
         return gc
 
@@ -517,172 +504,203 @@ class VectorPhaseEngine:
         Candidates already pass sensitivity/listen/SINR; the scalar decode
         demotes them to collisions via the shared frame-error RNG and the
         per-link Gilbert–Elliott chains (keyed by medium index), consulted
-        in decode order.
+        in decode order.  Returns the candidates that decode and the number
+        that collide, and logs both for the frame counters.
         """
         med = self.medium
         fer = med.frame_error_rate
         rng = med._error_rng
         link = med.link_loss
         nodes = self.nodes
+        garbled = self._garbled
+        before = len(garbled)
         ok: list[int] = []
-        coll: list[int] = []
         for node in cand_nodes:
             if fer > 0.0 and rng.random() < fer:
-                coll.append(node)
+                garbled.append(node)
             elif link is not None and link.frame_fails(nodes[node], nodes[sender], now):
-                coll.append(node)
+                garbled.append(node)
             else:
                 ok.append(node)
-        return ok, coll
+        self._received += ok
+        return ok, len(garbled) - before
 
     # -- the slot replay ---------------------------------------------------------
 
     def _run_slot(self, t0: float, payload: dict, group) -> None:
-        b = self.bank
-        counts = self.tracer.counts
         head = self.head
         mac = self.mac
-        consumed = b.consumed
-        dwell = b.dwell
-        lc = b.last_change
+        dynamic = self.dynamic
         pc = self._poll_cache
         if pc is None:
             pc = self._build_poll_cache()
-        rx1 = pc.rx_ix
         t1 = t0 + self.air_poll
 
-        # t0: head IDLE->TX, poll-audible listeners IDLE->RX.  Only this
-        # integration has per-radio dt (listeners enter the slot with
-        # different last_change values); everything later shares scalar dts.
-        dt0 = t0 - lc[rx1]
-        consumed[rx1] += pc.pw_idle * dt0
-        dwell[IDLE][rx1] += dt0
-        h_dt = t0 - lc[head]
-        consumed[head] += self.head_idle_w * h_dt
-        dwell[IDLE, head] += h_dt
-        b.frames_sent[head] += 1
-        counts["phy_tx_start"] += 1
-
-        # t1: poll decodes; listeners flip back to IDLE, head resumes
-        # listening.  dt is the *timestamp difference* t1 - t0 (not the
-        # airtime constant — (t0 + a) - t0 != a in floating point).
-        dt1 = t1 - t0
-        consumed[rx1] += pc.pw_rx * dt1
-        dwell[RX][rx1] += dt1
-        consumed[head] += self.head_tx_w * dt1
-        dwell[TX, head] += dt1
-        counts["phy_tx_end"] += 1
-        if self.dynamic:
-            ok_nodes, extra_coll = self._draw_outcomes(pc.ok_nodes, head, t1)
-            n_coll = pc.n_coll + len(extra_coll)
-            if ok_nodes:
-                b.frames_received[np.array(ok_nodes, dtype=np.int64)] += 1
-            if extra_coll:
-                b.frames_garbled[np.array(extra_coll, dtype=np.int64)] += 1
+        # The poll: the head transmits at t0 and it decodes at t1.
+        if dynamic:
+            ok_nodes, n_bad = self._draw_outcomes(pc.ok_nodes, head, t1)
+            n_bad += pc.n_coll
+            polled = set(ok_nodes)
         else:
-            ok_nodes = pc.ok_nodes
-            n_coll = pc.n_coll
-            if ok_nodes:
-                b.frames_received[pc.ok_ix] += 1
-        if pc.n_coll:
-            b.frames_garbled[pc.coll_idx] += 1
-        if ok_nodes:
-            counts["phy_rx_ok"] += len(ok_nodes)
-        if n_coll:
-            counts["phy_rx_collision"] += n_coll
+            ok_nodes, n_bad, polled = pc.ok_nodes, pc.n_coll, pc.ok
+        n_ok = len(ok_nodes)
 
+        # The group's senders that decoded the poll answer it, in decode
+        # order.
         responses: list[tuple[int, Frame]] = []
         if group:
-            senders = {tx.sender for tx in group}
             sensors = mac.sensors
-            for node in ok_nodes:
-                if node in senders:
+            for node in sorted({tx.sender for tx in group}, key=self._rank):
+                if node in polled:
                     frame = sensors[node].build_response(payload)
                     if frame is not None:
                         responses.append((node, frame))
-        if not responses:
-            lc[rx1] = t1
-            lc[head] = t1
-            b.listen_since[head] = t1
-            return
-
-        # t_tx: every responder transmits simultaneously (begin order =
-        # node order); carrier-sensing listeners flip IDLE -> RX.
-        t_tx = t1 + self.turnaround
-        t2 = t_tx + self.air_payload
-        key = tuple(x for x, _ in responses)
-        gc = self._group_cache.get(key)
-        if gc is None:
-            gc = self._build_group_cache(key, pc)
-        sidx = gc.s_ix
-        dtt = t_tx - t1
-        consumed[sidx] += gc.pw_s_idle * dtt
-        dwell[IDLE][sidx] += dtt
-        if gc.n_c:
-            consumed[gc.rx_c_ix] += gc.pw_c_idle * dtt
-            dwell[IDLE][gc.rx_c_ix] += dtt
-        if gc.n_v:
-            dtv = t_tx - lc[gc.rx_v_ix]
-            consumed[gc.rx_v_ix] += gc.pw_v_idle * dtv
-            dwell[IDLE][gc.rx_v_ix] += dtv
-        b.frames_sent[sidx] += 1
-        counts["phy_tx_start"] += len(responses)
-
-        # t2: each record decodes in begin order; deliveries apply to the
-        # addressed receiver (and the head, which overhears everything).
-        recs = gc.records
-        for k, (node_k, frame_k) in enumerate(responses):
-            ok_mask, ok_ix, ok_list, coll_idx = recs[k]
-            counts["phy_tx_end"] += 1
-            if self.dynamic:
-                ok_list, extra_coll = self._draw_outcomes(ok_list, node_k, t2)
-                n_coll = len(coll_idx) + len(extra_coll)
-                if ok_list:
-                    b.frames_received[np.array(ok_list, dtype=np.int64)] += 1
-                if extra_coll:
-                    b.frames_garbled[np.array(extra_coll, dtype=np.int64)] += 1
-                ok_set = set(ok_list)
-                head_ok = head in ok_set
-            else:
-                n_coll = len(coll_idx)
-                if ok_list:
-                    b.frames_received[ok_ix] += 1
-                ok_set = None
-                head_ok = bool(ok_mask[head])
-            if len(coll_idx):
-                b.frames_garbled[coll_idx] += 1
-            if ok_list:
-                counts["phy_rx_ok"] += len(ok_list)
-            if n_coll:
-                counts["phy_rx_collision"] += n_coll
-            ins = frame_k.payload["instruction"]
-            rcv = ins.receiver
-            if rcv == HEAD:
-                if head_ok:
-                    mac._head_receive(frame_k, t2)
-            else:
-                if (rcv in ok_set) if ok_set is not None else bool(ok_mask[rcv]):
+        gc = None
+        if responses:
+            # Every responder transmits at t_tx; each record decodes at t2
+            # in begin order, and deliveries apply to the addressed
+            # receiver (and the head, which overhears everything).
+            t_tx = t1 + self.turnaround
+            t2 = t_tx + self.air_payload
+            key = tuple(node for node, _ in responses)
+            gc = self._group_cache.get(key)
+            if gc is None:
+                gc = self._build_group_cache(key, pc)
+            for (node_k, frame_k), (ok_mask, ok_list, n_coll) in zip(responses, gc.records):
+                if dynamic:
+                    ok_list, extra = self._draw_outcomes(ok_list, node_k, t2)
+                    n_coll += extra
+                    decoded = set(ok_list).__contains__
+                else:
+                    decoded = ok_mask.__getitem__
+                n_ok += len(ok_list)
+                n_bad += n_coll
+                rcv = frame_k.payload["instruction"].receiver
+                if rcv == HEAD:
+                    if decoded(head):
+                        mac._head_receive(frame_k, t2)
+                elif decoded(rcv):
                     agent = mac.sensors[rcv]
                     if frame_k.ftype is FrameType.DATA:
                         agent._on_data(frame_k.payload)
                     else:
                         agent._on_ack(frame_k.payload)
-            if frame_k.ftype is FrameType.DATA:
-                mac.sensors[node_k].packets_sent += 1
+                if frame_k.ftype is FrameType.DATA:
+                    mac.sensors[node_k].packets_sent += 1
 
-        # t2 energy: senders integrate TX, listeners RX; everyone ends the
-        # slot idle.  last_change lands at t1 for poll-only participants and
-        # t2 for the data participants (senders + data listeners).
-        dtp = t2 - t_tx
-        consumed[sidx] += gc.pw_s_tx * dtp
-        dwell[TX][sidx] += dtp
-        if gc.n_rx:
-            rx2 = gc.rx_ix
-            consumed[rx2] += gc.pw_rx * dtp
-            dwell[RX][rx2] += dtp
-        lc[rx1] = t1
-        lc[head] = t1
-        b.listen_since[head] = t1
-        lc[gc.t2_ix] = t2
-        b.listen_since[sidx] = t2
+        # The PHY's per-kind counts: the poll and each response start and
+        # end in the slot.
+        counts = self.tracer.counts
+        n_tx = 1 + len(responses)
+        counts["phy_tx_start"] += n_tx
+        counts["phy_tx_end"] += n_tx
+        if n_ok:
+            counts["phy_rx_ok"] += n_ok
+        if n_bad:
+            counts["phy_rx_collision"] += n_bad
+        self._log_slot(t0, gc)
 
+    def _log_slot(self, t0: float, gc: _GroupCache | None) -> None:
+        """Log a replayed slot; apply the log once it holds ``_LOG_SLOTS``."""
+        log = self._log
+        log.append((t0, gc))
+        if len(log) == _LOG_SLOTS:
+            self._apply_log()
+
+    def _apply_log(self) -> None:
+        """Fold the logged slots into the bank in one pass.
+
+        A slot moves a radio through at most four meter steps, each the
+        end of a stay in one state:
+
+        ======  ==========================  ===========================
+        step    radios                      state left
+        ======  ==========================  ===========================
+        t0      the polled ones, head too   IDLE
+        t1      the polled ones, head too   RX (the head: TX)
+        t_tx    the data exchange's         IDLE
+        t2      the data exchange's         TX (senders), RX (the rest)
+        ======  ==========================  ===========================
+
+        The pass forms one dt row per step and slot, with an exact ``0.0``
+        wherever a radio takes no step, so adding it changes nothing.  It
+        sums ``consumed`` and each ``dwell`` state down the time axis with
+        :func:`row_sum`: every meter gets the adds, in the order, that one
+        update per step would make.  A radio's ``last_change`` before a slot
+        is the latest time an earlier slot touched it, a running maximum;
+        a straggler's t_tx step starts there.
+        """
+        log = self._log
+        if not log:
+            return
+        b = self.bank
+        pc = self._poll_cache
+        head = self.head
+        n_slots, n = len(log), len(b.transceivers)
+        col = np.newaxis
+        # The slot times, by the same float adds _run_slot makes.
+        t0 = np.array([t for t, _ in log])
+        t1 = t0 + self.air_poll
+        t_tx = t1 + self.turnaround
+        t2 = t_tx + self.air_payload
+        gcs = [gc for _, gc in log]
+        roles = np.array([self._no_roles if gc is None else gc.role for gc in gcs])
+        polled = pc.polled
+        touched = roles > 0
+        sender = roles == _SENDER
+        lc = np.empty((n_slots + 1, n))
+        lc[0] = b.last_change
+        lc[1:] = np.where(touched, t2[:, col], np.where(polled, t1[:, col], -np.inf))
+        np.maximum.accumulate(lc, axis=0, out=lc)
+        before = lc[:-1]
+        dt = np.empty((n_slots, 4, n))
+        dt[:, 0] = np.where(polled, t0[:, col] - before, 0.0)
+        dt[:, 1] = np.where(polled, (t1 - t0)[:, col], 0.0)
+        dt[:, 2] = np.where(
+            roles == _STRAGGLER,
+            t_tx[:, col] - before,
+            np.where(touched, (t_tx - t1)[:, col], 0.0),
+        )
+        dt[:, 3] = np.where(touched, (t2 - t_tx)[:, col], 0.0)
+        # consumed: the power of the state left times dt, four steps a slot.
+        rows = np.empty((4 * n_slots + 1, n))
+        rows[0] = b.consumed
+        steps = rows[1:].reshape(n_slots, 4, n)
+        np.multiply(dt, self._step_power, out=steps)
+        np.multiply(dt[:, 3], b.ptab[TX], out=steps[:, 3], where=sender)
+        b.consumed[:] = row_sum(rows)
+        # dwell: IDLE is left at t0 and t_tx, RX or TX at t1 and t2.
+        rows = np.empty((2 * n_slots + 1, n))
+        steps = rows[1:].reshape(n_slots, 2, n)
+        rows[0] = b.dwell[IDLE]
+        steps[:] = dt[:, 0::2]
+        b.dwell[IDLE] = row_sum(rows)
+        rows[0] = b.dwell[RX]
+        steps[:] = dt[:, 1::2]
+        steps[:, 0, head] = 0.0
+        np.copyto(steps[:, 1], 0.0, where=sender)
+        b.dwell[RX] = row_sum(rows)
+        rows[0] = b.dwell[TX]
+        steps.fill(0.0)
+        steps[:, 0, head] = dt[:, 1, head]
+        np.copyto(steps[:, 1], dt[:, 3], where=sender)
+        b.dwell[TX] = row_sum(rows)
+        b.last_change[:] = lc[-1]
+        # The head listens again from each poll's end, a sender from its
+        # frame's end.
+        sent = np.where(sender, t2[:, col], -np.inf).max(axis=0)
+        np.copyto(b.listen_since, sent, where=sent > -np.inf)
+        b.listen_since[head] = t1[-1]
+        # Frame counters: the caches' increments, with the drawn decodes in
+        # place of the static ones on a lossy medium.
+        inc = np.array([self._no_counts if gc is None else gc.counts for gc in gcs])
+        inc = inc.sum(axis=0, dtype=np.int64) + n_slots * pc.counts
+        if self.dynamic:
+            inc[1] = np.bincount(np.array(self._received, dtype=np.intp), minlength=n)
+            inc[2] += np.bincount(np.array(self._garbled, dtype=np.intp), minlength=n)
+            self._received.clear()
+            self._garbled.clear()
+        b.frames_sent += inc[0]
+        b.frames_received += inc[1]
+        b.frames_garbled += inc[2]
+        log.clear()

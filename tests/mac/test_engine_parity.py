@@ -12,12 +12,15 @@ cache-invalidation rule in the engine: clean static runs (pure batch),
 crash plans (mid-run re-solve + roster change), churn (joins/leaves, bank
 reloads, re-clustering), mobility + channel drift (geometry-cache
 invalidation and live GE retuning), and frame-error loss (per-stream
-Gilbert–Elliott draws inside the batch path).
+Gilbert–Elliott draws inside the batch path).  A hand-placed cluster
+adds the one decode geometry no regime builds: a listener that hears a
+sender's data but not the head's poll (a straggler).
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from repro.faults import (
@@ -29,8 +32,15 @@ from repro.faults import (
     NodeJoin,
     NodeLeave,
 )
+from repro.mac import build_cluster_phy
+from repro.mac.pollmac import PollingClusterMac
 from repro.net.cluster_sim import PollingSimConfig, run_polling_simulation
-from repro.topology import StalenessTrigger
+from repro.radio.energy import RadioState
+from repro.sim import Simulator
+from repro.topology import Cluster, StalenessTrigger
+from repro.topology.deployment import Deployment
+from repro.topology.recluster import discovered_cluster
+from repro.traffic.cbr import attach_cbr_sources
 
 CYCLE = 10.0
 
@@ -102,3 +112,89 @@ def test_engines_bit_identical(regime, seed):
     # per-slot, but never for the entire run on these workloads).
     assert sca_slots["vector"] == 0
     assert vec_slots["vector"] > 0
+
+
+# -- a listener that hears a sender's data but not the head's poll -----------
+
+# Head at the centre; sensor 0 sits 50 m out on the +x axis and sensor 5
+# drifts from beside the head to 145 m out on the same axis.  There the
+# head's poll arrives below the carrier-sense threshold while sensor 0's
+# data clears it: sensor 5 misses every poll and every sleep broadcast, so
+# it stays awake and flips to RX only on the data sensor 0 sends.
+STRAGGLER_HEAD = (100.0, 100.0)
+STRAGGLER_SENSORS = (
+    (150.0, 100.0),
+    (100.0, 150.0),
+    (50.0, 100.0),
+    (100.0, 50.0),
+    (130.0, 130.0),
+    (120.0, 110.0),
+)
+STRAGGLER, STRAGGLER_TO = 5, (245.0, 100.0)
+
+
+def straggler_cluster(engine: str, frame_error_rate: float):
+    """The cluster above, its MAC built and sensor 5's move scheduled at
+    t=0; nothing has run yet."""
+    sim = Simulator()
+    dep = Deployment(
+        head_position=np.array(STRAGGLER_HEAD),
+        positions=np.array(STRAGGLER_SENSORS),
+        comm_range=55.0,
+        side=200.0,
+    )
+    phy = build_cluster_phy(
+        sim, Cluster.from_deployment(dep), sensor_range_m=55.0,
+        frame_error_rate=frame_error_rate, error_seed=3,
+    )
+    phy.cluster = discovered_cluster(phy)
+    mac = PollingClusterMac(phy, cycle_length=CYCLE, engine=engine)
+    attach_cbr_sources(sim, mac.sensors, rate_bps=40.0, seed=0)
+    sim.at(0.0, phy.medium.update_positions, straggler_positions(phy.medium))
+    return sim, phy, mac
+
+
+def straggler_positions(medium) -> np.ndarray:
+    moved = medium.positions.copy()
+    moved[STRAGGLER] = STRAGGLER_TO
+    return moved
+
+
+def _straggler_run(engine: str, frame_error_rate: float):
+    sim, phy, mac = straggler_cluster(engine, frame_error_rate)
+    mac.start(6)
+    sim.run(until=6 * CYCLE)
+    phy.finalize()
+    return phy, mac
+
+
+@pytest.mark.parametrize("frame_error_rate", [0.0, 0.1])
+def test_engines_agree_on_a_listener_outside_the_polls_reach(frame_error_rate):
+    runs = {e: _straggler_run(e, frame_error_rate) for e in ("vector", "scalar")}
+    phy, mac = runs["vector"]
+    rxp, cs = phy.medium.rx_power, phy.medium.cs_threshold
+    head = phy.n_sensors
+    assert rxp[STRAGGLER, head] < cs <= rxp[STRAGGLER, 0]
+    # Every slot batches, and the straggler spends time in RX without ever
+    # decoding a frame: the batch engine alone replayed its overhearing.
+    assert mac.scalar_slots == 0 < mac.vector_slots
+    straggler = phy.trx(STRAGGLER)
+    assert straggler.meter.dwell_s[RadioState.RX] > 0.0
+    assert straggler.frames_received == 0
+
+    def record(phy, mac):
+        radios = [
+            (
+                trx.meter.consumed_j.hex(),
+                [trx.meter.dwell_s[s].hex() for s in RadioState],
+                trx.meter.last_change.hex(),
+                trx.frames_sent,
+                trx.frames_received,
+                trx.frames_garbled,
+            )
+            for trx in phy.transceivers
+        ]
+        delivered = [(t, p.origin, p.created) for t, p in mac.deliveries]
+        return radios, delivered, dict(phy.medium.tracer.counts)
+
+    assert record(*runs["vector"]) == record(*runs["scalar"])

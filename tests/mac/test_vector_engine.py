@@ -2,16 +2,31 @@
 
 The batch path's never-diverge contract (DESIGN.md §12) hangs on details
 that are invisible to normal correctness testing — IEEE summation order,
-fancy-vs-basic indexing, zero-dt handling.  These tests pin each one at
+zero-dt handling, applying a run of slots at once.  These tests pin each one at
 the unit level with inputs chosen so any reordering *visibly* changes the
 last bits, catching "harmless" refactors (e.g. swapping ``ordered_sum``
-for ``ndarray.sum``) long before a golden-fingerprint run would.
+or ``row_sum`` for ``ndarray.sum``) long before a golden-fingerprint run
+would.
 """
 
 import numpy as np
+import pytest
 
-from repro.mac.vector_engine import VectorRadioBank, _as_index, ordered_sum
+from repro.mac.vector_engine import (
+    _LOG_SLOTS,
+    _SENDER,
+    _STRAGGLER,
+    IDLE,
+    RX,
+    TX,
+    VectorPhaseEngine,
+    VectorRadioBank,
+    ordered_sum,
+    row_sum,
+)
 from repro.radio.energy import EnergyMeter, EnergyParams, RadioState
+
+from .test_engine_parity import straggler_cluster, straggler_positions
 
 # Magnitudes straddling ~2^53 in relative spread: the order in which these
 # are added determines which low bits survive, so left-to-right and
@@ -56,6 +71,20 @@ def test_ordered_sum_diverges_from_pairwise_reduction():
     assert not np.array_equal(ordered, pairwise)
 
 
+def test_row_sum_adds_down_the_time_axis_left_to_right():
+    # The batch apply sums each radio's per-step energies down axis 0 of a
+    # (steps x radios) array; each column must get the scalar meter's
+    # sequential adds, and the same rows summed pairwise must not.
+    rows = np.vstack(_columns())
+    got = row_sum(rows)
+    for i in range(rows.shape[1]):
+        acc = float(rows[0, i])
+        for x in rows[1:, i]:
+            acc = acc + float(x)
+        assert float(got[i]).hex() == acc.hex()
+    assert not np.array_equal(got, np.ascontiguousarray(rows.T).sum(axis=1))
+
+
 def test_ordered_sum_empty_and_ownership():
     assert ordered_sum([]) is None
     first = np.array([1.0, 2.0])
@@ -63,35 +92,6 @@ def test_ordered_sum_empty_and_ownership():
     assert np.array_equal(out, first)
     out[0] = 99.0  # must be a copy, never a view into the cached column
     assert first[0] == 1.0
-
-
-def test_as_index_contiguous_becomes_slice():
-    idx = np.array([3, 4, 5, 6])
-    out = _as_index(idx)
-    assert out == slice(3, 7)
-    base = np.arange(10) * 1.5
-    assert np.array_equal(base[out], base[idx])
-
-
-def test_as_index_noncontiguous_and_singleton_pass_through():
-    gap = np.array([1, 2, 5])
-    assert _as_index(gap) is gap
-    single = np.array([4])
-    assert _as_index(single) is single
-
-
-def test_as_index_requires_sorted_input():
-    # The contiguity check (last - first + 1 == size) is only meaningful on
-    # sorted input: this permutation satisfies it yet is NOT the span
-    # {1, 2, 3}.  Callers must sort first (see _GroupCache.t2_ix) — this
-    # test documents the hazard so the precondition is never "simplified"
-    # away.
-    unsorted = np.array([1, 3, 2, 4, 5])
-    out = _as_index(unsorted)
-    assert isinstance(out, slice)  # the check passes...
-    base = np.arange(10) * 2.0
-    assert np.array_equal(base[out], np.sort(base[unsorted]))  # ...as a SET
-    assert not np.array_equal(base[out], base[unsorted])  # ...not as a SEQ
 
 
 class _StubTrx:
@@ -111,8 +111,8 @@ class _StubTrx:
 
 def bank_shift(bank, idx: np.ndarray, now: float, prior: int, new: int) -> None:
     """Replay ``change_state(new, now)`` for radios *idx* of *bank*, all
-    currently in state *prior* — the array form of the meter update that
-    ``VectorPhaseEngine._run_slot`` specializes inline.
+    currently in state *prior* — one meter step of one slot, the update
+    ``VectorPhaseEngine._apply_log`` makes for a run of slots at once.
 
     ``consumed[i] += power * dt`` is computed per element — one IEEE
     multiply and one IEEE add per radio, the same two roundings the
@@ -144,7 +144,6 @@ def test_bank_shift_replays_meter_bit_for_bit():
 
     bank = VectorRadioBank(radios)
     bank.load()
-    from repro.mac.vector_engine import IDLE, RX
 
     t1 = 0.1 + 1.0 / 3.0  # not exactly representable: real rounding happens
     bank_shift(bank, np.arange(6), t1, IDLE, RX)
@@ -202,3 +201,82 @@ def test_phase_cut_by_the_run_end_matches_the_event_path():
     assert out["vector"][:2] == out["scalar"][:2]
     assert out["vector"][2] and not out["scalar"][2]
 
+
+
+@pytest.mark.parametrize("frame_error_rate", [0.0, 0.1])
+def test_apply_log_matches_a_per_slot_replay(frame_error_rate):
+    """More than two logs' worth of slots, with and without a data exchange,
+    with a straggler, on a clean and a lossy medium, against one
+    ``bank_shift`` per slot step."""
+    _, phy, mac = straggler_cluster("vector", frame_error_rate)
+    phy.medium.update_positions(straggler_positions(phy.medium))
+    engine = VectorPhaseEngine(mac, mac.sizes.data)
+    bank, head = engine.bank, engine.head
+    bank.load()
+    n = bank.consumed.size
+    # Uneven start values, so every add rounds.
+    rng = np.random.default_rng(7)
+    bank.last_change[:] = rng.uniform(0.0, 1.0, n)
+    bank.consumed[:] = rng.uniform(0.0, 0.5, n)
+    bank.dwell[:] = rng.uniform(0.0, 2.0, (4, n))
+    ref = VectorRadioBank(phy.transceivers)
+    ref.load()
+    for name in ("last_change", "consumed", "dwell", "listen_since"):
+        getattr(ref, name)[:] = getattr(bank, name)
+    engine._bind_caches()
+    engine.loaded = True
+    pc = engine._build_poll_cache()
+    keys = [(0,), (1,), (0, 3), (2, 4)]
+    groups = [(key, engine._build_group_cache(key, pc)) for key in keys]
+    assert any((gc.role == _STRAGGLER).any() for _, gc in groups)
+    polled = np.nonzero(pc.polled)[0]
+    polled = polled[polled != head]
+    at_head = np.array([head])
+
+    def decode(cands, static_coll, sender, now):
+        if engine.dynamic:
+            ok, _ = engine._draw_outcomes(cands, sender, now)
+        else:
+            ok = cands
+        ref.frames_received[np.array(ok, dtype=np.intp)] += 1
+        lost = [c for c in cands if c not in ok]
+        ref.frames_garbled[np.array(lost, dtype=np.intp)] += 1
+        ref.frames_garbled += static_coll
+
+    n_slots = 2 * _LOG_SLOTS + 23
+    t0 = 1.5
+    for _ in range(n_slots):
+        pick = rng.integers(len(groups) + 1)
+        key, gc = groups[pick - 1] if pick else ((), None)
+        t1 = t0 + engine.air_poll
+        t_tx = t1 + engine.turnaround
+        t2 = t_tx + engine.air_payload
+        bank_shift(ref, polled, t0, IDLE, RX)
+        bank_shift(ref, at_head, t0, IDLE, TX)
+        bank_shift(ref, polled, t1, RX, IDLE)
+        bank_shift(ref, at_head, t1, TX, IDLE)
+        ref.listen_since[head] = t1
+        ref.frames_sent[head] += 1
+        decode(pc.ok_nodes, pc.counts[2], head, t1)
+        if gc is not None:
+            senders = np.nonzero(gc.role == _SENDER)[0]
+            listeners = np.nonzero(gc.role > _SENDER)[0]
+            bank_shift(ref, senders, t_tx, IDLE, TX)
+            bank_shift(ref, listeners, t_tx, IDLE, RX)
+            for sender, (_, ok_list, _) in zip(key, gc.records):
+                decode(ok_list, 0, sender, t2)
+            ref.frames_garbled += gc.counts[2]
+            bank_shift(ref, senders, t2, TX, IDLE)
+            bank_shift(ref, listeners, t2, RX, IDLE)
+            ref.listen_since[senders] = t2
+            ref.frames_sent[senders] += 1
+        engine._log_slot(t0, gc)
+        # Slots follow back to back, or after a gap.
+        t0 = t0 + engine.slot_time + (0.25 if rng.random() < 0.1 else 0.0)
+    assert len(engine._log) == n_slots % _LOG_SLOTS
+    engine._apply_log()
+    for name in (
+        "consumed", "dwell", "last_change", "listen_since",
+        "frames_sent", "frames_received", "frames_garbled",
+    ):
+        assert getattr(bank, name).tobytes() == getattr(ref, name).tobytes(), name
