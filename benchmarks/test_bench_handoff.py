@@ -20,7 +20,7 @@ def test_bench_multicluster_handoff_off(benchmark):
     # pre-handoff hot path and must not pay for the feature's existence.
     cfg = MultiClusterConfig(n_cycles=4, seed=2, mobility_speed_mps=2.0)
     res = benchmark(lambda: run_multicluster_simulation(cfg))
-    assert res.field_coordinator is None
+    assert res.coordinator is None
     assert res.packets_delivered > 0
 
 

@@ -40,7 +40,7 @@ for name, knobs in POLICIES.items():
           f"{res.final_assignment_staleness:>9.3f} {res.field_coverage:>8.3f} "
           f"{res.field_reforms:>7} {res.field_handoffs:>8}")
 
-coord = results["staleness"].field_coordinator
+coord = results["staleness"].coordinator
 for ev in coord.reform_events:
     print(f"  t={ev.time:>5.1f} s  re-form ({ev.reason}): "
           f"committed {ev.committed}, aborted {ev.aborted}, "
@@ -51,7 +51,7 @@ assert on.field_handoffs >= 1
 assert on.packets_delivered > off.packets_delivered
 assert on.final_assignment_staleness < off.final_assignment_staleness
 assert on.field_coverage >= off.field_coverage
-assert off.field_coordinator is None  # off really is off
+assert off.coordinator is None  # off really is off
 
 traj_off = off.staleness_trajectory
 traj_on = on.staleness_trajectory

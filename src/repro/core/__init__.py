@@ -18,7 +18,6 @@ from .jmhrp import (
 from .online import (
     BernoulliLoss,
     LossModel,
-    NoLoss,
     OnlinePollingScheduler,
     OnlineResult,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "OnlinePollingScheduler",
     "OnlineResult",
     "LossModel",
-    "NoLoss",
     "BernoulliLoss",
     "solve_optimal",
     "optimal_makespan",

@@ -40,7 +40,6 @@ from .transmissions import Transmission
 __all__ = [
     "LossModel",
     "BernoulliLoss",
-    "NoLoss",
     "FailoverEvent",
     "OnlinePollingScheduler",
     "OnlineResult",
@@ -68,13 +67,6 @@ class LossModel:
 
     def fails(self, request: PollRequest, hop_index: int, slot: int) -> bool:
         raise NotImplementedError
-
-
-class NoLoss(LossModel):
-    """The ideal channel: every hop succeeds."""
-
-    def fails(self, request: PollRequest, hop_index: int, slot: int) -> bool:
-        return False
 
 
 class BernoulliLoss(LossModel):
@@ -152,7 +144,9 @@ class OnlinePollingScheduler:
         compatibility oracle; its ``max_group_size`` is the paper's M and
         caps per-slot concurrency.
     loss:
-        optional loss model; lost packets are re-polled.
+        optional loss model for :meth:`run`; lost packets are re-polled.
+        ``None`` (the default) loses nothing.  Externally stepped phases
+        learn their losses from the head's arrivals instead.
     order:
         request scan order (see :class:`RequestPool`).
     max_slots:
@@ -217,7 +211,7 @@ class OnlinePollingScheduler:
     ):
         self.plan = plan
         self.oracle = oracle
-        self.loss = loss or NoLoss()
+        self.loss = loss
         self.pool = RequestPool(plan, order=order)
         self.max_slots = max_slots
         self.retry_limit = retry_limit
@@ -230,8 +224,9 @@ class OnlinePollingScheduler:
         self.blacklist: set[int] = set()
         self._miss_streak: dict[int, int] = {}
         self.schedule = PollingSchedule()
-        # Per-request progress of the current attempt: request_id -> the
-        # farthest hop that actually carries the packet (loss truncates it).
+        # Per-request progress of the current attempt under the loss model:
+        # request_id -> the farthest hop that actually carries the packet
+        # (loss truncates it).  Empty without a loss model.
         self._attempt_ok_until: dict[int, int] = {}
         # Hot-path bookkeeping (semantics-neutral): the scan list of active
         # requests in pool order; in-flight requests by expected arrival
@@ -291,13 +286,20 @@ class OnlinePollingScheduler:
     def run(self) -> OnlineResult:
         """Execute slot by slot until every request is deleted."""
         t = 0
+        ok_until = self._attempt_ok_until
         while self._undelivered > 0:
             if t >= self.max_slots:
                 raise RuntimeError(
                     f"polling did not finish within {self.max_slots} slots"
                 )
-            self._process_arrivals(t)
-            self._fill_slot(t)
+            # An attempt arrives if the loss model let it cross every hop;
+            # one the model never judged (no model) arrives.
+            delivered_now = {
+                req.request_id
+                for req in self._in_flight.get(t - 1, ())
+                if ok_until.get(req.request_id, req.hop_count) >= req.hop_count
+            }
+            self._step(t, delivered_now)
             t += 1
         self.validate_invariants()
         return OnlineResult(
@@ -336,8 +338,14 @@ class OnlinePollingScheduler:
 
     def external_step(self, t: int, delivered_now: set[int]) -> list[Transmission]:
         """Advance to slot *t* given the head's observed arrivals at t-1."""
+        self._step(t, delivered_now)
+        return self.schedule.group_at(t)
+
+    def _step(self, t: int, delivered_now: set[int]) -> None:
+        """Resolve the requests due at slot t-1 — those in *delivered_now*
+        arrived, the rest are lost — then fill slot *t*."""
         self._slot_cursor = t
-        due = self._take_arrivals(t - 1)
+        due = self._in_flight.pop(t - 1, [])
         # Deliveries first: same-slot proof of life must reset a sensor's
         # miss streak before a sibling request's miss can condemn it.
         for req in due:
@@ -351,8 +359,7 @@ class OnlinePollingScheduler:
         for req in due:
             if req.state is RequestState.IDLE:
                 self._lose(req)
-        self._fill_slot(t, draw_loss=False)
-        return self.schedule.group_at(t)
+        self._fill_slot(t)
 
     # -- telemetry ----------------------------------------------------------------
     #
@@ -592,28 +599,7 @@ class OnlinePollingScheduler:
     def all_done(self) -> bool:
         return self._undelivered == 0
 
-    def _process_arrivals(self, t: int) -> None:
-        """Resolve requests whose expected arrival slot has just completed."""
-        self._slot_cursor = t
-        due = self._take_arrivals(t - 1)
-        for req in due:
-            if self._attempt_ok_until[req.request_id] >= req.hop_count:
-                req.mark_delivered()
-                self.schedule.delivered[req.request_id] = t - 1
-                self._undelivered -= 1
-                self._miss_streak.pop(req.sensor, None)
-                if self._tel_enabled:
-                    self._tel_delivered(req)
-        for req in due:
-            if req.state is RequestState.IDLE:
-                self._lose(req)
-
-    def _take_arrivals(self, slot: int) -> list["PollRequest"]:
-        """Pop in-flight requests whose expected arrival slot is *slot*, in
-        the order they were scheduled."""
-        return self._in_flight.pop(slot, [])
-
-    def _fill_slot(self, t: int, draw_loss: bool = True) -> None:
+    def _fill_slot(self, t: int) -> None:
         """Greedy insertion for slot *t* (the paper's inner while loop).
 
         A request fits if every hop *k* of its path may join slot t+k's
@@ -651,7 +637,7 @@ class OnlinePollingScheduler:
                 if not ok:
                     break
             else:
-                self._insert(req, t, draw_loss=draw_loss)
+                self._insert(req, t)
                 inserted.append(i)
                 size += 1
                 if size >= m:
@@ -681,7 +667,7 @@ class OnlinePollingScheduler:
             group + (link,)
         )
 
-    def _insert(self, req: PollRequest, t: int, draw_loss: bool = True) -> None:
+    def _insert(self, req: PollRequest, t: int) -> None:
         req.mark_scheduled(t)
         self._in_flight.setdefault(req.arrival_slot(), []).append(req)
         if self._tel_enabled:
@@ -697,9 +683,6 @@ class OnlinePollingScheduler:
         missing = t + len(links) - len(slot_links)
         if missing > 0:
             slot_links.extend([()] * missing)
-        # Draw loss lazily per hop now so progress is fixed for this attempt.
-        ok_until = 0
-        lost = False
         for k, link in enumerate(links):
             self.schedule.add(
                 t + k,
@@ -711,12 +694,14 @@ class OnlinePollingScheduler:
                 ),
             )
             slot_links[t + k] += (link,)
-            if draw_loss and not lost:
+        if self.loss is not None:
+            # Draw loss per hop now so progress is fixed for this attempt:
+            # the packet travels up to its first lost hop.
+            ok_until = 0
+            for k in range(len(links)):
                 if self.loss.fails(req, k, t + k):
-                    lost = True
-                else:
-                    ok_until = k + 1
-        if draw_loss:
+                    break
+                ok_until = k + 1
             self._attempt_ok_until[req.request_id] = ok_until
 
     # -- convenience --------------------------------------------------------------

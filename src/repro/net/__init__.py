@@ -9,10 +9,9 @@ from .coloring import is_proper_coloring, six_color_planar
 from .multicluster import TokenSchedule, assign_channels, concurrency_gain
 from .multicluster_sim import (
     AdoptionEvent,
+    FieldCoordinator,
     FieldHandoffEvent,
-    FieldReformCoordinator,
     FieldReformEvent,
-    HeadFailoverCoordinator,
     MultiClusterConfig,
     MultiClusterResult,
     run_multicluster_simulation,
@@ -32,10 +31,9 @@ __all__ = [
     "MultiClusterConfig",
     "MultiClusterResult",
     "AdoptionEvent",
+    "FieldCoordinator",
     "FieldHandoffEvent",
-    "FieldReformCoordinator",
     "FieldReformEvent",
-    "HeadFailoverCoordinator",
     "run_multicluster_simulation",
     "assign_channels",
     "concurrency_gain",

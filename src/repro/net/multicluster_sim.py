@@ -44,7 +44,6 @@ from ..radio.energy import EnergyParams
 from ..radio.packet import DEFAULT_SIZES
 from ..radio.transceiver import Transceiver
 from ..routing.repair import prune_dead_nodes
-from ..routing.warmcache import SolverCache
 from ..faults.injector import drift_step
 from ..sim.kernel import Simulator
 from ..sim.rng import RngStreams, mobility_rng
@@ -66,13 +65,19 @@ __all__ = [
     "AdoptionEvent",
     "FieldHandoffEvent",
     "FieldReformEvent",
-    "HeadFailoverCoordinator",
-    "FieldReformCoordinator",
+    "FieldCoordinator",
     "run_multicluster_simulation",
 ]
 
+BEACON_INTERVAL_S = 1.0
+"""Seconds between rounds of the heads' inter-cluster beacons."""
+
 BEACON_MISS_LIMIT = 3
 """Consecutive missed inter-cluster beacons that declare a head dead."""
+
+COMMIT_LEAD_S = 0.25
+"""How long before each duty-cycle boundary a field re-form prepares its
+moves (clamped to half a cycle); the commit lands on the boundary."""
 
 
 @dataclass(frozen=True)
@@ -93,12 +98,11 @@ class MultiClusterConfig:
     # path, bit for bit: no coordinator object, no scheduled events, no RNG
     # draws.  ``head_crashes`` injects fail-stop head crashes as (head,
     # time) pairs; ``head_failover`` arms the inter-cluster beacon watchdog
-    # that detects them and hands the orphaned sensors to the nearest
-    # surviving head (crashes without failover = the baseline where the
-    # whole cluster simply goes dark).
+    # (a round every ``BEACON_INTERVAL_S``) that detects them and hands the
+    # orphaned sensors to the nearest surviving head (crashes without
+    # failover = the baseline where the whole cluster simply goes dark).
     head_failover: bool = False
     head_crashes: tuple[tuple[int, float], ...] = ()
-    beacon_interval: float = 1.0
     # Field-level mobility (DESIGN.md §11): every sensor drifts a bounded
     # random step at each duty-cycle boundary (speed * cycle_length max,
     # reflected into the field).  0 (the default) schedules nothing and
@@ -116,23 +120,20 @@ class MultiClusterConfig:
     # included.  "staleness" re-runs the Voronoi forming over *live*
     # positions whenever the field-scope staleness trigger fires and hands
     # a bounded batch of sensors to their nearest live head; "periodic"
-    # re-forms on a fixed cycle cadence regardless of drift.
+    # re-forms on a fixed cycle cadence regardless of drift.  Moves are
+    # planned and radios retuned ``COMMIT_LEAD_S`` before the boundary
+    # (inside the field-wide sleep tail), then committed exactly at the
+    # boundary.  That window is the protocol's crash-safety surface — a
+    # head dying inside it aborts its moves.
     handoff: str = "off"  # "off" | "staleness" | "periodic"
     handoff_trigger: "StalenessTrigger | None" = None
     handoff_head_step_m: float = 0.0  # quantization placement step budget
-    # The prepare->commit lead: moves are planned and radios retuned this
-    # long before the boundary (inside the field-wide sleep tail), then
-    # committed exactly at the boundary.  The window is the protocol's
-    # crash-safety surface — a head dying inside it aborts its moves.
-    handoff_commit_lead: float = 0.25
     # Per-cluster MAC passthroughs (all defaults = the exact current MAC
     # arguments, bit for bit): failure detection (a threshold of silent
-    # cycles; None is off), backup paths and the warm solver cache, so
-    # handoff runs can exercise blacklist carryover and backup-bundle
-    # rebuilds end to end.
+    # cycles; None is off) and backup paths, so handoff runs can exercise
+    # blacklist carryover and backup-bundle rebuilds end to end.
     dead_after_misses: int | None = None
     backup_k: int = 0
-    use_solver_cache: bool = False
 
 
 @dataclass(frozen=True)
@@ -191,9 +192,10 @@ class MultiClusterResult:
     elapsed: float
     packets_generated: int
     collisions: int
-    coordinator: "HeadFailoverCoordinator | None" = None
-    """Present only when head crashes or failover were armed; carries the
-    crash/detection/adoption timeline for availability analysis."""
+    coordinator: "FieldCoordinator | None" = None
+    """Present when crashes, failover or re-forming are armed; carries the
+    crash/detection/adoption and re-form/handoff timelines and the live
+    serving map."""
     mobility_epochs: int = 0
     """Cycle-boundary drift steps executed (0 for static runs)."""
     final_assignment_staleness: float = 0.0
@@ -204,9 +206,6 @@ class MultiClusterResult:
     telemetry: "_obs.Telemetry | None" = None
     """The collector the run was traced into (activated around the call
     with ``obs.use(...)``); ``None`` for untraced runs."""
-    field_coordinator: "FieldReformCoordinator | None" = None
-    """Present only when ``config.handoff != "off"``; carries the re-form/
-    handoff timeline and the live serving map."""
     staleness_trajectory: tuple[float, ...] = ()
     """Assignment staleness sampled at every mobility epoch (duty-cycle
     boundary), not just at sim end — empty for static runs."""
@@ -235,15 +234,15 @@ class MultiClusterResult:
 
     @property
     def handoff_events(self) -> list["FieldHandoffEvent"]:
-        if self.field_coordinator is None:
+        if self.coordinator is None:
             return []
-        return list(self.field_coordinator.events)
+        return list(self.coordinator.events)
 
     @property
     def field_reforms(self) -> int:
-        if self.field_coordinator is None:
+        if self.coordinator is None:
             return 0
-        return len(self.field_coordinator.reform_events)
+        return len(self.coordinator.reform_events)
 
     @property
     def field_handoffs(self) -> int:
@@ -317,30 +316,66 @@ class _FieldMobility:
             tel.metrics.histogram("field.assignment_staleness.trajectory").observe(value)
 
 
-class HeadFailoverCoordinator:
-    """Second-layer survivability: detect dead heads, re-home their sensors.
+class FieldCoordinator:
+    """The field's live membership and the two protocols that change it.
 
-    Cluster heads exchange periodic inter-cluster beacons (modeled out of
-    band, like the Sec. V-G token passing itself — heads are wired/
-    high-power nodes whose coordination traffic does not contend with the
-    sensor channel).  A head that misses ``BEACON_MISS_LIMIT`` consecutive
-    beacons is declared dead by its peers; its orphaned sensors are then
+    One object owns who serves whom on the shared field: the serving map
+    (global sensor id -> head), the head positions, the live-head list and
+    the roster rebuild.  Two protocols change a roster, and each writes the
+    serving map as it does.
+
+    **Head takeover** (DESIGN.md §9).  Cluster heads exchange an
+    inter-cluster beacon every ``BEACON_INTERVAL_S`` (modeled out of band,
+    like the Sec. V-G token passing itself — heads are wired/high-power
+    nodes whose coordination traffic does not contend with the sensor
+    channel).  A head that misses ``BEACON_MISS_LIMIT`` consecutive beacons
+    is declared dead by its peers; its orphaned sensors are then
     **adopted** by the nearest surviving head: their radios move to the
     adopter's channel, fresh sensor agents re-bind the existing
     transceivers into the adopter's cluster, queued application packets
     carry over, and the adopter merges the new demand into its routing via
     the standard boundary repair (blacklists preserved, out-of-reach
-    orphans planned at zero — the partial-coverage contract).
-
-    Crashes themselves are injected via ``config.head_crashes`` whether or
-    not failover is armed, so the no-failover baseline (cluster goes dark,
+    orphans planned at zero — the partial-coverage contract).  Crashes
+    themselves are injected via ``config.head_crashes`` whether or not
+    failover is armed, so the no-failover baseline (cluster goes dark,
     data stops) and the takeover run are directly comparable.
+
+    **Cross-cluster handoff** (DESIGN.md §13).  Under mobility, boundary
+    sensors end up physically closer to (and often only reachable by) a
+    *different* head than the one still polling them.  Re-forming closes
+    the loop with a two-event protocol per duty-cycle boundary:
+
+    *prepare* (``boundary - COMMIT_LEAD_S``, inside the field-wide sleep
+    tail): feed the field-scope staleness tracker; when it fires, re-run
+    the Voronoi forming over live positions (with one bounded quantization
+    step of head re-placement folded in) and retune the planned movers'
+    radios to their destination channels — sensors are asleep, so the
+    retune is invisible to the MAC.
+
+    *commit* (exactly at the boundary, scheduled at build time so the
+    kernel's FIFO tie-break runs it after the mobility epoch but before
+    any head's wakeup): re-check endpoint liveness — the prepare->commit
+    window is the protocol's crash surface — then rebuild every affected
+    cluster's PHY/agents with the new rosters.  Queued application packets
+    ride along (re-stamped to new local ids), CBR sources re-target, and
+    each affected head re-plans via the standard boundary repair (never a
+    cold re-solve); blacklists, departed marks and suspect evidence follow
+    the sensor across clusters.
+
+    Crash safety: a source head dead at commit aborts its moves and leaves
+    the orphans to the takeover (one mover per sensor — that is the
+    ``dynamic.no-dual-membership`` invariant); a dead destination aborts
+    and retunes the movers home.  Either way no queue is stranded: packets
+    sit untouched in the old agents until a commit or an adoption
+    transplants them, and the ``dynamic.queue-conservation`` invariant
+    checks the field-wide pending count across every roster change.
     """
 
     def __init__(
         self,
         sim: Simulator,
         config: MultiClusterConfig,
+        net: FormedNetwork,
         medium: RadioMedium,
         macs: list[PollingClusterMac],
         sensor_positions: np.ndarray,
@@ -351,19 +386,56 @@ class HeadFailoverCoordinator:
         self.config = config
         self.medium = medium
         self.macs = macs
-        self.sensor_positions = sensor_positions
-        self.head_positions = head_positions
+        self.serving = np.asarray(net.assignment, dtype=np.int64).copy()
         self.source_by_global = source_by_global
+        # Head re-placement moves rows in place, so adoption groups orphans
+        # around the heads' current positions.
+        self.head_positions = head_positions
+        # Deploy-time positions; see the known fault in _declare_dead.
+        self.sensor_positions = sensor_positions
+        # Head takeover.
         self.crashed: list[tuple[int, float]] = []  # ground truth (head, time)
         self.adoption_events: list[AdoptionEvent] = []
         self._missed_beacons = {h: 0 for h in range(config.n_heads)}
         self._declared: set[int] = set()  # heads the watchdog already handled
+        # Cross-cluster handoff.
+        self.tracker: StalenessTracker | None = None
+        self.events: list[FieldHandoffEvent] = []
+        self.reform_events: list[FieldReformEvent] = []
+        self._pending: tuple[FieldReformPlan, list] | None = None
+        for h, t in config.head_crashes:
+            sim.at(float(t), self.crash_head, int(h))
+        if config.head_failover:
+            sim.schedule(BEACON_INTERVAL_S, self._beacon_tick)
+        if config.handoff != "off":
+            if config.handoff_trigger is not None:
+                trigger = config.handoff_trigger
+            elif config.handoff == "periodic":
+                trigger = StalenessTrigger(
+                    membership_delta=0, repair_fallbacks=0, period_cycles=1
+                )
+            else:
+                trigger = StalenessTrigger(membership_delta=3, repair_fallbacks=0)
+            self.tracker = StalenessTracker(trigger)
+            lead = min(COMMIT_LEAD_S, 0.5 * config.cycle_length)
+            for k in range(1, int(config.n_cycles)):
+                t = k * config.cycle_length
+                sim.at(t - lead, self._prepare)
+                sim.at(t, self._commit)
 
-    def arm(self) -> None:
-        for h, t in self.config.head_crashes:
-            self.sim.at(float(t), self.crash_head, int(h))
-        if self.config.head_failover:
-            self.sim.schedule(self.config.beacon_interval, self._beacon_tick)
+    # -- membership --------------------------------------------------------------
+
+    def _live(self) -> list[int]:
+        return [h for h in range(self.config.n_heads) if not self.macs[h].halted]
+
+    def current_staleness(self) -> float:
+        """Serving staleness against live heads and the live serving map."""
+        return serving_staleness(
+            self.medium.positions[: self.config.n_sensors],
+            self.head_positions,
+            self.serving,
+            self._live(),
+        )
 
     # -- fault injection ---------------------------------------------------------
 
@@ -376,7 +448,7 @@ class HeadFailoverCoordinator:
         mac.halt()
         _obs.current().timeline_event(self.sim.now, "head-crash", head=h)
 
-    # -- detection ---------------------------------------------------------------
+    # -- head takeover -----------------------------------------------------------
 
     def _beacon_tick(self) -> None:
         """One beacon round: live heads beacon, peers count the silent ones."""
@@ -391,19 +463,13 @@ class HeadFailoverCoordinator:
             if self._missed_beacons[h] >= BEACON_MISS_LIMIT:
                 self._declared.add(h)
                 self._declare_dead(h)
-        self.sim.schedule(self.config.beacon_interval, self._beacon_tick)
-
-    # -- takeover ----------------------------------------------------------------
+        self.sim.schedule(BEACON_INTERVAL_S, self._beacon_tick)
 
     def _declare_dead(self, dead_head: int) -> None:
         dead_phy = self.macs[dead_head].phy
         assert dead_phy.index_map is not None
         orphans = [int(g) for g in dead_phy.index_map[:-1]]
-        live = [
-            a
-            for a in range(self.config.n_heads)
-            if a != dead_head and not self.macs[a].halted
-        ]
+        live = self._live()  # the dead head is already halted
         _obs.current().timeline_event(
             self.sim.now,
             "head-declared-dead",
@@ -439,6 +505,7 @@ class HeadFailoverCoordinator:
         )
         orphans = tuple(range(len(members), len(agents)))
         mac.take_roster(new_phy, agents, "adoption", orphans, **evidence)
+        self.serving[orphan_globals] = adopter
         _check_roster_change(
             self.macs,
             pending_before,
@@ -462,98 +529,7 @@ class HeadFailoverCoordinator:
             sensors=list(orphan_globals),
         )
 
-
-class FieldReformCoordinator:
-    """Field-level re-forming: cross-cluster handoff + head re-placement.
-
-    PR 6 made the field dynamic but froze multi-cluster membership: sensors
-    drift, ``final_assignment_staleness`` climbs, and boundary sensors end
-    up physically closer to (and often only reachable by) a *different*
-    head than the one still polling them.  This coordinator closes the
-    loop with a two-event protocol per duty-cycle boundary:
-
-    **prepare** (``boundary - handoff_commit_lead``, inside the field-wide
-    sleep tail): feed the field-scope staleness tracker; when it fires,
-    re-run the Voronoi forming over live positions (with one bounded
-    quantization step of head re-placement folded in, DESIGN.md §13) and
-    retune the planned movers' radios to their destination channels —
-    sensors are asleep, so the retune is invisible to the MAC.
-
-    **commit** (exactly at the boundary, scheduled at build time so the
-    kernel's FIFO tie-break runs it after the mobility epoch but before
-    any head's wakeup): re-check endpoint liveness — the prepare->commit
-    window is the protocol's crash surface — then rebuild every affected
-    cluster's PHY/agents with the new rosters.  Queued application packets
-    ride along (re-stamped to new local ids), CBR sources re-target, and
-    each affected head re-plans via the standard boundary repair (never a
-    cold re-solve); blacklists, departed marks and suspect evidence follow
-    the sensor across clusters.
-
-    Crash safety: a source head dead at commit aborts its moves and leaves
-    the orphans to :class:`HeadFailoverCoordinator` (one mover per sensor —
-    that is the ``dynamic.no-dual-membership`` invariant); a dead
-    destination aborts and retunes the movers home.  Either way no queue
-    is stranded: packets sit untouched in the old agents until a commit or
-    an adoption transplants them, and the ``dynamic.queue-conservation``
-    invariant checks the field-wide pending count across every commit.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        config: MultiClusterConfig,
-        net: FormedNetwork,
-        medium: RadioMedium,
-        macs: list[PollingClusterMac],
-        head_positions: np.ndarray,
-        source_by_global: dict[int, CbrSource],
-    ):
-        self.sim = sim
-        self.config = config
-        self.medium = medium
-        self.macs = macs
-        # The SAME array HeadFailoverCoordinator holds: head re-placement
-        # mutates rows in place, so failover adoption groups orphans around
-        # the heads' *current* positions automatically.
-        self.head_positions = head_positions
-        self.source_by_global = source_by_global
-        self.serving = np.asarray(net.assignment, dtype=np.int64).copy()
-        if config.handoff_trigger is not None:
-            trigger = config.handoff_trigger
-        elif config.handoff == "periodic":
-            trigger = StalenessTrigger(
-                membership_delta=0, repair_fallbacks=0, period_cycles=1
-            )
-        else:
-            trigger = StalenessTrigger(membership_delta=3, repair_fallbacks=0)
-        self.tracker = StalenessTracker(trigger)
-        self.events: list[FieldHandoffEvent] = []
-        self.reform_events: list[FieldReformEvent] = []
-        self._pending: tuple[FieldReformPlan, list] | None = None
-        lead = min(float(config.handoff_commit_lead), 0.5 * config.cycle_length)
-        for k in range(1, int(config.n_cycles)):
-            t = k * config.cycle_length
-            sim.at(t - lead, self._prepare)
-            sim.at(t, self._commit)
-
-    # -- bookkeeping -------------------------------------------------------------
-
-    def _live(self) -> list[int]:
-        return [h for h in range(self.config.n_heads) if not self.macs[h].halted]
-
-    def _refresh_serving(self) -> None:
-        """Re-derive the serving map from the live rosters (ground truth).
-
-        Failover adoptions re-home sensors outside this coordinator; the
-        planner must see those sensors at their adopters, not at the dead
-        head.  Unclaimed sensors (a dark cluster's unadopted orphans) keep
-        their last serving head — the planner skips dead sources anyway.
-        """
-        for h, mac in enumerate(self.macs):
-            if mac.halted or mac.phy.index_map is None:
-                continue
-            for g in mac.phy.index_map[:-1]:
-                self.serving[int(g)] = h
+    # -- cross-cluster handoff ---------------------------------------------------
 
     def _frozen_globals(self, live: list[int]) -> set[int]:
         """Sensors that must not move.
@@ -608,20 +584,9 @@ class FieldReformCoordinator:
             FieldHandoffEvent(self.sim.now, move.sensor, move.src, move.dst, state)
         )
 
-    def current_staleness(self) -> float:
-        """Serving staleness against live heads and the live serving map."""
-        self._refresh_serving()
-        return serving_staleness(
-            self.medium.positions[: self.config.n_sensors],
-            self.head_positions,
-            self.serving,
-            self._live(),
-        )
-
     # -- prepare -----------------------------------------------------------------
 
     def _prepare(self) -> None:
-        self._refresh_serving()
         cfg = self.config
         live = self._live()
         positions = self.medium.positions[: cfg.n_sensors]
@@ -1028,9 +993,6 @@ def _run_multicluster(
         channels = np.zeros(config.n_heads, dtype=np.int64)
 
     # --- per-cluster stacks on shared PHY -----------------------------------------
-    # One warm solver cache across every head (opt-in): re-forms and
-    # adoptions that revisit a topology reuse its routing/backup solves.
-    solver_cache = SolverCache() if config.use_solver_cache else None
     macs: list[PollingClusterMac] = []
     all_agents = []
     for h, index_map in enumerate(rosters):
@@ -1059,7 +1021,6 @@ def _run_multicluster(
             engine=config.engine,
             dead_after_misses=config.dead_after_misses,
             backup_k=config.backup_k,
-            solver_cache=solver_cache,
         )
         macs.append(mac)
         all_agents.append(mac.sensors)
@@ -1079,39 +1040,26 @@ def _run_multicluster(
         for agent, src in zip(agents, cluster_sources):
             source_by_global[int(net.members[h][agent.sensor])] = src
 
-    # --- head survivability (armed only when asked: bit-for-bit otherwise) ------------
-    coordinator: HeadFailoverCoordinator | None = None
-    if config.head_failover or config.head_crashes:
-        coordinator = HeadFailoverCoordinator(
+    # --- the field's membership (armed only when asked: bit-for-bit otherwise) ----
+    coordinator: FieldCoordinator | None = None
+    if config.head_failover or config.head_crashes or config.handoff != "off":
+        # Constructed after _FieldMobility on purpose: both schedule
+        # boundary events at build time, so the kernel's FIFO tie-break
+        # runs each epoch's position update before the commit that acts
+        # on it — and both before any head's wakeup at the same instant.
+        coordinator = FieldCoordinator(
             sim=sim,
             config=config,
+            net=net,
             medium=medium,
             macs=macs,
             sensor_positions=sensors,
             head_positions=heads,
             source_by_global=source_by_global,
         )
-        coordinator.arm()
-
-    # --- field-level re-forming (armed only when asked: bit-for-bit otherwise) --------
-    field_coord: FieldReformCoordinator | None = None
-    if config.handoff != "off":
-        # Constructed after _FieldMobility on purpose: both schedule
-        # boundary events at build time, so the kernel's FIFO tie-break
-        # runs each epoch's position update before the commit that acts
-        # on it — and both before any head's wakeup at the same instant.
-        field_coord = FieldReformCoordinator(
-            sim=sim,
-            config=config,
-            net=net,
-            medium=medium,
-            macs=macs,
-            head_positions=heads,
-            source_by_global=source_by_global,
-        )
     if mobility is not None:
-        if field_coord is not None:
-            mobility.staleness_probe = field_coord.current_staleness
+        if config.handoff != "off":
+            mobility.staleness_probe = coordinator.current_staleness
         else:
             mobility.staleness_probe = lambda: serving_staleness(
                 medium.positions[: config.n_sensors], heads, net.assignment
@@ -1171,7 +1119,6 @@ def _run_multicluster(
         final_assignment_staleness=(
             0.0 if mobility is None else float(mobility.staleness_probe())
         ),
-        field_coordinator=field_coord,
         staleness_trajectory=(
             () if mobility is None else tuple(mobility.staleness_trajectory)
         ),

@@ -74,10 +74,10 @@ def serving_staleness(
     """Fraction of sensors whose nearest *live* head differs from the head
     currently serving them.
 
-    Measured against the *current serving* assignment (which handoffs
-    update, or the deploy-time one on a field without a coordinator) and
-    restricted to surviving heads — a sensor cannot be less stale by
-    preferring a crashed head.  ``live_heads=None`` counts every head live.
+    Measured against the *current serving* assignment (which handoffs and
+    adoptions update, or the deploy-time one on a field that does not
+    re-form) and restricted to surviving heads — a sensor cannot be less
+    stale by preferring a crashed head.  ``live_heads=None`` counts every head live.
     """
     serving = np.asarray(serving)
     if serving.size == 0:
@@ -174,10 +174,9 @@ def plan_field_reform(
         if src == dst or g in frozen:
             continue
         if src not in live:
-            # Orphans of a dead head belong to the failover adoption path
-            # (HeadFailoverCoordinator), not to a live-to-live handoff —
-            # two mechanisms moving the same sensor is how dual membership
-            # happens.
+            # Orphans of a dead head belong to the coordinator's head
+            # takeover, not to a live-to-live handoff — two mechanisms
+            # moving the same sensor is how dual membership happens.
             continue
         src_d = float(np.hypot(*(sensors[g] - heads[src])))
         dst_d = float(np.hypot(*(sensors[g] - heads[dst])))

@@ -56,8 +56,6 @@ __all__ = [
     "InvariantWarning",
     "InvariantMonitor",
     "MONITOR",
-    "get_monitor",
-    "set_mode",
     "strict",
     "warn",
     "off",
@@ -213,15 +211,6 @@ class InvariantMonitor:
 
 MONITOR = InvariantMonitor()
 """The process-wide monitor all wired-in call sites consult by default."""
-
-
-def get_monitor() -> InvariantMonitor:
-    return MONITOR
-
-
-def set_mode(mode: str) -> None:
-    """Set the process-wide strictness (``off`` / ``warn`` / ``strict``)."""
-    MONITOR.mode = mode
 
 
 def strict():

@@ -22,7 +22,7 @@ from repro.core.transmissions import occupied_nodes
 
 
 class ReferenceScheduler(OnlinePollingScheduler):
-    def _fill_slot(self, t: int, draw_loss: bool = True) -> None:
+    def _fill_slot(self, t: int) -> None:
         oracle = self.oracle
         m = oracle.max_group_size
         slots = self.schedule.slots
@@ -67,7 +67,7 @@ class ReferenceScheduler(OnlinePollingScheduler):
                     break
             if not fits:
                 continue
-            self._insert(req, t, draw_loss=draw_loss)
+            self._insert(req, t)
             ctx.clear()  # the insert grew the groups at t..t+hops
             size += 1
             if size >= m:

@@ -23,11 +23,6 @@ import pytest
 from repro import validate
 from repro.net import MultiClusterConfig, run_multicluster_simulation
 
-# The prepare event fires handoff_commit_lead before each boundary; a crash
-# scheduled inside (boundary - lead, boundary) lands in the protocol's
-# crash window.
-LEAD = 0.25
-
 
 def fingerprint(res) -> str:
     """Full behavioral digest, per-radio energy floats included."""
@@ -105,7 +100,7 @@ def test_handoff_off_is_bit_for_bit_head(name):
 
 def test_off_creates_no_field_coordinator():
     res = run_multicluster_simulation(MultiClusterConfig(n_cycles=2))
-    assert res.field_coordinator is None
+    assert res.coordinator is None
     assert res.handoff_events == []
     assert res.field_reforms == 0
     assert res.staleness_trajectory == ()
@@ -164,7 +159,7 @@ def test_committed_sensors_change_cluster_and_queues_survive():
         res = run_multicluster_simulation(cfg)
     committed = [e for e in res.handoff_events if e.state == "committed"]
     assert committed, "regime chosen to produce at least one handoff"
-    coord = res.field_coordinator
+    coord = res.coordinator
     for e in committed:
         assert int(coord.serving[e.sensor]) != e.src or any(
             later.sensor == e.sensor and later.time > e.time
@@ -239,7 +234,7 @@ def test_chaos_mobility_crash_mid_handoff_strict_clean(seed):
     )
     with validate.strict():
         res = run_multicluster_simulation(cfg)
-    assert res.field_coordinator is not None
+    assert res.coordinator is not None
     # the crashed head stays halted; everyone else finishes the run
     assert res.macs[seed % 3].halted
     states = {e.state for e in res.handoff_events}
@@ -310,7 +305,7 @@ def test_head_replacement_moves_heads_within_budget():
     n = cfg.n_sensors
     moved = 0.0
     for h in range(cfg.n_heads):
-        a = res.field_coordinator.head_positions[h]
+        a = res.coordinator.head_positions[h]
         b = deploy.net.clusters[h].head_position
         moved = max(moved, float(np.hypot(*(a - b))))
     assert moved > 0.0
@@ -326,13 +321,60 @@ def test_periodic_policy_reforms_every_cycle():
     assert res.field_reforms == 5
 
 
-def test_solver_cache_and_liveness_passthroughs():
-    """The PR 4/PR 7 knobs thread through and stay strict-clean."""
+@pytest.mark.parametrize("crash", [(3, 33.384), (1, 8.0), (0, 14.0)])
+def test_every_plan_sees_each_live_sensor_at_its_roster_head(crash, monkeypatch):
+    """The serving map a re-form plans from is the live rosters' map.
+
+    Adoptions and commits both change rosters; each must leave every
+    sensor of a live roster served by that roster's head, or the planner
+    moves sensors away from the wrong head.  The runs are field-mobile's
+    with its crash replaced: in the last two the adoptions land before
+    several later prepares."""
+    from repro.mac.pollmac import PollingClusterMac
+    from repro.net import multicluster_sim
+
+    from .test_head_failover import FIELD_MOBILE
+
+    macs = []
+    init = PollingClusterMac.__init__
+
+    def record(mac, *args, **kwargs):
+        init(mac, *args, **kwargs)
+        macs.append(mac)
+
+    def stale(serving):
+        return sum(
+            int(serving[int(g)]) != mac.cluster_id
+            for mac in macs
+            if not mac.halted
+            for g in mac.phy.index_map[:-1]
+        )
+
+    plans = []
+    plan = multicluster_sim.plan_field_reform
+
+    def spy(positions, head_positions, serving, **kwargs):
+        plans.append((sum(mac.adoptions for mac in macs), stale(serving)))
+        return plan(positions, head_positions, serving, **kwargs)
+
+    monkeypatch.setattr(PollingClusterMac, "__init__", record)
+    monkeypatch.setattr(multicluster_sim, "plan_field_reform", spy)
+    cfg = MultiClusterConfig(**{**FIELD_MOBILE, "head_crashes": (crash,)})
+    res = run_multicluster_simulation(cfg)
+    assert res.coordinator.adoption_events
+    assert any(adopted for adopted, _ in plans), "no plan after an adoption"
+    assert [n for _, n in plans] == [0] * len(plans)
+    assert stale(res.coordinator.serving) == 0
+
+
+def test_liveness_passthroughs():
+    """Failure detection and backup paths thread through to every head's
+    MAC, and re-forming with them stays strict-clean."""
     from repro.topology import StalenessTrigger
 
     cfg = MultiClusterConfig(
         n_cycles=8, seed=2, mobility_speed_mps=3.0,
-        handoff="staleness", use_solver_cache=True,
+        handoff="staleness",
         dead_after_misses=2, backup_k=1,
         # failure detection blacklists (and therefore freezes) some of the
         # drifters the default threshold counts on; fire on the first one
@@ -341,10 +383,7 @@ def test_solver_cache_and_liveness_passthroughs():
     with validate.strict():
         res = run_multicluster_simulation(cfg)
     assert res.field_reforms >= 1
-    assert all(mac.solver_cache is not None for mac in res.macs)
-    assert len({id(mac.solver_cache) for mac in res.macs}) == 1  # shared
-    stats = res.macs[0].solver_cache.stats
-    assert stats.routing_misses + stats.routing_hits > 0
+    assert all(mac.dead_after_misses == 2 and mac.backup_k == 1 for mac in res.macs)
 
 
 def test_field_coverage_bounds_and_static_value():

@@ -17,7 +17,7 @@ import pytest
 
 from repro import validate
 from repro.net import MultiClusterConfig, run_multicluster_simulation
-from repro.net.multicluster_sim import BEACON_MISS_LIMIT
+from repro.net.multicluster_sim import BEACON_INTERVAL_S, BEACON_MISS_LIMIT
 
 BASE = dict(
     n_sensors=60,
@@ -71,10 +71,9 @@ def test_crash_without_failover_goes_dark(healthy, crashed_dark):
 def test_beacon_watchdog_detects_within_miss_limit(adopted):
     coord = adopted.coordinator
     assert coord.adoption_events, "watchdog never declared the dead head"
-    cfg = adopted.config
     detection = min(ev.time for ev in coord.adoption_events)
     latency = detection - CRASH_AT
-    assert 0 < latency <= (BEACON_MISS_LIMIT + 1) * cfg.beacon_interval
+    assert 0 < latency <= (BEACON_MISS_LIMIT + 1) * BEACON_INTERVAL_S
 
 
 def test_orphans_are_adopted_by_surviving_heads(adopted):
@@ -266,9 +265,9 @@ def test_adoption_is_checked_like_a_handoff_commit(monkeypatch):
         return new_phy, agents, evidence
 
     monkeypatch.setattr(multicluster_sim, "_rebuild_roster", lossy)
+    monkeypatch.setattr(multicluster_sim, "BEACON_INTERVAL_S", 0.25)
     cfg = MultiClusterConfig(
-        n_cycles=4, seed=0, head_failover=True, head_crashes=((1, 11.7),),
-        beacon_interval=0.25,
+        n_cycles=4, seed=0, head_failover=True, head_crashes=((1, 11.7),)
     )
     with validate.warn(), validate.MONITOR.capture() as found:
         with pytest.warns(validate.InvariantWarning):
@@ -298,16 +297,16 @@ FIELD_MOBILE = dict(
 
 @pytest.mark.xfail(
     strict=True,
-    reason="HeadFailoverCoordinator._declare_dead measures each orphan from "
+    reason="FieldCoordinator._declare_dead measures each orphan from "
     "its deploy-time position, not its current one: global sensors 49 and 55 "
     "go to head 1 though head 2 is nearest; reading medium.positions moves "
     "the stored field-mobile digests, so the fix waits for a re-record",
 )
 def test_orphans_go_to_the_live_head_nearest_their_current_position(monkeypatch):
-    from repro.net.multicluster_sim import HeadFailoverCoordinator
+    from repro.net.multicluster_sim import FieldCoordinator
 
     declared = []
-    declare = HeadFailoverCoordinator._declare_dead
+    declare = FieldCoordinator._declare_dead
 
     def spy(coord, dead_head):
         live = [h for h, mac in enumerate(coord.macs) if h != dead_head and not mac.halted]
@@ -315,7 +314,7 @@ def test_orphans_go_to_the_live_head_nearest_their_current_position(monkeypatch)
         declared.append((coord.sim.now, dead_head, live, positions, coord.head_positions.copy()))
         declare(coord, dead_head)
 
-    monkeypatch.setattr(HeadFailoverCoordinator, "_declare_dead", spy)
+    monkeypatch.setattr(FieldCoordinator, "_declare_dead", spy)
     res = run_multicluster_simulation(MultiClusterConfig(**FIELD_MOBILE))
     events = res.coordinator.adoption_events
     assert declared and events

@@ -35,20 +35,16 @@ CONFIGS = {
     "mobility-periodic": MultiClusterConfig(
         n_cycles=6, seed=2, mobility_speed_mps=2.0, handoff="periodic"
     ),
-    # 2 s cycles with a 1 s lead: prepares fire while cluster 2 is polling.
     "prepare-mid-phase": MultiClusterConfig(
         n_cycles=6, seed=3, cycle_length=2.0, rate_bps=200.0,
-        mobility_speed_mps=4.0, handoff="periodic", handoff_commit_lead=1.0,
+        mobility_speed_mps=4.0, handoff="periodic",
     ),
     "crash-failover-backups": MultiClusterConfig(
         n_cycles=6, seed=2, head_failover=True, head_crashes=((1, 8.0),),
         dead_after_misses=2, backup_k=2,
     ),
-    # Beacons every 0.25 s: head 1 is declared dead at 12.25 s, inside the
-    # cycle-2 phases of both adopters.
     "adoption-mid-phase": MultiClusterConfig(
-        n_cycles=4, seed=0, head_failover=True, head_crashes=((1, 11.7),),
-        beacon_interval=0.25,
+        n_cycles=4, seed=0, head_failover=True, head_crashes=((1, 11.7),)
     ),
     "telemetry": MultiClusterConfig(
         n_cycles=4, seed=1, mobility_speed_mps=2.0, handoff="staleness"
@@ -56,6 +52,21 @@ CONFIGS = {
 }
 # Configs run traced, each into a fresh collector.
 TRACED = {"telemetry"}
+# Module constants a config runs under, patched in by _config.
+CONSTANTS = {
+    # 2 s cycles with a 1 s lead: prepares fire while cluster 2 is polling.
+    "prepare-mid-phase": {"COMMIT_LEAD_S": 1.0},
+    # Beacons every 0.25 s: head 1 is declared dead at 12.25 s, inside the
+    # cycle-2 phases of both adopters.
+    "adoption-mid-phase": {"BEACON_INTERVAL_S": 0.25},
+}
+
+
+def _config(name: str, monkeypatch) -> MultiClusterConfig:
+    """CONFIGS[name], with its CONSTANTS patched in for the test."""
+    for constant, value in CONSTANTS.get(name, {}).items():
+        monkeypatch.setattr(multicluster_sim, constant, value)
+    return CONFIGS[name]
 
 
 def _record(res) -> dict:
@@ -80,8 +91,8 @@ def _run(cfg: MultiClusterConfig, engine: str, traced: bool = False):
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_engines_agree_on_field_runs(name):
-    cfg, traced = CONFIGS[name], name in TRACED
+def test_engines_agree_on_field_runs(name, monkeypatch):
+    cfg, traced = _config(name, monkeypatch), name in TRACED
     vector, scalar = _run(cfg, "vector", traced), _run(cfg, "scalar", traced)
     assert _record(vector) == _record(scalar)
     assert sum(mac.vector_slots for mac in scalar.macs) == 0
@@ -91,15 +102,15 @@ def test_prepare_lands_while_a_cluster_polls(monkeypatch):
     """The prepare-mid-phase config stages moves while a cluster is inside
     its duty cycle, so the prepare's retunes fall between its slots."""
     seen = []
-    prepare = multicluster_sim.FieldReformCoordinator._prepare
+    prepare = multicluster_sim.FieldCoordinator._prepare
 
     def spy(coord):
         busy = [mac.cluster_id for mac in coord.macs if mac.mid_cycle]
         prepare(coord)
         seen.append((busy, len(coord._pending[1]) if coord._pending else 0))
 
-    monkeypatch.setattr(multicluster_sim.FieldReformCoordinator, "_prepare", spy)
-    run_multicluster_simulation(CONFIGS["prepare-mid-phase"])
+    monkeypatch.setattr(multicluster_sim.FieldCoordinator, "_prepare", spy)
+    run_multicluster_simulation(_config("prepare-mid-phase", monkeypatch))
     assert any(busy and staged for busy, staged in seen)
 
 
@@ -129,7 +140,7 @@ def test_adoption_sends_the_rest_of_the_phase_down_the_event_path(monkeypatch):
         calls.append((replaced, batched))
         return batched
 
-    cfg = CONFIGS["adoption-mid-phase"]
+    cfg = _config("adoption-mid-phase", monkeypatch)
     scalar = _record(_run(cfg, "scalar"))
     monkeypatch.setattr(VectorPhaseEngine, "try_slot", spy)
     assert _record(_run(cfg, "vector")) == scalar

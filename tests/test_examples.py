@@ -66,6 +66,13 @@ def test_campaign_monitor_runs():
     assert "every trial accounted for, every anomaly traceable" in out
 
 
+def test_failover_runs():
+    out = run_example("failover.py")
+    assert "H1 adopts 10 orphans of dead H0" in out
+    assert "H2 adopts 7 orphans of dead H0" in out
+    assert "the network survived both a dead relay and a dead head." in out
+
+
 def test_churn_recluster_runs():
     out = run_example("churn_recluster.py")
     assert "re-form (membership)" in out

@@ -250,7 +250,7 @@ def test_serving_staleness_counts_nearest_live_head():
 
 
 def _field_boundary(tracker: StalenessTracker, misassigned: int) -> str | None:
-    """One field boundary, fed as ``FieldReformCoordinator._prepare`` feeds
+    """One field boundary, fed as ``FieldCoordinator._prepare`` feeds
     its tracker: count the cycle, set the membership delta to the count
     misassigned now, ask for a verdict."""
     tracker.note_cycle()
