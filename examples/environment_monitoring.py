@@ -19,7 +19,7 @@ import numpy as np
 
 from repro import PathRotator, merge_flow_to_tree, solve_min_max_load
 from repro.core import partition_into_sectors
-from repro.mac import geometric_oracle
+from repro.mac import SENSOR_RANGE_M, geometric_oracle
 from repro.metrics import EnergyRateModel, energy_report, evaluate_lifetime_ratio_for_cluster
 from repro.net import PollingSimConfig, run_polling_simulation
 
@@ -60,7 +60,7 @@ def main() -> None:
 
     # --- what sectoring would buy (Sec. IV) -----------------------------------
     cluster = result.phy.cluster.with_packets(np.ones(CONFIG.n_sensors, dtype=np.int64))
-    oracle, cluster = geometric_oracle(cluster, sensor_range_m=CONFIG.sensor_range_m)
+    oracle, cluster = geometric_oracle(cluster, sensor_range_m=SENSOR_RANGE_M)
     life = evaluate_lifetime_ratio_for_cluster(cluster, oracle, model=EnergyRateModel())
     print(f"\n--- sectoring (Sec. IV) ---")
     print(f"  sectors: {life.n_sectors}, whole-cluster polling: "

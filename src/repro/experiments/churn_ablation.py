@@ -35,6 +35,7 @@ resume for free::
 from __future__ import annotations
 
 from ..faults import FaultPlan, Mobility, NodeJoin, NodeLeave
+from ..mac.base import SIDE_M
 from ..net.cluster_sim import PollingSimConfig, run_polling_simulation
 from ..sim.rng import fault_rng
 from ..topology.recluster import StalenessTrigger
@@ -52,7 +53,7 @@ def churn_plan(
     churn_rate: float,
     mobility_speed: float,
     seed: int,
-    side_m: float = 200.0,
+    side_m: float = SIDE_M,
 ) -> FaultPlan | None:
     """Draw one deterministic churn plan for a grid point.
 

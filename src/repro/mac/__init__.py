@@ -2,6 +2,8 @@
 
 from .base import (
     GROUND_SENSOR_PROPAGATION,
+    SENSOR_RANGE_M,
+    SIDE_M,
     ClusterPhy,
     MacTimings,
     build_cluster_phy,
@@ -25,6 +27,8 @@ __all__ = [
     "build_cluster_phy",
     "geometric_oracle",
     "GROUND_SENSOR_PROPAGATION",
+    "SENSOR_RANGE_M",
+    "SIDE_M",
     "sensor_power_for_range",
     "PollingClusterMac",
     "PollingSensorAgent",

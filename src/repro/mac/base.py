@@ -29,6 +29,8 @@ __all__ = [
     "sensor_power_for_range",
     "geometric_oracle",
     "GROUND_SENSOR_PROPAGATION",
+    "SENSOR_RANGE_M",
+    "SIDE_M",
 ]
 
 # Ground-level sensor nodes have antennas centimeters off the soil; at
@@ -38,6 +40,14 @@ __all__ = [
 # few hop-lengths across: interference from across the cluster falls off
 # much faster than the wanted short-link signal.
 GROUND_SENSOR_PROPAGATION = TwoRayGround(ht=0.3, hr=0.3)
+
+# The paper's Sec. VI deployment, shared by the polling, S-MAC and field
+# harnesses so that the compared protocols run over the same PHY: sensors
+# reach 55 m and are scattered over a 200 m square.  The other Sec. VI
+# values are the PHY's own defaults: 200 kbps (``RadioMedium``), the
+# 80-byte packet (``FrameSizes.data``) and ``EnergyParams()``.
+SENSOR_RANGE_M = 55.0
+SIDE_M = 200.0
 
 
 @dataclass(frozen=True)

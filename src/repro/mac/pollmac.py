@@ -39,14 +39,14 @@ from ..core.sectors import partition_into_sectors
 from ..interference.physical import PhysicalModelOracle
 from ..radio.packet import BROADCAST_ADDR, DEFAULT_SIZES, Frame, FrameSizes, FrameType
 from ..routing.backup import BackupRoutes, compute_backup_routes
-from ..routing.minmax import FlowSolution, solve_min_max_load
+from ..routing.minmax import FlowSolution
 from ..routing.warmcache import SolverCache
 from ..routing.paths import RoutingPlan
-from ..routing.repair import prune_dead_nodes, repair_routing
+from ..routing.repair import repair_routing
 from ..routing.rotation import PathRotator
 from ..sim.process import Process, Timeout
 from ..sim.units import transmission_time
-from ..topology.cluster import HEAD, Cluster
+from ..topology.cluster import HEAD
 from ..topology.recluster import (
     StalenessTracker,
     StalenessTrigger,
@@ -427,36 +427,17 @@ class PollingClusterMac:
         # once (zero otherwise, so static wakeups keep their exact size).
         self._reform_roster_bytes = 0
         self._staleness = None if recluster is None else StalenessTracker(recluster)
-        # Recovery state: the topology the head currently plans on (pruned
-        # after each repair), declared-dead sensors, survivors that lost
-        # their last route, and per-node consecutive-suspect-cycle counters.
-        # Joiner slots exist in the PHY from t=0 but must not attract routes
-        # until admitted; prune them like the dead.
-        self.active_cluster = prune_dead_nodes(phy.cluster, self.absent)
+        # Recovery state: declared-dead sensors, survivors without a route
+        # and per-node consecutive-suspect-cycle counters.
         self.blacklisted: set[int] = set()
         self.unreachable: set[int] = set()
         self._suspect_misses: dict[int, int] = {}
-        self.oracle = phy_truth_oracle(phy, max_group_size)
         self.sensors = [
             PollingSensorAgent(phy, i, self.sizes, timings, cluster_id=cluster_id)
             for i in range(phy.n_sensors)
         ]
         self.head_trx = phy.trx(HEAD)
         self.head_trx.on_receive(self._head_on_frame)
-        # Routing is computed once from average traffic (Sec. III-A: "run the
-        # network flow algorithm once every long time period").  A sweep's
-        # solver cache answers repeat topologies bit-for-bit from memory
-        # (the solve is deterministic), so trials sharing a deployment skip
-        # the Dinic work entirely (DESIGN.md §12).
-        self.solver_cache = solver_cache
-        self._adopt_oracle()
-        self.routing = self._solve_routing()
-        self.rotator = PathRotator(self.routing)
-        self.ack_plan = plan_ack_collection(self.active_cluster, self.routing.routing_plan())
-        # Proactive survivability (backup_k > 0): k-disjoint backup paths
-        # per sensor, recomputed alongside every routing (re-)solve, handed
-        # to the data-phase scheduler for in-cycle failover.
-        self.backups = self._compute_backups()
         # Telemetry (repro.obs): the ambient collector is cached once and
         # every emission below guards on _tel_enabled, so runs without an
         # active collector stay bit-for-bit identical to the untraced MAC.
@@ -467,9 +448,6 @@ class PollingClusterMac:
         # every in-cycle failover and every (arrival time, packet) the head
         # accepted.  Counters and metrics reports are reductions over them.
         self.replans: list[Replan] = []
-        self._record_replan(
-            Replan(self.sim.now, "initial", self.routing, tuple(sorted(self._excluded())))
-        )
         self.failovers: list[FailoverEvent] = []
         self.deliveries: list[tuple[float, AppPacket]] = []
         self.halted = False
@@ -480,11 +458,17 @@ class PollingClusterMac:
         # straddle the shared boundary — instead of yanking the PHY out from
         # under a running phase.
         self.mid_cycle = False
-        # Sector operation (Sec. IV): fixed relay trees per sector, polled in
-        # turn; sensors sleep outside the ack phase and their own window.
-        self.partition = None
-        if use_sectors:
-            self.partition = partition_into_sectors(self.routing, oracle=self.oracle)
+        # Routing is computed once from average traffic (Sec. III-A: "run the
+        # network flow algorithm once every long time period") and put in
+        # force by the same re-plan every later plan runs; joiner slots
+        # exist in the PHY from t=0 but stay pruned until admitted.  A
+        # sweep's solver cache answers repeat topologies bit-for-bit from
+        # memory (the solve is deterministic), so trials sharing a
+        # deployment skip the Dinic work entirely (DESIGN.md §12).
+        self.solver_cache = solver_cache
+        self.partition = None  # Sec. IV sectors, built by _replan when used
+        self._capture_oracle(max_group_size)
+        self._replan("initial")
         # Per-slot reception buffers the head process reads.
         self._arrived_requests: set[int] = set()
         self._ack_counts: dict[int, int] = {}
@@ -496,27 +480,13 @@ class PollingClusterMac:
                 self.oracle.max_group_size
             )
 
-    def _adopt_oracle(self) -> None:
-        """Hook the freshly built SINR oracle into the sweep's shared memo
-        (no-op without a cache; see ``SolverCache.adopt_oracle``)."""
+    def _capture_oracle(self, max_group_size: int) -> None:
+        """Capture the planning oracle from the PHY's current receive
+        powers, hooked into the sweep's shared SINR memo when a solver
+        cache is attached (see ``SolverCache.adopt_oracle``)."""
+        self.oracle = phy_truth_oracle(self.phy, max_group_size)
         if self.solver_cache is not None:
             self.solver_cache.adopt_oracle(self.oracle)
-
-    def _solve_routing(self) -> FlowSolution:
-        """The initial min-max solve, via the sweep's warm-start cache when
-        one is attached (later re-plans go through :meth:`_replan`).
-
-        Routing uses >=1 packet per reachable sensor so each gets a path;
-        sensors with no multi-hop path to the head (strays at cluster
-        borders) are planned at zero packets — they cannot be served.
-        """
-        cluster = self.active_cluster
-        hops = cluster.min_hop_counts()
-        packets = np.where(np.isfinite(hops), np.maximum(cluster.packets, 1), 0)
-        planning = cluster.with_packets(packets.astype(np.int64))
-        if self.solver_cache is not None:
-            return self.solver_cache.routing_for(planning)
-        return solve_min_max_load(planning)
 
     def _compute_backups(self) -> BackupRoutes | None:
         if self.backup_k <= 0:
@@ -596,31 +566,33 @@ class PollingClusterMac:
         self.unreachable &= kept
         self.pending_joins &= kept
         self._new_departures = set()
-        self.oracle = phy_truth_oracle(new_phy, self.oracle.max_group_size)
-        self._adopt_oracle()
-        return self._replan(new_phy.cluster, cause, admitted=admitted)
+        self._capture_oracle(self.oracle.max_group_size)
+        return self._replan(cause, admitted=admitted)
 
     def _replan(
         self,
-        topology: Cluster,
         cause: str,
         reason: str | None = None,
         admitted: tuple[int, ...] = (),
     ) -> Replan:
-        """Re-plan routing over *topology*: the one sequence every path runs.
+        """Plan routing over the PHY's cluster: the one sequence every plan
+        runs.
 
-        Boundary repair, re-form, adoption and field re-form all land here.
-        Every excluded node is pruned and demand migrates through
-        :func:`~repro.routing.repair.repair_routing` (through the attached
-        :class:`~repro.routing.warmcache.SolverCache` when there is one);
-        survivors left without a path are planned at zero — partial
-        coverage instead of a routing failure.  The :class:`Replan` record
-        notes which sensors this re-plan cut off and the packets pending at
-        them, and a re-form's roster announcement (2 bytes per present
-        member).  Rotation, ack cover, backups and the sector partition are
-        then rebuilt on the new plan, which is checked against the
+        The initial plan, boundary repair, re-form, adoption and field
+        re-form all land here.  Every excluded node is pruned and demand
+        migrates through :func:`~repro.routing.repair.repair_routing`
+        (through the attached :class:`~repro.routing.warmcache.SolverCache`
+        when there is one); sensors without a path, strays at the cluster
+        border from the start included, are planned at zero and listed in
+        ``unreachable`` — partial coverage instead of a routing failure.
+        The :class:`Replan` record notes which sensors this plan cut off
+        and the packets pending at them, and a re-form's roster
+        announcement (2 bytes per present member).  Rotation, ack cover,
+        backups and, in sector operation, the sector partition are then
+        built on the new plan, which is checked against the
         dynamic-membership invariant.  Returns the record.
         """
+        topology = self.phy.cluster
         announce = cause in ("recluster", "field-reform")
         excluded = self._excluded()
         result = repair_routing(
@@ -654,8 +626,13 @@ class PollingClusterMac:
         self.ack_plan = plan_ack_collection(
             self.active_cluster, self.routing.routing_plan()
         )
+        # Proactive survivability (backup_k > 0): k-disjoint backup paths
+        # per sensor for the data-phase scheduler's in-cycle failover.
         self.backups = self._compute_backups()
-        if self.partition is not None:
+        if self.use_sectors:
+            # Sector operation (Sec. IV): fixed relay trees per sector,
+            # polled in turn; sensors sleep outside the ack phase and their
+            # own window.
             self.partition = partition_into_sectors(self.routing, oracle=self.oracle)
         hint = f"cluster {self.cluster_id} {cause} re-plan #{len(self.replans) - 1}"
         _validate.check_dynamic_membership(
@@ -1113,7 +1090,7 @@ class PollingClusterMac:
         pruning, partial-coverage fallback and re-plan record are
         :meth:`_replan`'s.
         """
-        self._replan(self.phy.cluster, "repair")
+        self._replan("repair")
         if self._staleness is not None:
             self._staleness.note_repair()
 
@@ -1138,13 +1115,12 @@ class PollingClusterMac:
         # and the planning oracle re-captures the medium's *current* receive
         # powers — this is the one place mobility staleness is repaid.
         self.phy.cluster = discovered_cluster(self.phy)
-        self.oracle = phy_truth_oracle(self.phy, self.oracle.max_group_size)
-        self._adopt_oracle()
+        self._capture_oracle(self.oracle.max_group_size)
         # Suspicion counters were evidence against the *old* topology.
         self._suspect_misses = {}
         # The record charges the new roster + schedule to the next wakeup:
         # 2 bytes per present sensor (id + slot assignment).
-        self._replan(self.phy.cluster, "recluster", reason, tuple(sorted(admitted)))
+        self._replan("recluster", reason, tuple(sorted(admitted)))
         pending_after = sum(self.sensors[i].pending_count for i in present)
         hint = f"cluster {self.cluster_id} recluster ({reason})"
         _validate.check_queue_conservation(

@@ -18,12 +18,12 @@ from .. import obs as _obs
 from .. import validate as _validate
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
-from ..mac.base import ClusterPhy, MacTimings, build_cluster_phy
+from ..mac.base import SENSOR_RANGE_M, SIDE_M, ClusterPhy, MacTimings, build_cluster_phy
 from ..mac.pollmac import PollingClusterMac
 from ..metrics.availability import AvailabilityReport, availability_report
 from ..metrics.degradation import DegradationReport, degradation_report
 from ..metrics.staleness import StalenessReport, staleness_report
-from ..radio.energy import EnergyParams
+from ..radio.packet import DEFAULT_SIZES
 from ..routing.warmcache import SolverCache
 from ..sim.kernel import Simulator
 from ..topology.cluster import Cluster
@@ -36,21 +36,20 @@ __all__ = ["PollingSimConfig", "PollingSimResult", "run_polling_simulation"]
 
 @dataclass(frozen=True)
 class PollingSimConfig:
-    """Everything a polling-cluster run needs (paper Sec. VI defaults)."""
+    """Everything a polling-cluster run needs (paper Sec. VI defaults).
+
+    The deployment and radio are the Sec. VI setup every harness shares:
+    :data:`~repro.mac.base.SIDE_M`, :data:`~repro.mac.base.SENSOR_RANGE_M`
+    and the PHY's own bitrate, frame sizes and energy model."""
 
     n_sensors: int = 30
     rate_bps: float = 20.0  # per-sensor data generating rate
     cycle_length: float = 10.0
     n_cycles: int = 10
     seed: int = 0
-    side_m: float = 200.0
-    sensor_range_m: float = 55.0
-    bitrate: float = 200_000.0
-    packet_bytes: int = 80
     max_group_size: int = 2
     frame_error_rate: float = 0.0
     use_sectors: bool = False  # Sec. IV operation: sectors polled in turn
-    energy: EnergyParams = EnergyParams()
     timings: MacTimings = MacTimings()
     # Fault injection (None = the exact pre-fault code path, bit for bit).
     # A non-empty plan also arms the head's failure detection, with the
@@ -143,7 +142,7 @@ class PollingSimResult:
     def throughput_bps(self) -> float:
         if self.elapsed <= 0:
             return 0.0
-        return self.packets_delivered * self.config.packet_bytes / self.elapsed
+        return self.packets_delivered * DEFAULT_SIZES.data / self.elapsed
 
     @property
     def offered_bps(self) -> float:
@@ -196,8 +195,8 @@ def run_polling_simulation(
     dep = deployment or uniform_square(
         config.n_sensors,
         seed=config.seed,
-        side=config.side_m,
-        comm_range=config.sensor_range_m,
+        side=SIDE_M,
+        comm_range=SENSOR_RANGE_M,
     )
     # Churn pre-allocation: the plan's joiners get PHY slots (appended
     # after the deployed sensors, in plan order) so ids, frames and
@@ -216,9 +215,7 @@ def run_polling_simulation(
     phy = build_cluster_phy(
         sim,
         geo_cluster,
-        sensor_range_m=config.sensor_range_m,
-        bitrate=config.bitrate,
-        energy=config.energy,
+        sensor_range_m=SENSOR_RANGE_M,
         frame_error_rate=config.frame_error_rate,
         error_seed=config.seed,
     )
@@ -261,7 +258,7 @@ def run_polling_simulation(
         sim,
         mac.sensors,
         rate_bps=config.rate_bps,
-        packet_bytes=config.packet_bytes,
+        packet_bytes=DEFAULT_SIZES.data,
         seed=config.seed,
         start_ats={
             node: join.at for node, join in zip(joiner_ids, plan.joins)

@@ -33,6 +33,7 @@ from .. import validate as _validate
 from ..core.online import OnlinePollingScheduler
 from ..mac.base import (
     GROUND_SENSOR_PROPAGATION,
+    SENSOR_RANGE_M,
     ClusterPhy,
     MacTimings,
     _tx_power,
@@ -40,7 +41,6 @@ from ..mac.base import (
 )
 from ..mac.pollmac import PollingClusterMac, PollingSensorAgent
 from ..radio.channel import RadioMedium
-from ..radio.energy import EnergyParams
 from ..radio.packet import DEFAULT_SIZES
 from ..radio.transceiver import Transceiver
 from ..routing.repair import prune_dead_nodes
@@ -85,15 +85,11 @@ class MultiClusterConfig:
     n_sensors: int = 60
     n_heads: int = 3
     field_m: float = 360.0
-    sensor_range_m: float = 55.0
     rate_bps: float = 20.0
     cycle_length: float = 6.0
     n_cycles: int = 5
     seed: int = 0
     mode: str = "channels"  # "channels" | "token" | "uncoordinated"
-    bitrate: float = 200_000.0
-    packet_bytes: int = 80
-    energy: EnergyParams = EnergyParams()
     # Head survivability.  All defaults off = the exact pre-failover code
     # path, bit for bit: no coordinator object, no scheduled events, no RNG
     # draws.  ``head_crashes`` injects fail-stop head crashes as (head,
@@ -797,12 +793,11 @@ def _check_roster_change(
 @dataclass
 class _RosterView:
     """Global-id view of the clusters a roster rebuild draws members from:
-    each sensor's agent, radio and demand row, plus the exclusion evidence
-    (evidence is about the node, not about who polls it)."""
+    each sensor's agent and radio, plus the exclusion evidence (evidence is
+    about the node, not about who polls it)."""
 
     agents: dict[int, PollingSensorAgent]
     radios: dict[int, Transceiver]
-    rows: dict[int, tuple[int, float]]  # (packets, energy)
     blacklisted: set[int]
     departed: set[int]
     absent: set[int]
@@ -810,7 +805,7 @@ class _RosterView:
 
 
 def _roster_view(macs: Iterable[PollingClusterMac]) -> _RosterView:
-    view = _RosterView({}, {}, {}, set(), set(), set(), {})
+    view = _RosterView({}, {}, set(), set(), set(), {})
     for mac in macs:
         im = [int(g) for g in mac.phy.index_map]
         view.blacklisted |= {im[l] for l in mac.blacklisted}
@@ -822,10 +817,6 @@ def _roster_view(macs: Iterable[PollingClusterMac]) -> _RosterView:
         for l, g in enumerate(im[:-1]):
             view.agents[g] = mac.sensors[l]
             view.radios[g] = mac.phy.transceivers[l]
-            view.rows[g] = (
-                int(mac.phy.cluster.packets[l]),
-                float(mac.phy.cluster.energy[l]),
-            )
     return view
 
 
@@ -863,8 +854,6 @@ def _rebuild_roster(
         cluster=Cluster(
             hears=np.zeros((n, n), dtype=bool),  # rediscovered below
             head_hears=np.zeros(n, dtype=bool),
-            packets=np.array([view.rows[g][0] for g in roster], dtype=np.int64),
-            energy=np.array([view.rows[g][1] for g in roster], dtype=np.float64),
         ),
         medium=medium,
         transceivers=[view.radios[g] for g in roster] + [old_phy.transceivers[-1]],
@@ -946,24 +935,20 @@ def _run_multicluster(
     field_rng = streams.get("field")
     sensors = field_rng.uniform(0, config.field_m, size=(config.n_sensors, 2))
     heads = _head_layout(config.n_heads, config.field_m, streams.get("heads"))
-    net = form_clusters(sensors, heads, comm_range=config.sensor_range_m)
+    net = form_clusters(sensors, heads, comm_range=SENSOR_RANGE_M)
 
     # --- one shared medium over every sensor and every head -------------------
     all_positions = np.vstack([sensors, heads])
     n_total = all_positions.shape[0]
     prop = GROUND_SENSOR_PROPAGATION
-    sensor_power = sensor_power_for_range(prop, config.sensor_range_m, 1e-11)
+    sensor_power = sensor_power_for_range(prop, SENSOR_RANGE_M, 1e-11)
     tx_power = np.full(n_total, sensor_power)
     for h in range(config.n_heads):
         tx_power[config.n_sensors + h] = _tx_power(
-            net.clusters[h], prop, config.sensor_range_m, 1e-11
+            net.clusters[h], prop, SENSOR_RANGE_M, 1e-11
         )[-1]
     medium = RadioMedium(
-        sim=sim,
-        positions=all_positions,
-        tx_power_w=tx_power,
-        propagation=prop,
-        bitrate_bps=config.bitrate,
+        sim=sim, positions=all_positions, tx_power_w=tx_power, propagation=prop
     )
 
     # --- field mobility (armed only when asked: bit-for-bit otherwise) -----------
@@ -996,9 +981,7 @@ def _run_multicluster(
     macs: list[PollingClusterMac] = []
     all_agents = []
     for h, index_map in enumerate(rosters):
-        transceivers = [
-            Transceiver(sim, medium, g, energy=config.energy) for g in index_map
-        ]
+        transceivers = [Transceiver(sim, medium, g) for g in index_map]
         for g in index_map:
             medium.set_channel(g, int(channels[h]))
         phy = ClusterPhy(
@@ -1008,14 +991,9 @@ def _run_multicluster(
             transceivers=transceivers,
             index_map=index_map,
         )
-        # discover in-cluster connectivity from the shared radio
-        local_cluster = discovered_cluster(phy)
-        if not local_cluster.is_connected():
-            # strays beyond reach transmit nothing this run
-            hops = local_cluster.min_hop_counts()
-            packets = np.where(np.isfinite(hops), 1, 0).astype(np.int64)
-            local_cluster = local_cluster.with_packets(packets)
-        phy.cluster = local_cluster
+        # discover in-cluster connectivity from the shared radio; the MAC
+        # plans strays beyond reach at zero and lists them unreachable
+        phy.cluster = discovered_cluster(phy)
         mac = PollingClusterMac(
             phy, cycle_length=config.cycle_length, cluster_id=h,
             engine=config.engine,
@@ -1033,7 +1011,7 @@ def _run_multicluster(
             sim,
             agents,
             rate_bps=config.rate_bps,
-            packet_bytes=config.packet_bytes,
+            packet_bytes=DEFAULT_SIZES.data,
             seed=config.seed * 101 + h,
         )
         sources.extend(cluster_sources)
@@ -1071,7 +1049,7 @@ def _run_multicluster(
         # run of its schedule (NULL_TELEMETRY keeps the run's phantom
         # requests out of the live trace).
         slot = MacTimings().poll_slot_time(
-            config.bitrate, DEFAULT_SIZES, DEFAULT_SIZES.data
+            medium.bitrate, DEFAULT_SIZES, DEFAULT_SIZES.data
         )
         nominal_slots = [
             OnlinePollingScheduler(

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..mac.base import build_cluster_phy
+from ..mac.base import SENSOR_RANGE_M, SIDE_M, build_cluster_phy
 from ..mac.smac import SmacNetwork, SmacParams
-from ..radio.energy import EnergyParams
+from ..radio.packet import DEFAULT_SIZES
 from ..sim.kernel import Simulator
 from ..topology.cluster import Cluster
 from ..topology.deployment import Deployment, uniform_square
@@ -25,12 +25,7 @@ class SmacSimConfig:
     duration: float = 100.0
     warmup: float = 10.0
     seed: int = 0
-    side_m: float = 200.0
-    sensor_range_m: float = 55.0
-    bitrate: float = 200_000.0
-    packet_bytes: int = 80
     frame_length: float = 1.0
-    energy: EnergyParams = EnergyParams()
 
 
 @dataclass
@@ -48,7 +43,7 @@ class SmacSimResult:
         span = self.elapsed - self.config.warmup
         if span <= 0:
             return 0.0
-        return self._delivered_after_warmup * self.config.packet_bytes / span
+        return self._delivered_after_warmup * DEFAULT_SIZES.data / span
 
     @property
     def _delivered_after_warmup(self) -> int:
@@ -76,16 +71,14 @@ def run_smac_simulation(
     dep = deployment or uniform_square(
         config.n_sensors,
         seed=config.seed,
-        side=config.side_m,
-        comm_range=config.sensor_range_m,
+        side=SIDE_M,
+        comm_range=SENSOR_RANGE_M,
     )
     cluster = Cluster.from_deployment(dep)
     phy = build_cluster_phy(
         sim,
         cluster,
-        sensor_range_m=config.sensor_range_m,
-        bitrate=config.bitrate,
-        energy=config.energy,
+        sensor_range_m=SENSOR_RANGE_M,
         # The baseline is a homogeneous network: the sink has sensor-grade
         # power (AODV assumes symmetric links; the polling system is what
         # exploits the heterogeneous high-power head).
@@ -99,7 +92,7 @@ def run_smac_simulation(
         sim,
         net.sensors,
         rate_bps=config.rate_bps,
-        packet_bytes=config.packet_bytes,
+        packet_bytes=DEFAULT_SIZES.data,
         seed=config.seed,
     )
     net.start()

@@ -3,9 +3,20 @@
 import numpy as np
 import pytest
 
+from repro.core.ack import plan_ack_collection
+from repro.core.sectors import partition_into_sectors
+from repro.faults import FaultPlan, NodeJoin
 from repro.mac import MacTimings, build_cluster_phy, geometric_oracle, phy_truth_oracle
 from repro.mac.pollmac import PollingClusterMac
-from repro.net import PollingSimConfig, run_polling_simulation
+from repro.net import (
+    MultiClusterConfig,
+    PollingSimConfig,
+    run_multicluster_simulation,
+    run_polling_simulation,
+)
+from repro.routing.backup import compute_backup_routes
+from repro.routing.minmax import solve_min_max_load
+from repro.routing.repair import prune_dead_nodes
 from repro.sim import Simulator
 from repro.topology import Cluster, line, uniform_square
 
@@ -103,8 +114,8 @@ def test_des_duty_time_matches_slot_model():
     res = small_run(seed=3)
     timings = res.config.timings
     sizes = __import__("repro.radio.packet", fromlist=["DEFAULT_SIZES"]).DEFAULT_SIZES
-    ack_slot = timings.poll_slot_time(res.config.bitrate, sizes, sizes.ack_report)
-    data_slot = timings.poll_slot_time(res.config.bitrate, sizes, sizes.data)
+    ack_slot = timings.poll_slot_time(res.phy.medium.bitrate, sizes, sizes.ack_report)
+    data_slot = timings.poll_slot_time(res.phy.medium.bitrate, sizes, sizes.data)
     for s in res.mac.cycle_stats:
         modeled = s.ack_slots * ack_slot + s.data_slots * data_slot
         # duty also includes wakeup/sleep broadcasts: small additive slack
@@ -148,3 +159,110 @@ def test_sector_mode_survives_overrunning_cycles():
 def test_sector_mode_with_losses():
     res = small_run(use_sectors=True, frame_error_rate=0.1, n_cycles=5)
     assert res.throughput_ratio >= 0.99
+
+
+# --- the plan put in force at construction --------------------------------------
+
+
+def _initial_plans(monkeypatch, run) -> list[dict]:
+    """Every MAC that *run* constructs, as the plan it put in force at
+    construction next to a reference computed from its PHY right then: a
+    cold min-max solve over the PHY's cluster with the absent joiners
+    pruned, at one packet per sensor with a hop path and zero otherwise,
+    with the ack cover, backups and sector partition built on it."""
+
+    def sectors(partition):
+        return [(s.sensors, s.roots, s.parent) for s in partition.sectors]
+
+    plans = []
+    init = PollingClusterMac.__init__
+
+    def record(mac, *args, **kwargs):
+        init(mac, *args, **kwargs)
+        cluster = prune_dead_nodes(mac.phy.cluster, mac.absent)
+        hops = cluster.min_hop_counts()
+        packets = np.where(np.isfinite(hops), np.maximum(cluster.packets, 1), 0)
+        routing = solve_min_max_load(cluster.with_packets(packets.astype(np.int64)))
+        plans.append(
+            {
+                "mac": mac,
+                "stray": {
+                    i
+                    for i in range(cluster.n_sensors)
+                    if i not in mac.absent and not np.isfinite(hops[i])
+                },
+                "unreachable": set(mac.unreachable),
+                "record": mac.replans[0],
+                "plan": (
+                    mac.routing.flow_paths,
+                    mac.ack_plan,
+                    mac.backups,
+                    None if mac.partition is None else sectors(mac.partition),
+                ),
+                "reference": (
+                    routing.flow_paths,
+                    plan_ack_collection(cluster, routing.routing_plan()),
+                    compute_backup_routes(routing, mac.backup_k)
+                    if mac.backup_k
+                    else None,
+                    sectors(partition_into_sectors(routing, oracle=mac.oracle))
+                    if mac.use_sectors
+                    else None,
+                ),
+            }
+        )
+
+    monkeypatch.setattr(PollingClusterMac, "__init__", record)
+    run()
+    return plans
+
+
+def _sectored_backup_run():
+    run_polling_simulation(
+        PollingSimConfig(n_sensors=30, n_cycles=1, seed=3, backup_k=1, use_sectors=True)
+    )
+
+
+def _churn_run():
+    joins = [NodeJoin(at=15.0, position=(90.0, 90.0)), NodeJoin(at=15.0, position=(20.0, 180.0))]
+    run_polling_simulation(
+        PollingSimConfig(n_sensors=24, n_cycles=1, seed=1, fault_plan=FaultPlan(joins=joins))
+    )
+
+
+def _field_run():
+    run_multicluster_simulation(MultiClusterConfig(n_cycles=1, seed=0))
+
+
+@pytest.mark.parametrize(
+    "run", [_sectored_backup_run, _churn_run, _field_run], ids=["sectors", "churn", "field"]
+)
+def test_construction_plans_the_min_max_routing_and_its_tail(run, monkeypatch):
+    """The plan in force from t=0 is the min-max routing over the cluster
+    minus the absent joiners, with one packet planned per sensor that has
+    a hop path, and the ack cover, backups and sectors built on it."""
+    plans = _initial_plans(monkeypatch, run)
+    assert plans
+    for p in plans:
+        assert p["plan"] == p["reference"]
+    if run is _churn_run:
+        assert [len(p["mac"].absent) for p in plans] == [2]
+    if run is _field_run:
+        assert [len(p["stray"]) for p in plans] == [1, 12, 0]
+
+
+@pytest.mark.parametrize(
+    "run, strays",
+    [(_sectored_backup_run, [0]), (_field_run, [1, 12, 0])],
+    ids=["sectors", "field"],
+)
+def test_strays_are_unreachable_from_the_initial_plan(run, strays, monkeypatch):
+    """A sensor with no hop path to its head has no service from t=0, so
+    the initial plan and its record list it as unreachable (DESIGN.md
+    §11); on the default field heads 0 and 1 start with 1 and 12 strays."""
+    plans = _initial_plans(monkeypatch, run)
+    assert [len(p["stray"]) for p in plans] == strays
+    for p in plans:
+        assert p["unreachable"] == p["stray"]
+        assert p["record"].cause == "initial"
+        assert p["record"].unreachable == tuple(sorted(p["stray"]))

@@ -394,3 +394,27 @@ def test_field_coverage_bounds_and_static_value():
     )
     # drift strands sensors the frozen rosters cannot reach
     assert mobile.field_coverage < static.field_coverage
+
+
+def test_a_move_deferred_as_unreachable_leaves_planned_service(monkeypatch):
+    """The re-form guard defers a move into a roster the sensor cannot hear
+    only to keep the service it has: every ``deferred-unreachable`` sensor
+    has a path in its source head's plan.  A stray its head could never
+    route has nothing to lose and moves (DESIGN.md §13)."""
+    from repro.net import multicluster_sim
+
+    record = multicluster_sim.FieldCoordinator._record
+    deferred = []
+
+    def spy(coordinator, move, state):
+        if state == "deferred-unreachable":
+            src = coordinator.macs[move.src]
+            local = [int(g) for g in src.phy.index_map[:-1]].index(move.sensor)
+            deferred.append((coordinator.sim.now, move.sensor, local in src.routing.flow_paths))
+        record(coordinator, move, state)
+
+    monkeypatch.setattr(multicluster_sim.FieldCoordinator, "_record", spy)
+    cfg = MultiClusterConfig(n_cycles=3, seed=0, mobility_speed_mps=4.0, handoff="staleness")
+    res = run_multicluster_simulation(cfg)
+    assert res.field_reforms
+    assert [d for d in deferred if not d[2]] == []

@@ -183,7 +183,7 @@ FAILURE_CHAINS = [
 
 FAILED_SECTION = """\
 failed poll requests (2):
-  request #8 (sensor 3, span #141):
+  request #8 (sensor 3, span #142):
     t=   20.3085  attempt
     t=   20.3245  retry
     t=   20.3245  attempt
@@ -191,7 +191,7 @@ failed poll requests (2):
     t=   20.3405  abandoned
     t=   20.3405  blacklist declared
     t=   40.7196  repair re-plan (excluded=[3])
-  request #65 (sensor 26, span #184):
+  request #65 (sensor 26, span #185):
     t=   20.6823  attempt
     t=   20.7036  retry
     t=   20.7036  attempt
