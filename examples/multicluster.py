@@ -15,14 +15,13 @@ import numpy as np
 
 from repro import solve_min_max_load
 from repro.core import OnlinePollingScheduler
-from repro.mac import MacTimings, geometric_oracle
+from repro.mac import SENSOR_RANGE_M, MacTimings, geometric_oracle
 from repro.net import TokenSchedule, concurrency_gain
-from repro.radio.packet import DEFAULT_SIZES
+from repro.radio import BITRATE_BPS, DEFAULT_SIZES
 from repro.topology import bfs_discover, form_clusters
 from repro.sim import RngStreams
 
 FIELD = 500.0
-RANGE = 55.0
 N_SENSORS = 120
 HEAD_POSITIONS = np.array(
     [[110, 120], [360, 110], [120, 360], [390, 380], [250, 240], [430, 250]],
@@ -33,11 +32,11 @@ HEAD_POSITIONS = np.array(
 def main() -> None:
     rng = RngStreams(11).get("field")
     sensors = rng.uniform(0, FIELD, size=(N_SENSORS, 2))
-    net = form_clusters(sensors, HEAD_POSITIONS, comm_range=RANGE)
+    net = form_clusters(sensors, HEAD_POSITIONS, comm_range=SENSOR_RANGE_M)
     print(f"{net.n_clusters} clusters over a {FIELD:.0f} m field:")
 
     timings = MacTimings()
-    slot = timings.poll_slot_time(200_000.0, DEFAULT_SIZES, DEFAULT_SIZES.data)
+    slot = timings.poll_slot_time(BITRATE_BPS, DEFAULT_SIZES, DEFAULT_SIZES.data)
     duties: list[float] = []
     for k, cluster in enumerate(net.clusters):
         if cluster.n_sensors == 0 or not cluster.is_connected():
@@ -54,7 +53,7 @@ def main() -> None:
         packets = np.zeros(cluster.n_sensors, dtype=np.int64)
         packets[reachable_members] = 1
         sub = cluster.with_packets(packets)
-        oracle, sub = geometric_oracle(sub, sensor_range_m=RANGE)
+        oracle, sub = geometric_oracle(sub, sensor_range_m=SENSOR_RANGE_M)
         plan = solve_min_max_load(sub).routing_plan()
         result = OnlinePollingScheduler.poll(plan, oracle)
         duty = result.slots_elapsed * slot

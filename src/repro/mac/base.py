@@ -21,6 +21,7 @@ from ..sim.kernel import Simulator
 from ..sim.trace import Tracer
 from ..sim.units import transmission_time
 from ..topology.cluster import HEAD, Cluster
+from ..topology.deployment import SENSOR_RANGE_M, SIDE_M
 
 __all__ = [
     "MacTimings",
@@ -40,14 +41,6 @@ __all__ = [
 # few hop-lengths across: interference from across the cluster falls off
 # much faster than the wanted short-link signal.
 GROUND_SENSOR_PROPAGATION = TwoRayGround(ht=0.3, hr=0.3)
-
-# The paper's Sec. VI deployment, shared by the polling, S-MAC and field
-# harnesses so that the compared protocols run over the same PHY: sensors
-# reach 55 m and are scattered over a 200 m square.  The other Sec. VI
-# values are the PHY's own defaults: 200 kbps (``RadioMedium``), the
-# 80-byte packet (``FrameSizes.data``) and ``EnergyParams()``.
-SENSOR_RANGE_M = 55.0
-SIDE_M = 200.0
 
 
 @dataclass(frozen=True)
@@ -226,7 +219,6 @@ def build_cluster_phy(
     sim: Simulator,
     cluster: Cluster,
     sensor_range_m: float = 60.0,
-    bitrate: float = 200_000.0,
     propagation=None,
     energy: EnergyParams | None = None,
     frame_error_rate: float = 0.0,
@@ -263,7 +255,6 @@ def build_cluster_phy(
         positions=positions,
         tx_power_w=tx_power,
         propagation=prop,
-        bitrate_bps=bitrate,
         rx_sensitivity_w=rx_sensitivity_w,
         capture_beta=capture_beta,
         frame_error_rate=frame_error_rate,

@@ -329,7 +329,7 @@ class Replan:
     unreachable: tuple[int, ...] = ()  # survivors left without a path
     dropped_pending: dict[int, int] = field(default_factory=dict)
     reason: str | None = None  # the staleness trigger behind a re-cluster
-    admitted: tuple[int, ...] = ()  # joiners admitted / orphans adopted
+    admitted: tuple[int, ...] = ()  # joiners admitted / sensors handed in
     roster_bytes: int = 0  # announcement charged to the next wakeup
 
     @property
@@ -530,9 +530,9 @@ class PollingClusterMac:
     ) -> Replan:
         """Install a roster a field coordinator rebuilt, and re-plan on it.
 
-        *cause* is ``"adoption"`` (orphans of a crashed neighbour head;
-        *admitted* names their new local ids) or ``"field-reform"`` (a
-        cross-cluster handoff; nobody is admitted).  *new_phy* is this
+        *cause* is ``"adoption"`` (orphans of a crashed neighbour head) or
+        ``"field-reform"`` (a cross-cluster handoff); either way *admitted*
+        names the incoming sensors' new local ids.  *new_phy* is this
         cluster's PHY over the new roster, head still last, and *agents*
         the complete sensor list.  An adoption keeps every member's local
         id and appends the orphans; a handoff may reassign ids wholesale

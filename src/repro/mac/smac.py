@@ -414,10 +414,5 @@ class SmacNetwork:
     def packets_generated(self) -> int:
         return sum(n.generated for n in self.sensors)
 
-    def throughput_bps(self, elapsed: float, packet_bytes: int = 80) -> float:
-        if elapsed <= 0:
-            return 0.0
-        return self.packets_delivered * packet_bytes / elapsed
-
     def control_overhead(self) -> int:
         return sum(n.control_tx + n.aodv.control_tx for n in self.nodes)

@@ -23,13 +23,14 @@ import numpy as np
 from ..core.ack import ack_phase_plan, plan_ack_collection
 from ..core.online import BernoulliLoss, LossModel, OnlinePollingScheduler
 from ..mac.base import MacTimings, geometric_oracle
+from ..radio.channel import BITRATE_BPS
 from ..radio.packet import DEFAULT_SIZES, FrameSizes
 from ..routing.minmax import solve_min_max_load
 from ..routing.paths import RoutingPlan
 from ..routing.rotation import PathRotator
 from ..sim.units import transmission_time
 from ..topology.cluster import Cluster
-from ..topology.deployment import uniform_square
+from ..topology.deployment import SENSOR_RANGE_M, uniform_square
 
 __all__ = ["ActiveTimeConfig", "CycleRecord", "ActiveTimeResult", "simulate_active_time"]
 
@@ -42,10 +43,6 @@ class ActiveTimeConfig:
     n_cycles: int = 50
     warmup_cycles: int = 5
     seed: int = 0
-    side_m: float = 200.0
-    sensor_range_m: float = 55.0
-    bitrate: float = 200_000.0
-    packet_bytes: int = 80
     max_group_size: int = 2
     loss_rate: float = 0.0
     sizes: FrameSizes = DEFAULT_SIZES
@@ -82,16 +79,11 @@ class ActiveTimeResult:
 
 def simulate_active_time(config: ActiveTimeConfig = ActiveTimeConfig()) -> ActiveTimeResult:
     """Run the slot-level protocol model for *n_cycles* duty cycles."""
-    dep = uniform_square(
-        config.n_sensors,
-        seed=config.seed,
-        side=config.side_m,
-        comm_range=config.sensor_range_m,
-    )
+    dep = uniform_square(config.n_sensors, seed=config.seed)
     geo = Cluster.from_deployment(dep)
     oracle, cluster = geometric_oracle(
         geo,
-        sensor_range_m=config.sensor_range_m,
+        sensor_range_m=SENSOR_RANGE_M,
         max_group_size=config.max_group_size,
     )
     n = cluster.n_sensors
@@ -102,20 +94,18 @@ def simulate_active_time(config: ActiveTimeConfig = ActiveTimeConfig()) -> Activ
     ack_plan = plan_ack_collection(cluster, routing.routing_plan())
     ack_routing = ack_phase_plan(cluster, ack_plan.paths)
 
-    bitrate = config.bitrate
     sizes = config.sizes
-    ack_slot = config.timings.poll_slot_time(bitrate, sizes, sizes.ack_report)
-    data_slot = config.timings.poll_slot_time(bitrate, sizes, sizes.data)
+    ack_slot = config.timings.poll_slot_time(BITRATE_BPS, sizes, sizes.ack_report)
+    data_slot = config.timings.poll_slot_time(BITRATE_BPS, sizes, sizes.data)
     overhead = (
-        transmission_time(sizes.wakeup, bitrate)
+        transmission_time(sizes.wakeup, BITRATE_BPS)
         + config.timings.turnaround
-        + transmission_time(sizes.sleep, bitrate)
+        + transmission_time(sizes.sleep, BITRATE_BPS)
     )
 
     # Fractional per-sensor packet accumulators (deterministic CBR).
     accrual = np.zeros(n)
     backlog = np.zeros(n, dtype=np.int64)
-    per_cycle_packets = config.rate_bps * config.cycle_length / config.packet_bytes
 
     cycles: list[CycleRecord] = []
     now = 0.0
@@ -125,7 +115,7 @@ def simulate_active_time(config: ActiveTimeConfig = ActiveTimeConfig()) -> Activ
     for c in range(config.n_cycles):
         # Packets generated since the previous wakeup (period may stretch).
         period = cycles[-1].period if cycles else config.cycle_length
-        accrual += config.rate_bps * period / config.packet_bytes
+        accrual += config.rate_bps * period / sizes.data
         new_pkts = np.floor(accrual).astype(np.int64)
         accrual -= new_pkts
         backlog += new_pkts

@@ -27,13 +27,14 @@ from ..core.online import OnlinePollingScheduler
 from ..core.sectors import PairingRules, SectorPartition, partition_into_sectors
 from ..interference.base import CompatibilityOracle
 from ..mac.base import MacTimings, geometric_oracle
+from ..radio.channel import BITRATE_BPS
 from ..radio.energy import EnergyParams
 from ..radio.packet import DEFAULT_SIZES, FrameSizes
 from ..routing.minmax import solve_min_max_load
 from ..routing.tree import merge_flow_to_tree
 from ..sim.units import transmission_time
 from ..topology.cluster import Cluster
-from ..topology.deployment import uniform_square
+from ..topology.deployment import SENSOR_RANGE_M, uniform_square
 
 __all__ = [
     "LifetimeResult",
@@ -48,7 +49,6 @@ class EnergyRateModel:
     """Translates (load, awake slots) into joules per duty cycle."""
 
     energy: EnergyParams = EnergyParams()
-    bitrate: float = 200_000.0
     sizes: FrameSizes = DEFAULT_SIZES
     timings: MacTimings = MacTimings()
 
@@ -59,15 +59,15 @@ class EnergyRateModel:
 
     @property
     def slot_time(self) -> float:
-        return self.timings.poll_slot_time(self.bitrate, self.sizes, self.sizes.data)
+        return self.timings.poll_slot_time(BITRATE_BPS, self.sizes, self.sizes.data)
 
     @property
     def ack_slot_time(self) -> float:
-        return self.timings.poll_slot_time(self.bitrate, self.sizes, self.sizes.ack_report)
+        return self.timings.poll_slot_time(BITRATE_BPS, self.sizes, self.sizes.ack_report)
 
     @property
     def data_airtime(self) -> float:
-        return transmission_time(self.sizes.data, self.bitrate)
+        return transmission_time(self.sizes.data, BITRATE_BPS)
 
     @property
     def c1(self) -> float:
@@ -168,8 +168,6 @@ def cycles_to_first_death(
 def evaluate_lifetime_ratio(
     n_sensors: int = 30,
     seed: int = 0,
-    side_m: float = 200.0,
-    sensor_range_m: float = 55.0,
     model: EnergyRateModel = EnergyRateModel(),
     rules: PairingRules = PairingRules(),
     max_group_size: int = 2,
@@ -180,10 +178,10 @@ def evaluate_lifetime_ratio(
     sectors, a sensor is awake for its own sector's polling plus the fixed
     duty overhead; without, for the whole cluster's polling.
     """
-    dep = uniform_square(n_sensors, seed=seed, side=side_m, comm_range=sensor_range_m)
+    dep = uniform_square(n_sensors, seed=seed)
     geo = Cluster.from_deployment(dep)
     oracle, cluster = geometric_oracle(
-        geo, sensor_range_m=sensor_range_m, max_group_size=max_group_size
+        geo, sensor_range_m=SENSOR_RANGE_M, max_group_size=max_group_size
     )
     return evaluate_lifetime_ratio_for_cluster(cluster, oracle, model=model, rules=rules)
 

@@ -258,7 +258,6 @@ def run_polling_simulation(
         sim,
         mac.sensors,
         rate_bps=config.rate_bps,
-        packet_bytes=DEFAULT_SIZES.data,
         seed=config.seed,
         start_ats={
             node: join.at for node, join in zip(joiner_ids, plan.joins)

@@ -79,6 +79,14 @@ COMMIT_LEAD_S = 0.25
 """How long before each duty-cycle boundary a field re-form prepares its
 moves (clamped to half a cycle); the commit lands on the boundary."""
 
+HANDOFF_TRIGGERS = {
+    "staleness": StalenessTrigger(membership_delta=3, repair_fallbacks=0),
+    "periodic": StalenessTrigger(
+        membership_delta=0, repair_fallbacks=0, period_cycles=1
+    ),
+}
+"""The field-scope trigger behind each ``handoff`` policy ("off" arms none)."""
+
 
 @dataclass(frozen=True)
 class MultiClusterConfig:
@@ -116,13 +124,13 @@ class MultiClusterConfig:
     # included.  "staleness" re-runs the Voronoi forming over *live*
     # positions whenever the field-scope staleness trigger fires and hands
     # a bounded batch of sensors to their nearest live head; "periodic"
-    # re-forms on a fixed cycle cadence regardless of drift.  Moves are
+    # re-forms on a fixed cycle cadence regardless of drift.  Each policy's
+    # trigger is its ``HANDOFF_TRIGGERS`` entry.  Moves are
     # planned and radios retuned ``COMMIT_LEAD_S`` before the boundary
     # (inside the field-wide sleep tail), then committed exactly at the
     # boundary.  That window is the protocol's crash-safety surface — a
     # head dying inside it aborts its moves.
     handoff: str = "off"  # "off" | "staleness" | "periodic"
-    handoff_trigger: "StalenessTrigger | None" = None
     handoff_head_step_m: float = 0.0  # quantization placement step budget
     # Per-cluster MAC passthroughs (all defaults = the exact current MAC
     # arguments, bit for bit): failure detection (a threshold of silent
@@ -317,8 +325,8 @@ class FieldCoordinator:
 
     One object owns who serves whom on the shared field: the serving map
     (global sensor id -> head), the head positions, the live-head list and
-    the roster rebuild.  Two protocols change a roster, and each writes the
-    serving map as it does.
+    the one hand-over (:meth:`_hand_over`) that both protocols run to
+    change a roster.
 
     **Head takeover** (DESIGN.md §9).  Cluster heads exchange an
     inter-cluster beacon every ``BEACON_INTERVAL_S`` (modeled out of band,
@@ -404,15 +412,7 @@ class FieldCoordinator:
         if config.head_failover:
             sim.schedule(BEACON_INTERVAL_S, self._beacon_tick)
         if config.handoff != "off":
-            if config.handoff_trigger is not None:
-                trigger = config.handoff_trigger
-            elif config.handoff == "periodic":
-                trigger = StalenessTrigger(
-                    membership_delta=0, repair_fallbacks=0, period_cycles=1
-                )
-            else:
-                trigger = StalenessTrigger(membership_delta=3, repair_fallbacks=0)
-            self.tracker = StalenessTracker(trigger)
+            self.tracker = StalenessTracker(HANDOFF_TRIGGERS[config.handoff])
             lead = min(COMMIT_LEAD_S, 0.5 * config.cycle_length)
             for k in range(1, int(config.n_cycles)):
                 t = k * config.cycle_length
@@ -482,48 +482,77 @@ class FieldCoordinator:
             deltas = self.head_positions[live] - self.sensor_positions[g]
             adopter = live[int(np.argmin((deltas**2).sum(axis=1)))]
             groups.setdefault(adopter, []).append(g)
+        now = self.sim.now
         for adopter in sorted(groups):
-            self._adopt(adopter, groups[adopter], dead_head)
-
-    def _adopt(self, adopter: int, orphan_globals: list[int], dead_head: int) -> None:
-        """A rebuild in which every member stays, the orphans come in, and
-        the dead head is an evidence source: its blacklist and suspicion
-        follow the orphans to their adopter."""
-        mac = self.macs[adopter]
-        members = [int(g) for g in mac.phy.index_map[:-1]]
-        pending_before = _field_pending(self.macs)
-        new_phy, agents, evidence = _rebuild_roster(
-            mac,
-            members + orphan_globals,
-            set(orphan_globals),
-            _roster_view([mac, self.macs[dead_head]]),
-            self.source_by_global,
-        )
-        orphans = tuple(range(len(members), len(agents)))
-        mac.take_roster(new_phy, agents, "adoption", orphans, **evidence)
-        self.serving[orphan_globals] = adopter
-        _check_roster_change(
-            self.macs,
-            pending_before,
-            sim_time=self.sim.now,
-            hint=f"head {adopter} adopts {len(orphans)} of head {dead_head}'s "
-            f"orphans t={self.sim.now:g}",
-        )
-        self.adoption_events.append(
-            AdoptionEvent(
-                time=self.sim.now,
-                dead_head=dead_head,
-                adopter=adopter,
-                sensors=tuple(orphan_globals),
+            # The orphans keep the dead head's roster order, and its
+            # blacklist and suspicion follow them to their adopter.
+            adopted = groups[adopter]
+            self._hand_over(
+                [(g, dead_head, adopter) for g in adopted],
+                "adoption",
+                hint=f"head {adopter} adopts {len(adopted)} of head {dead_head}'s "
+                f"orphans t={now:g}",
             )
+            self.adoption_events.append(
+                AdoptionEvent(now, dead_head, adopter, tuple(adopted))
+            )
+            _obs.current().timeline_event(
+                now,
+                "head-adoption",
+                head=dead_head,
+                adopter=adopter,
+                sensors=list(adopted),
+            )
+
+    # -- the hand-over -----------------------------------------------------------
+
+    def _hand_over(
+        self, moves: list[tuple[int, int, int]], cause: str, hint: str
+    ) -> None:
+        """Move each ``(sensor, src, dst)`` of *moves* (global ids) to its
+        destination head: every roster change of the field runs this.
+
+        One global-id view over the heads named in *moves* is taken before
+        any is rebuilt.  Each live one is rebuilt in head order: members
+        that stay keep their old order (stable local ids in the common
+        case), incoming sensors append in *moves* order with their radios
+        retuned to its channel, and it takes the roster as a *cause*
+        re-plan that admits them.  A halted source is not rebuilt.  Then
+        the serving map is written and the field's queued packets, counted
+        before the rebuild, must all survive (``dynamic.queue-conservation``)
+        with no sensor on two live rosters (``dynamic.no-dual-membership``).
+        """
+        pending_before = _field_pending(self.macs)
+        heads = sorted({h for _, src, dst in moves for h in (src, dst)})
+        view = _roster_view(self.macs[h] for h in heads)
+        moved_out = {g for g, _, _ in moves}
+        for h in heads:
+            mac = self.macs[h]
+            if mac.halted:
+                continue
+            retained = [
+                int(g) for g in mac.phy.index_map[:-1] if int(g) not in moved_out
+            ]
+            incoming = [g for g, _, dst in moves if dst == h]
+            for g in incoming:
+                self._retune(g, h)
+            new_phy, agents, evidence = _rebuild_roster(
+                mac, retained + incoming, set(incoming), view, self.source_by_global
+            )
+            admitted = tuple(range(len(retained), len(agents)))
+            mac.take_roster(new_phy, agents, cause, admitted, **evidence)
+        for g, _, dst in moves:
+            self.serving[g] = dst
+        now = self.sim.now
+        _validate.check_queue_conservation(
+            pending_before, _field_pending(self.macs), sim_time=now, hint=hint
         )
-        _obs.current().timeline_event(
-            self.sim.now,
-            "head-adoption",
-            head=dead_head,
-            adopter=adopter,
-            sensors=list(orphan_globals),
-        )
+        live_rosters = {
+            h: [int(g) for g in mac.phy.index_map[:-1]]
+            for h, mac in enumerate(self.macs)
+            if not mac.halted
+        }
+        _validate.check_single_membership(live_rosters, sim_time=now, hint=hint)
 
     # -- cross-cluster handoff ---------------------------------------------------
 
@@ -708,7 +737,14 @@ class FieldCoordinator:
             self._apply_head_placement(plan)
         self.tracker.reset()
         if committable:
-            self._execute(committable)
+            # Each head's movers come in global-id order.
+            self._hand_over(
+                sorted((m.sensor, m.src, m.dst) for m in committable),
+                "field-reform",
+                hint=f"field re-form of {len(committable)} sensors t={now:g}",
+            )
+            for m in committable:
+                self._record(m, "committed")
         committed, aborted = len(committable), len(staged) - len(committable)
         self.reform_events.append(
             FieldReformEvent(
@@ -731,63 +767,10 @@ class FieldCoordinator:
         if moved:
             self.medium.update_positions(all_pos)
 
-    def _execute(self, committable) -> None:
-        affected = sorted({m.src for m in committable} | {m.dst for m in committable})
-        pending_before = _field_pending(self.macs)
-        # One global-id view across the affected heads, taken before any of
-        # them is rebuilt.
-        view = _roster_view(self.macs[h] for h in affected)
-        moved_out = {m.sensor for m in committable}
-        moved_in: dict[int, list[int]] = {h: [] for h in affected}
-        for m in committable:
-            moved_in[m.dst].append(m.sensor)
-            self.serving[m.sensor] = m.dst
-        for h in affected:
-            mac = self.macs[h]
-            # Retained members keep their old relative order (stable local
-            # ids for the common case); incoming append in global-id order.
-            retained = [
-                int(g) for g in mac.phy.index_map[:-1] if int(g) not in moved_out
-            ]
-            incoming = sorted(moved_in[h])
-            new_phy, agents, evidence = _rebuild_roster(
-                mac, retained + incoming, set(incoming), view, self.source_by_global
-            )
-            mac.take_roster(new_phy, agents, "field-reform", **evidence)
-        _check_roster_change(
-            self.macs,
-            pending_before,
-            sim_time=self.sim.now,
-            hint=f"field re-form of {len(committable)} sensors t={self.sim.now:g}",
-        )
-        for m in committable:
-            self._record(m, "committed")
-
 
 def _field_pending(macs: list[PollingClusterMac]) -> int:
     """Total queued application packets across every cluster's agents."""
     return sum(agent.pending_count for mac in macs for agent in mac.sensors)
-
-
-def _check_roster_change(
-    macs: list[PollingClusterMac],
-    pending_before: int,
-    sim_time: float,
-    hint: str,
-) -> None:
-    """The invariants every roster change keeps, adoption and handoff
-    commit alike (DESIGN.md §13): the field's queued packets, counted
-    before the rebuild as *pending_before*, all survive the transplant,
-    and no live head claims a sensor another live head claims."""
-    _validate.check_queue_conservation(
-        pending_before, _field_pending(macs), sim_time=sim_time, hint=hint
-    )
-    live_rosters = {
-        h: [int(g) for g in mac.phy.index_map[:-1]]
-        for h, mac in enumerate(macs)
-        if not mac.halted
-    }
-    _validate.check_single_membership(live_rosters, sim_time=sim_time, hint=hint)
 
 
 @dataclass
@@ -829,9 +812,9 @@ def _rebuild_roster(
 ) -> tuple[ClusterPhy, list[PollingSensorAgent], dict]:
     """Rebuild head *mac*'s PHY and agents around a global-id *roster*.
 
-    The one roster rebuild behind both failover adoption and field
-    handoff.  *incoming* radios retune to the head's channel and wake if
-    they sleep on their old head's schedule; connectivity is rediscovered
+    The one roster rebuild, behind :meth:`FieldCoordinator._hand_over`.
+    *incoming* radios, already tuned to the head's channel, wake if they
+    sleep on their old head's schedule; connectivity is rediscovered
     from the live medium.  When no member's local id changes, existing
     agents stay — an adoption can land mid-cycle, and in-flight relay
     buffers and assigned packets must survive it — and only incoming
@@ -846,8 +829,6 @@ def _rebuild_roster(
     old_phy = mac.phy
     medium = old_phy.medium
     head_global = int(old_phy.index_map[-1])
-    for g in incoming:
-        medium.set_channel(g, int(medium.channels[head_global]))
     n = len(roster)
     new_phy = ClusterPhy(
         sim=mac.sim,
@@ -899,7 +880,7 @@ def run_multicluster_simulation(
     """Run the shared-medium multi-cluster stack."""
     if config.mode not in ("channels", "token", "uncoordinated"):
         raise ValueError(f"unknown mode {config.mode!r}")
-    if config.handoff not in ("off", "staleness", "periodic"):
+    if config.handoff != "off" and config.handoff not in HANDOFF_TRIGGERS:
         raise ValueError(f"unknown handoff policy {config.handoff!r}")
     tel = _obs.current()
     if not tel.enabled:
@@ -1011,7 +992,6 @@ def _run_multicluster(
             sim,
             agents,
             rate_bps=config.rate_bps,
-            packet_bytes=DEFAULT_SIZES.data,
             seed=config.seed * 101 + h,
         )
         sources.extend(cluster_sources)

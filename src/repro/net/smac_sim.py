@@ -92,7 +92,6 @@ def run_smac_simulation(
         sim,
         net.sensors,
         rate_bps=config.rate_bps,
-        packet_bytes=DEFAULT_SIZES.data,
         seed=config.seed,
     )
     net.start()

@@ -1,6 +1,6 @@
 """PHY substrate: propagation, the shared medium, radios, energy."""
 
-from .channel import ActiveTransmission, RadioMedium
+from .channel import BITRATE_BPS, ActiveTransmission, RadioMedium
 from .energy import EnergyMeter, EnergyParams, RadioState
 from .packet import BROADCAST_ADDR, DEFAULT_SIZES, Frame, FrameSizes, FrameType
 from .propagation import (
@@ -18,6 +18,7 @@ __all__ = [
     "range_for_threshold",
     "RadioMedium",
     "ActiveTransmission",
+    "BITRATE_BPS",
     "Transceiver",
     "RadioError",
     "EnergyParams",

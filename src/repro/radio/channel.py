@@ -43,7 +43,10 @@ from .packet import Frame
 if TYPE_CHECKING:
     from .transceiver import Transceiver
 
-__all__ = ["RadioMedium", "ActiveTransmission"]
+__all__ = ["RadioMedium", "ActiveTransmission", "BITRATE_BPS"]
+
+BITRATE_BPS = 200_000.0
+"""The sensor radios' bit rate (the paper's Sec. VI setup)."""
 
 
 @dataclass
@@ -68,7 +71,7 @@ class RadioMedium:
         positions: np.ndarray,
         tx_power_w: np.ndarray,
         propagation,
-        bitrate_bps: float = 200_000.0,
+        bitrate_bps: float = BITRATE_BPS,
         rx_sensitivity_w: float = 1e-11,
         cs_threshold_w: float = 1e-12,
         capture_beta: float = 10.0,

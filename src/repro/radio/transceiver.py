@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Callable
 
 from ..sim.kernel import Simulator
-from ..sim.process import Signal
 from .channel import RadioMedium
 from .energy import EnergyMeter, EnergyParams, RadioState
 from .packet import Frame
@@ -49,7 +48,6 @@ class Transceiver:
         self._tx_until: float | None = None
         self.dead = False
         self._stunned = False
-        self.tx_done = Signal(f"trx{node}.tx_done")
         self._rx_callback: Callable[[Frame, float], None] | None = None
         # statistics
         self.frames_sent = 0
@@ -125,7 +123,7 @@ class Transceiver:
         self._refresh_rx_state()
 
     def transmit(self, frame: Frame) -> float:
-        """Start sending; returns the airtime.  ``tx_done`` fires at the end."""
+        """Start sending; returns the airtime."""
         if self.is_sleeping:
             raise RadioError(f"node {self.node} cannot transmit while asleep")
         if self.is_transmitting:
@@ -168,13 +166,11 @@ class Transceiver:
             # Crash/stun arrived mid-transmission: go dark now instead of
             # returning to listening.
             self.meter.change_state(RadioState.SLEEP, self.sim.now)
-            self.tx_done.fire(self.node)
             return
         self._listening = True
         self._listen_since = self.sim.now
         self.meter.change_state(RadioState.IDLE, self.sim.now)
         self._refresh_rx_state()
-        self.tx_done.fire(self.node)
 
     def _refresh_rx_state(self) -> None:
         """Listening radios draw RX power while anything audible is in the air."""

@@ -18,8 +18,9 @@ conditions*:
     return value.
 
 Processes may be interrupted (:meth:`Process.interrupt`), which raises
-:class:`Interrupted` inside the generator — S-MAC uses this to abort a
-carrier-sense wait when the medium goes busy.
+:class:`Interrupted` inside the generator.  S-MAC needs no interrupt: its
+carrier sense re-checks the medium after each backoff ``Timeout``, and it
+waits for a CTS or ACK with ``AnyOf([signal, Timeout(...)])``.
 """
 
 from __future__ import annotations

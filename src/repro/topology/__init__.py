@@ -2,8 +2,8 @@
 
 from .cluster import HEAD, Cluster, node_name
 from .deployment import (
-    DEFAULT_RANGE_M,
-    DEFAULT_SIDE_M,
+    SENSOR_RANGE_M,
+    SIDE_M,
     Deployment,
     grid,
     line,
@@ -47,8 +47,8 @@ __all__ = [
     "uniform_square",
     "grid",
     "line",
-    "DEFAULT_SIDE_M",
-    "DEFAULT_RANGE_M",
+    "SIDE_M",
+    "SENSOR_RANGE_M",
     "Tsrf",
     "build_tsrf",
     "voronoi_assignment",

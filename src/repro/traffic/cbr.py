@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from ..radio.packet import DEFAULT_SIZES
 from ..sim.kernel import Simulator
 from ..sim.rng import RngStreams
 
@@ -62,7 +63,7 @@ def attach_cbr_sources(
     sim: Simulator,
     sensors,
     rate_bps: float,
-    packet_bytes: int = 80,
+    packet_bytes: int = DEFAULT_SIZES.data,
     seed: int = 0,
     until: float | None = None,
     start_ats: dict[int, float] | None = None,

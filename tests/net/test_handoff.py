@@ -180,6 +180,7 @@ def test_rebuild_keeps_agents_only_while_local_ids_hold(monkeypatch):
     that renumbers any member gives every member a fresh agent, so no state
     keyed by an old local id (``known_dead``, the buffers) survives it."""
     from repro.mac.pollmac import PollingClusterMac
+    from repro.net import multicluster_sim
     from repro.topology import StalenessTrigger
 
     seen = {"kept": 0, "fresh": 0}
@@ -203,10 +204,14 @@ def test_rebuild_keeps_agents_only_while_local_ids_hold(monkeypatch):
         return take_roster(mac, new_phy, agents, cause, admitted, **evidence)
 
     monkeypatch.setattr(PollingClusterMac, "take_roster", spy)
+    monkeypatch.setitem(
+        multicluster_sim.HANDOFF_TRIGGERS,
+        "staleness",
+        StalenessTrigger(membership_delta=1, repair_fallbacks=0),
+    )
     cfg = MultiClusterConfig(
         n_cycles=8, seed=2, mobility_speed_mps=3.0,
         handoff="staleness", dead_after_misses=2,
-        handoff_trigger=StalenessTrigger(membership_delta=1, repair_fallbacks=0),
     )
     with validate.strict():
         run_multicluster_simulation(cfg)
@@ -367,18 +372,23 @@ def test_every_plan_sees_each_live_sensor_at_its_roster_head(crash, monkeypatch)
     assert stale(res.coordinator.serving) == 0
 
 
-def test_liveness_passthroughs():
+def test_liveness_passthroughs(monkeypatch):
     """Failure detection and backup paths thread through to every head's
     MAC, and re-forming with them stays strict-clean."""
+    from repro.net import multicluster_sim
     from repro.topology import StalenessTrigger
 
+    # failure detection blacklists (and therefore freezes) some of the
+    # drifters the default threshold counts on; fire on the first one
+    monkeypatch.setitem(
+        multicluster_sim.HANDOFF_TRIGGERS,
+        "staleness",
+        StalenessTrigger(membership_delta=1, repair_fallbacks=0),
+    )
     cfg = MultiClusterConfig(
         n_cycles=8, seed=2, mobility_speed_mps=3.0,
         handoff="staleness",
         dead_after_misses=2, backup_k=1,
-        # failure detection blacklists (and therefore freezes) some of the
-        # drifters the default threshold counts on; fire on the first one
-        handoff_trigger=StalenessTrigger(membership_delta=1, repair_fallbacks=0),
     )
     with validate.strict():
         res = run_multicluster_simulation(cfg)
@@ -418,3 +428,51 @@ def test_a_move_deferred_as_unreachable_leaves_planned_service(monkeypatch):
     res = run_multicluster_simulation(cfg)
     assert res.field_reforms
     assert [d for d in deferred if not d[2]] == []
+
+
+@pytest.mark.parametrize(
+    "crashes", [(), ((1, 33.0),)], ids=["no-crash", "head-1-crash"]
+)
+def test_each_roster_change_records_the_sensors_it_took_in(crashes, monkeypatch):
+    """A re-plan's ``admitted`` names the sensors the head took in, under
+    their new local ids: a commit's movers into that head at that instant
+    (heads 1 and 2 take global sensors [1] and [7, 51] at 24 s) and an
+    adoption's orphans, in ``AdoptionEvent.sensors`` order."""
+    from repro.mac.pollmac import PollingClusterMac
+
+    taken_in = []
+    take_roster = PollingClusterMac.take_roster
+
+    def spy(mac, new_phy, agents, cause, admitted=(), **evidence):
+        record = take_roster(mac, new_phy, agents, cause, admitted, **evidence)
+        globals_in = [int(new_phy.index_map[l]) for l in record.admitted]
+        taken_in.append((record.time, mac.cluster_id, cause, globals_in))
+        return record
+
+    monkeypatch.setattr(PollingClusterMac, "take_roster", spy)
+    cfg = MultiClusterConfig(
+        n_cycles=8, seed=2, mobility_speed_mps=3.0, handoff="staleness",
+        head_failover=bool(crashes), head_crashes=crashes,
+    )
+    with validate.strict():
+        res = run_multicluster_simulation(cfg)
+    committed = {}
+    for ev in res.handoff_events:
+        if ev.state == "committed":
+            committed.setdefault((ev.time, ev.dst), []).append(ev.sensor)
+    adopted = {
+        (ev.time, ev.adopter): list(ev.sensors)
+        for ev in res.coordinator.adoption_events
+    }
+    assert committed and bool(adopted) == bool(crashes)
+    for time, head, cause, globals_in in taken_in:
+        if cause == "adoption":
+            assert globals_in == adopted.pop((time, head))
+        else:
+            assert cause == "field-reform"
+            assert globals_in == sorted(committed.pop((time, head), []))
+    assert committed == {} and adopted == {}
+    assert [(t, h, g) for t, h, c, g in taken_in if t == 24.0 and g] == [
+        (24.0, 1, [1]),
+        (24.0, 2, [7, 51]),
+    ]

@@ -329,3 +329,55 @@ def test_orphans_go_to_the_live_head_nearest_their_current_position(monkeypatch)
                 if nearest != ev.adopter:
                     misplaced.append((g, ev.adopter, nearest))
     assert misplaced == []
+
+
+def test_every_roster_change_keeps_its_members_and_appends_the_incoming(monkeypatch):
+    """One hand-over behind adoption and commit: every rebuild is of a live
+    head; the new roster is the members that stay, in their old order,
+    followed by the incoming sensors; an adopter takes its orphans in
+    ``AdoptionEvent.sensors`` order and a commit its movers in global-id
+    order.  On the field-mobile run head 3's roster is not in global-id
+    order at its crash (sensor 45 joined it at 30 s), so head 1 takes
+    ``(4, 23, 35, 49, 55, 81, 115, 45)`` at 36 s."""
+    from repro.mac.pollmac import PollingClusterMac
+    from repro.net import multicluster_sim
+
+    rebuilt = {}
+    changes = []
+    rebuild = multicluster_sim._rebuild_roster
+    take_roster = PollingClusterMac.take_roster
+
+    def spy_rebuild(mac, roster, incoming, view, source_by_global):
+        assert not mac.halted, f"halted head {mac.cluster_id} rebuilt"
+        old = [int(g) for g in mac.phy.index_map[:-1]]
+        out = rebuild(mac, roster, incoming, view, source_by_global)
+        rebuilt[id(out[0])] = (old, list(roster), set(incoming))
+        return out
+
+    def spy_take(mac, new_phy, agents, cause, admitted=(), **evidence):
+        old, roster, incoming = rebuilt.pop(id(new_phy))
+        changes.append((mac.sim.now, mac.cluster_id, cause, old, roster, incoming))
+        return take_roster(mac, new_phy, agents, cause, admitted, **evidence)
+
+    monkeypatch.setattr(multicluster_sim, "_rebuild_roster", spy_rebuild)
+    monkeypatch.setattr(PollingClusterMac, "take_roster", spy_take)
+    with validate.strict():
+        res = run_multicluster_simulation(MultiClusterConfig(**FIELD_MOBILE))
+    assert not rebuilt, "a rebuilt roster never reached its MAC"
+    adoptions = {ev.adopter: ev for ev in res.coordinator.adoption_events}
+    assert adoptions[1].sensors == (4, 23, 35, 49, 55, 81, 115, 45)
+    assert {ev.time for ev in adoptions.values()} == {36.0}
+    causes = set()
+    for time, head, cause, old, roster, incoming in changes:
+        stay = [g for g in old if g in roster]
+        tail = roster[len(stay):]
+        assert roster[: len(stay)] == stay
+        assert set(tail) == incoming and not incoming & set(old)
+        if time == 36.0:
+            assert cause == "adoption"
+            assert tuple(tail) == adoptions[head].sensors
+        else:
+            assert cause == "field-reform"
+            assert tail == sorted(tail)
+        causes.add((time, cause))
+    assert causes == {(30.0, "field-reform"), (36.0, "adoption"), (42.0, "field-reform")}

@@ -184,15 +184,6 @@ def test_frame_error_injection_degrades_delivery():
     assert 5 <= deliveries <= 25  # ~50% loss
 
 
-def test_tx_done_signal_fires():
-    sim, medium, trx = make_medium([[0, 0], [20, 0]])
-    fired = []
-    trx[0].tx_done._subscribe(fired.append)
-    trx[0].transmit(data_frame(0))
-    sim.run()
-    assert fired == [0]
-
-
 def test_hearing_matrix_symmetric_for_equal_power():
     sim, medium, trx = make_medium([[0, 0], [40, 0], [500, 0]])
     h = medium.hearing_matrix()

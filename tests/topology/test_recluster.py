@@ -353,14 +353,20 @@ def test_plan_folds_head_step_into_assignment():
 def _handoff_carryover_result():
     from repro import validate
     from repro.net import MultiClusterConfig, run_multicluster_simulation
+    from repro.net import multicluster_sim
 
     cfg = MultiClusterConfig(
         n_cycles=8, seed=2, mobility_speed_mps=3.0,
         handoff="staleness", dead_after_misses=2,
-        handoff_trigger=StalenessTrigger(membership_delta=1, repair_fallbacks=0),
     )
-    with validate.strict():
-        return run_multicluster_simulation(cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(
+            multicluster_sim.HANDOFF_TRIGGERS,
+            "staleness",
+            StalenessTrigger(membership_delta=1, repair_fallbacks=0),
+        )
+        with validate.strict():
+            return run_multicluster_simulation(cfg)
 
 
 def test_handoff_preserves_exclusion_evidence():
