@@ -13,10 +13,15 @@ fail (a silently dropped bench would otherwise hide a regression forever).
 Host-drift vs regression
 ------------------------
 ``run_benchmarks.py`` stamps a host fingerprint (CPU model, core count,
-Python/numpy versions) into every BENCH_*.json.  When the baseline and the
-fresh run carry the *same* fingerprint the 30% gate applies verbatim.  When
-they differ, absolute medians are incomparable — a slower CI runner would
-flag every bench.  In that case the comparison
+Python/numpy versions) into every BENCH_*.json, and the median time of
+``perfbench/run.py``'s fixed reference loop (``host_loop_s``).  When the
+baseline and the fresh run carry the *same* fingerprint the 30% gate
+applies to each fresh/baseline ratio divided by the fresh/baseline loop
+ratio: one fingerprint can cover machines, or minutes of one machine, that
+run several times faster or slower.  Both ratios are printed.  A file
+without the loop stamp gets the ratio verbatim.  When the fingerprints
+differ, absolute medians are incomparable — a slower CI runner would flag
+every bench.  In that case the comparison
 
 * estimates a host scale factor as the median of per-bench fresh/baseline
   ratios (most benches move together when only the host changed),
@@ -37,19 +42,18 @@ import sys
 from typing import Any
 
 
-def load_bench(path: pathlib.Path) -> tuple[dict[str, float], dict[str, Any] | None]:
-    """(medians by fullname, host fingerprint or None) for one JSON file."""
+def load_bench(
+    path: pathlib.Path,
+) -> tuple[dict[str, float], dict[str, Any] | None, float | None]:
+    """(medians by fullname, host fingerprint or None, reference-loop
+    median or None) for one JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     medians = {
         bench["fullname"]: float(bench["stats"]["median"])
         for bench in payload.get("benchmarks", [])
     }
-    return medians, payload.get("host_fingerprint")
-
-
-def load_medians(path: pathlib.Path) -> dict[str, float]:
-    return load_bench(path)[0]
+    return medians, payload.get("host_fingerprint"), payload.get("host_loop_s")
 
 
 def _same_host(a: dict[str, Any] | None, b: dict[str, Any] | None) -> bool:
@@ -77,11 +81,17 @@ def compare_file(
     strict_host: bool = False,
 ) -> list[str]:
     """Human-readable failure strings for one baseline/fresh pair."""
-    base, base_host = load_bench(baseline)
-    new, new_host = load_bench(fresh)
+    base, base_host, base_loop = load_bench(baseline)
+    new, new_host, new_loop = load_bench(fresh)
     same_host = _same_host(base_host, new_host)
     scale = 1.0
-    if not same_host:
+    if same_host and base_loop and new_loop:
+        scale = new_loop / base_loop
+        print(
+            f"  (same host id; reference loop {base_loop*1e6:.0f} -> "
+            f"{new_loop*1e6:.0f} us, ratios scaled by x{scale:.2f})"
+        )
+    elif not same_host:
         scale = host_scale(base, new)
         print(
             f"  (cross-host: baseline {base_host.get('id') if base_host else '?'} "
@@ -101,11 +111,11 @@ def compare_file(
         adjusted = ratio / scale if scale > 0 else float("inf")
         verdict = "OK"
         if same_host:
-            if ratio > limit:
+            if adjusted > limit:
                 verdict = "REGRESSION"
                 failures.append(
                     f"{name}: median {base_median*1e3:.3f} ms -> {new[name]*1e3:.3f} ms "
-                    f"({ratio:.2f}x, limit {limit:.2f}x)"
+                    f"({ratio:.2f}x raw, {adjusted:.2f}x scaled, limit {limit:.2f}x)"
                 )
         elif adjusted > limit:
             verdict = "REGRESSION?"
@@ -120,7 +130,7 @@ def compare_file(
                 print(f"  WARNING    {msg}")
         elif ratio > limit:
             verdict = "HOST-DRIFT"
-        print(f"  {verdict:<10} {name}  x{ratio:.2f}")
+        print(f"  {verdict:<10} {name}  x{ratio:.2f} raw, x{adjusted:.2f} scaled")
     for name in sorted(set(new) - set(base)):
         print(f"  NEW        {name} (no baseline; recorded only)")
     return failures

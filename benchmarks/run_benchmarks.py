@@ -18,15 +18,20 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import statistics
 import sys
 
 import pytest
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+for _path in (REPO_ROOT / "src", REPO_ROOT):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
+from perfbench.run import host_speed_sample  # noqa: E402
 from repro.obs.campaign import host_fingerprint  # noqa: E402
+
+LOOP_SAMPLES = 51  # reference-loop timings taken before and after each module
 
 CHEAP_BENCHES = {
     "fig2": "test_bench_fig2.py",
@@ -41,15 +46,24 @@ CHEAP_BENCHES = {
 }
 
 
-def stamp_host(path: pathlib.Path) -> None:
+def loop_samples() -> list[float]:
+    """Timings of ``perfbench/run.py``'s fixed reference loop, right now."""
+    return [host_speed_sample() for _ in range(LOOP_SAMPLES)]
+
+
+def stamp_host(path: pathlib.Path, loop_s: float) -> None:
     """Embed the host fingerprint so comparisons can tell drift from regression.
 
-    Also drops pytest-benchmark's raw per-round samples (``stats["data"]``):
+    ``loop_s`` is the median time of the fixed reference loop around the
+    run (``host_loop_s``): the fingerprint names the machine, the loop says
+    how fast it ran, so a same-machine comparison can scale by it.  Also
+    drops pytest-benchmark's raw per-round samples (``stats["data"]``):
     every reader of a BENCH file uses only the summary statistics.
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     payload["host_fingerprint"] = host_fingerprint()
+    payload["host_loop_s"] = loop_s
     for bench in payload["benchmarks"]:
         bench["stats"].pop("data", None)
     with open(path, "w", encoding="utf-8") as fh:
@@ -79,6 +93,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.only and name not in args.only:
             continue
         out = args.out_dir / f"BENCH_{name}.json"
+        loops = loop_samples()
         code = pytest.main(
             [
                 str(pathlib.Path(__file__).parent / module),
@@ -91,7 +106,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"[run_benchmarks] {module} FAILED (exit {code})", file=sys.stderr)
             failures += 1
         else:
-            stamp_host(out)
+            stamp_host(out, statistics.median(loops + loop_samples()))
             print(f"[run_benchmarks] wrote {out}")
     return 1 if failures else 0
 

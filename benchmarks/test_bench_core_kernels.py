@@ -121,8 +121,10 @@ def test_bench_online_scheduler_30_sensors(benchmark):
     """The fill scan vs the test-side per-request reference scan.
 
     Asserts (a) identical schedules and oracle query counts and (b) the
-    reference is at least 1.5x slower on warm oracles, then records the
-    scan's timing in the benchmark JSON.
+    reference is at least 3x slower on warm oracles, then records the
+    scan's timing in the benchmark JSON.  The scan that skips the sensors a
+    slot group has already refused measured about 3.8x on a 2-CPU host; the
+    scan before it, which judged every ready sensor, about 2.7x.
     """
     dep = uniform_square(30, seed=0)
     geo = Cluster.from_deployment(dep)
@@ -137,9 +139,9 @@ def test_bench_online_scheduler_30_sensors(benchmark):
 
     t_ref = _best_of(ref)
     t_fast = _best_of(fast)
-    assert t_ref >= 1.5 * t_fast, (
+    assert t_ref >= 3.0 * t_fast, (
         f"fill-scan speedup regressed: reference {t_ref*1e3:.2f} ms "
-        f"vs scan {t_fast*1e3:.2f} ms ({t_ref/t_fast:.2f}x < 1.5x)"
+        f"vs scan {t_fast*1e3:.2f} ms ({t_ref/t_fast:.2f}x < 3x)"
     )
     result = benchmark(fast)
     assert result.pool.all_deleted()

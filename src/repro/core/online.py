@@ -15,16 +15,20 @@ again — new polls for old packets arrive while polling is still going on,
 which is why the algorithm must be on-line.
 
 Complexity: per slot the scan judges each sensor with an active request
-once, at O(h) verdict lookups for hop count ≤ h (one dict get per hop), and
-skips the sensor's other requests, which share its path — linear in input
-size for fixed M, as the paper notes (the exponential term is in the
-*probing*, not the scheduling).
+at most once between two inserts, at O(h) verdict lookups for hop count
+≤ h (one dict get per hop), and skips the sensor's other requests, which
+share its path.  It also skips every sensor whose first hop the slot's
+group has already refused in this phase (a verdict is a pure function of
+the group and the link), so a slot judges only the sensors it might still
+take — linear in input size for fixed M, as the paper notes (the
+exponential term is in the *probing*, not the scheduling).
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable
 
 from .. import obs as _obs
@@ -44,6 +48,8 @@ __all__ = [
     "OnlinePollingScheduler",
     "OnlineResult",
 ]
+
+_request_id = attrgetter("request_id")
 
 
 @dataclass(frozen=True)
@@ -228,13 +234,24 @@ class OnlinePollingScheduler:
         # request_id -> the farthest hop that actually carries the packet
         # (loss truncates it).  Empty without a loss model.
         self._attempt_ok_until: dict[int, int] = {}
-        # Hot-path bookkeeping (semantics-neutral): the scan list of active
-        # requests in pool order; in-flight requests by expected arrival
-        # slot, in scheduling order; each slot's group as a links tuple,
-        # parallel to schedule.slots; each path's hop links; and the count
-        # of not-yet-delivered requests.
-        self._scan_order = {r.request_id: i for i, r in enumerate(self.pool.requests)}
-        self._active_list: list[PollRequest] = list(self.pool.requests)
+        # Hot-path bookkeeping (semantics-neutral).  The fill scan's state:
+        # a sensor's requests are contiguous in every pool order, so each
+        # sensor has one scan rank; per rank, the sensor's ACTIVE requests
+        # in scan order; the ranks with any ACTIVE request, as an int
+        # bitmask; and per slot group seen in this phase, the ranks whose
+        # first hop that group refused.  Also in-flight requests by
+        # expected arrival slot, in scheduling order; each slot's group as
+        # a links tuple, parallel to schedule.slots; each path's hop links;
+        # and the count of not-yet-delivered requests.
+        self._rank: dict[int, int] = {}
+        self._queues: list[list[PollRequest]] = []
+        for req in self.pool.requests:
+            if req.sensor not in self._rank:
+                self._rank[req.sensor] = len(self._queues)
+                self._queues.append([])
+            self._queues[-1].append(req)
+        self._ready = (1 << len(self._queues)) - 1
+        self._refused: dict[tuple[Link, ...], int] = {}
         self._in_flight: dict[int, list[PollRequest]] = {}
         self._slot_links: list[tuple[Link, ...]] = []
         self._hop_links: dict[RelayingPath, tuple[Link, ...]] = {}
@@ -504,7 +521,11 @@ class OnlinePollingScheduler:
         re-stamped with the new path and a fresh retry budget, the miss
         streak resets (the new path has shown no evidence either way), and
         the switch is logged as a :class:`FailoverEvent` at the next slot a
-        re-poll can go out.  In-flight (IDLE) requests keep their old path —
+        re-poll can go out.  The re-stamp reads the pool, not the sensor's
+        queue: on retry exhaustion the request being lost is ACTIVE but not
+        back in its queue yet.  The sensor leaves every group's refusal
+        record, since those refused the old path's first hop.  In-flight
+        (IDLE) requests keep their old path —
         their transmissions are already reserved in the schedule — until
         :meth:`_lose` re-issues one on the new path.  A request's span gets
         its ``failover`` event when its own path changes.
@@ -532,6 +553,10 @@ class OnlinePollingScheduler:
         for req in restamped:
             req.path = new_path
             self._retry_base[req.request_id] = req.attempts
+        keep = ~(1 << self._rank[sensor])
+        refused = self._refused
+        for group in refused:
+            refused[group] &= keep
         self._miss_streak.pop(sensor, None)
         self.failover_events.append(
             FailoverEvent(
@@ -585,15 +610,19 @@ class OnlinePollingScheduler:
                 self._undelivered -= 1
                 if self._tel_enabled:
                     self._tel_abandoned(req, "blacklist")
-        self._active_list = [r for r in self._active_list if r.sensor != sensor]
+        rank = self._rank[sensor]
+        self._queues[rank].clear()
+        self._ready &= ~(1 << rank)
         for due in self._in_flight.values():
             due[:] = [r for r in due if r.sensor != sensor]
 
     def _reinsert_active(self, req: PollRequest) -> None:
-        """Put a reactivated request back into the scan list, keeping the
-        predetermined order (insertion by scan index)."""
-        order = self._scan_order
-        bisect.insort(self._active_list, req, key=lambda r: order[r.request_id])
+        """Put a reactivated request back into its sensor's queue, in scan
+        order (every pool order sorts a sensor's requests by id), and mark
+        the sensor ready."""
+        rank = self._rank[req.sensor]
+        bisect.insort(self._queues[rank], req, key=_request_id)
+        self._ready |= 1 << rank
 
     @property
     def all_done(self) -> bool:
@@ -603,48 +632,63 @@ class OnlinePollingScheduler:
         """Greedy insertion for slot *t* (the paper's inner while loop).
 
         A request fits if every hop *k* of its path may join slot t+k's
-        group.  All active requests of a sensor carry its current path, and
-        between two inserts (a scan epoch) the groups are frozen, so a path
-        is judged once per epoch: a request whose path is the one just
-        judged is skipped, and so is one whose path was just inserted (its
-        sender is now busy at *t*).  Each hop is one get in the oracle's
-        per-group verdict dict (see :meth:`_may_join`).
+        group.  All ACTIVE requests of a sensor carry its current path, so
+        only the head of each sensor's queue is judged.  Between two
+        inserts (a scan epoch) the groups are frozen, and the candidates
+        are the ready sensors whose first hop slot t's group has not
+        refused before in this phase, walked from the lowest rank up; a
+        first-hop refusal joins that group's record.  An insert grows the
+        group, so the candidates above the inserted rank are re-derived
+        from the grown group's own record: a sensor the smaller group
+        refused is asked again, which keeps the oracle's queries (and
+        ``query_count``) those of the per-request scan.  Each hop is one
+        get in the oracle's per-group verdict dict (see :meth:`_may_join`).
         """
         m = self.oracle.max_group_size
-        size = len(self._group(t))
-        if size >= m:
-            return
+        group = self._group(t)
         memo = self.oracle._seq_memo
         hop_links = self._hop_links
-        active = self._active_list
-        # verdicts[k]: the verdict dict of slot t+k's group in this epoch.
-        verdicts: list[dict[Link, bool]] = []
-        inserted: list[int] = []
-        judged = None
-        for i, req in enumerate(active):
-            path = req.path
-            if path == judged:
-                continue
-            judged = path
-            links = hop_links.get(path) or self._links_of(path)
-            for k, link in enumerate(links):
-                if k == len(verdicts):
-                    verdicts.append(memo.setdefault(self._group(t + k), {}))
-                inner = verdicts[k]
-                ok = inner.get(link)
+        queues = self._queues
+        above = -1  # the ranks the slot may still take
+        while len(group) < m:
+            # One scan epoch; verdicts[k] is slot t+k's verdict dict.
+            first = memo.setdefault(group, {})
+            verdicts = [first]
+            refused = self._refused.get(group, 0)
+            cand = self._ready & ~refused & above
+            ok = False
+            while cand and not ok:
+                low = cand & -cand
+                cand ^= low
+                queue = queues[low.bit_length() - 1]
+                path = queue[0].path
+                links = hop_links.get(path) or self._links_of(path)
+                link = links[0]
+                ok = first.get(link)
                 if ok is None:
-                    ok = inner[link] = self._may_join(t + k, link)
+                    ok = first[link] = self._may_join(t, link)
                 if not ok:
-                    break
-            else:
-                self._insert(req, t)
-                inserted.append(i)
-                size += 1
-                if size >= m:
-                    break
-                verdicts.clear()  # the insert grew the groups at t..t+hops
-        for i in reversed(inserted):
-            del active[i]
+                    refused |= low
+                    continue
+                for k in range(1, len(links)):
+                    if k == len(verdicts):
+                        verdicts.append(memo.setdefault(self._group(t + k), {}))
+                    inner = verdicts[k]
+                    link = links[k]
+                    ok = inner.get(link)
+                    if ok is None:
+                        ok = inner[link] = self._may_join(t + k, link)
+                    if not ok:
+                        break
+            self._refused[group] = refused
+            if not ok:
+                return
+            req = queue.pop(0)
+            if not queue:
+                self._ready ^= low
+            self._insert(req, t)
+            group = self._group(t)  # the insert grew the groups at t..t+hops
+            above = -(low << 1)
 
     def _links_of(self, path: RelayingPath) -> tuple[Link, ...]:
         """The hop links of *path*, built once per path."""

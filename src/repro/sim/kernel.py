@@ -143,15 +143,26 @@ class Simulator:
         caller reads the state as it stands at that end.  The vectorized
         slot engine uses this to decide whether a slot window is *clean* —
         i.e. whether it may replay the slot in closed form instead of
-        through the event loop.  The scan is linear over the heap; polling
-        workloads keep the heap small (one timer per traffic source, one per
-        MAC, plus a few radio and fault timers).
+        through the event loop.  No heap entry is earlier than its parent,
+        so the walk descends only into entries at or before the horizon.
         """
         if self._until is not None and t_end > self._until:
             return False
         horizon = t_end if unowned_end is None else max(t_end, unowned_end)
-        for time, _, handle in self._heap:
-            if time > horizon or handle._cancelled:
+        heap = self._heap
+        n = len(heap)
+        stack = [0] if n else []
+        while stack:
+            i = stack.pop()
+            time, _, handle = heap[i]
+            if time > horizon:
+                continue
+            child = 2 * i + 1
+            if child < n:
+                stack.append(child)
+                if child + 1 < n:
+                    stack.append(child + 1)
+            if handle._cancelled:
                 continue
             owner = handle.owner
             if owner is None or (

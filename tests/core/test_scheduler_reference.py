@@ -1,9 +1,10 @@
 """The fill scan against the per-request reference scan.
 
-Skipping a sensor's sibling requests and folding occupancy into the oracle
-verdict must not move anything: on random clusters and configurations both
-scans, each on its own fresh oracle, produce the same slots, deliveries,
-write-offs, failovers, attempt counts, ``query_count`` and telemetry.
+Skipping a sensor's sibling requests and the sensors a slot's group has
+already refused, and folding occupancy into the oracle verdict, must not
+move anything: on random clusters and configurations both scans, each on
+its own fresh oracle, produce the same slots, deliveries, write-offs,
+failovers, attempt counts, ``query_count`` and telemetry.
 """
 
 from __future__ import annotations

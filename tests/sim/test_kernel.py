@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event kernel."""
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from repro.sim import SimulationError, Simulator
@@ -234,3 +235,73 @@ def test_quiet_until_never_reaches_past_the_running_end():
     sim.run(until=2.0)
     assert seen == [(True, False)]
     assert sim.quiet_until(2.5)  # no run in progress
+
+
+def linear_quiet_until(sim, t_end, touches=None, unowned_end=None) -> bool:
+    """``quiet_until`` as a scan over every heap entry."""
+    if sim._until is not None and t_end > sim._until:
+        return False
+    horizon = t_end if unowned_end is None else max(t_end, unowned_end)
+    for time, _, handle in sim._heap:
+        if time > horizon or handle._cancelled:
+            continue
+        owner = handle.owner
+        if owner is None or (time <= t_end and (touches is None or touches(owner))):
+            if not getattr(handle.callback, "_radio_neutral", False):
+                return False
+    return True
+
+
+OWNERS = {"a": object(), "b": object()}
+TOUCHES = {
+    None: None,
+    "a": lambda owner: owner is OWNERS["a"],
+    "all": lambda owner: True,
+    "none": lambda owner: False,
+}
+# Coarse times so that entries tie with each other and with the windows.
+times = st.integers(0, 40).map(lambda k: k / 4)
+events = st.lists(
+    st.tuples(
+        times,
+        st.sampled_from([None, "a", "b"]),  # owner
+        st.booleans(),  # cancelled
+        st.booleans(),  # radio-neutral
+    ),
+    max_size=60,
+)
+queries = st.lists(
+    st.tuples(
+        times,
+        st.sampled_from(list(TOUCHES)),
+        st.one_of(st.none(), times),  # unowned_end
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@given(events, queries, times, times)
+@settings(max_examples=200, deadline=None)
+def test_quiet_until_matches_a_scan_of_the_whole_heap(entries, asks, probe, until):
+    """The pruned walk gives the linear scan's verdict on any heap: inside a
+    bounded run (windows past its end included) and after it."""
+    sim = Simulator()
+    for time, owner, cancelled, neutral in entries:
+        handle = sim.at(time, _neutral if neutral else (lambda: None))
+        if owner is not None:
+            handle.owner = OWNERS[owner]
+        if cancelled:
+            handle.cancel()
+
+    def compare():
+        for t_end, touches, unowned_end in asks:
+            fn = TOUCHES[touches]
+            assert sim.quiet_until(t_end, fn, unowned_end) == linear_quiet_until(
+                sim, t_end, fn, unowned_end
+            ), (t_end, touches, unowned_end)
+
+    probe = min(probe, until)
+    sim.at(probe, compare)
+    sim.run(until=until)
+    compare()
