@@ -28,21 +28,21 @@ Run it::
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..faults import BatteryDepletion, BurstyLinks, FaultPlan, NodeCrash, TransientStun
 from ..net.cluster_sim import PollingSimConfig, run_polling_simulation
 from ..routing import compute_backup_routes
+from ..routing.minmax import FlowSolution
 from .common import print_table
 
 __all__ = ["run", "main"]
 
 
-def _relays_of(config: PollingSimConfig) -> tuple[list[int], int | None]:
-    """The relays min-max routing actually uses on this seed (found by a
-    dry run of the fault-free configuration), plus one *survivable* relay:
-    a relay every downstream sensor of which has a node-disjoint backup,
-    so an in-cycle failover can actually absorb its death."""
-    base = run_polling_simulation(config)
-    solution = base.mac.routing
+def _relays_of(solution: FlowSolution) -> tuple[list[int], int | None]:
+    """The relays min-max routing *solution* uses, plus one *survivable*
+    relay: a relay every downstream sensor of which has a node-disjoint
+    backup, so an in-cycle failover can actually absorb its death."""
     plan = solution.routing_plan()
     relays = sorted({n for p in plan.paths.values() for n in p[1:-1] if n >= 0})
     if not relays:
@@ -63,13 +63,15 @@ def _relays_of(config: PollingSimConfig) -> tuple[list[int], int | None]:
     return relays, backed
 
 
-def _plans(config: PollingSimConfig) -> dict[str, FaultPlan | None]:
-    relays, backed = _relays_of(config)
+def _plans(
+    config: PollingSimConfig, solution: FlowSolution
+) -> dict[str, FaultPlan | None]:
+    """The faulted regimes, aimed at the relays of the fault-free *solution*."""
+    relays, backed = _relays_of(solution)
     mid = config.n_cycles // 2 * config.cycle_length + 0.3  # mid data phase
     r0 = relays[0]
     r1 = relays[len(relays) // 2]
     plans: dict[str, FaultPlan | None] = {
-        "none": None,
         "crash-1": FaultPlan(crashes=[NodeCrash(node=r0, at=mid)]),
         # a relay whose whole downstream has disjoint backups, killed in
         # the sleep phase (nothing in flight to mask the outage): the
@@ -103,6 +105,41 @@ def _plans(config: PollingSimConfig) -> dict[str, FaultPlan | None]:
     return plans
 
 
+def _trial(
+    config: PollingSimConfig, name: str, plan: FaultPlan | None, k: int
+) -> tuple[dict, FlowSolution]:
+    """One row: *config*'s cluster under fault *plan* with *k* backup paths.
+    Also returns the routing the run planned."""
+    res = run_polling_simulation(
+        replace(
+            config,
+            fault_plan=plan,
+            dead_after_misses=6 if name.endswith("K6") else 2,
+            backup_k=k,
+        )
+    )
+    deg = res.degradation
+    avail = res.availability
+    ttr = avail.median_ttr_cycles
+    row = {
+        "faults": name,
+        "k": k,
+        "delivered": deg.delivered,
+        "failed": deg.failed,
+        "delivery_ratio": deg.delivery_ratio,
+        "coverage": deg.surviving_coverage,
+        "dead_true": len(deg.dead_true),
+        "blacklisted": len(deg.blacklisted),
+        "false_pos": len(deg.false_positives),
+        "stranded": deg.stranded_packets,
+        "repairs": deg.route_repairs,
+        "failovers": avail.in_cycle_failovers,
+        "ttr_cycles": ttr if ttr != float("inf") else -1.0,
+        "continuity": avail.continuity,
+    }
+    return row, res.mac.routing
+
+
 def run(
     n_sensors: int = 30,
     n_cycles: int = 12,
@@ -110,41 +147,18 @@ def run(
     backup_ks: tuple[int, ...] = (0, 1),
     engine: str = "vector",
 ) -> list[dict]:
-    config = PollingSimConfig(n_sensors=n_sensors, n_cycles=n_cycles, seed=seed)
+    config = PollingSimConfig(
+        n_sensors=n_sensors, n_cycles=n_cycles, seed=seed, engine=engine
+    )
     rows: list[dict] = []
-    for name, plan in _plans(config).items():
-        for k in backup_ks:
-            cfg = PollingSimConfig(
-                n_sensors=n_sensors,
-                n_cycles=n_cycles,
-                seed=seed,
-                fault_plan=plan,
-                dead_after_misses=6 if name.endswith("K6") else 2,
-                backup_k=k,
-                engine=engine,
-            )
-            res = run_polling_simulation(cfg)
-            deg = res.degradation
-            avail = res.availability
-            ttr = avail.median_ttr_cycles
-            rows.append(
-                {
-                    "faults": name,
-                    "k": k,
-                    "delivered": deg.delivered,
-                    "failed": deg.failed,
-                    "delivery_ratio": deg.delivery_ratio,
-                    "coverage": deg.surviving_coverage,
-                    "dead_true": len(deg.dead_true),
-                    "blacklisted": len(deg.blacklisted),
-                    "false_pos": len(deg.false_positives),
-                    "stranded": deg.stranded_packets,
-                    "repairs": deg.route_repairs,
-                    "failovers": avail.in_cycle_failovers,
-                    "ttr_cycles": ttr if ttr != float("inf") else -1.0,
-                    "continuity": avail.continuity,
-                }
-            )
+    routing = None
+    for k in backup_ks:
+        row, solution = _trial(config, "none", None, k)
+        rows.append(row)
+        if routing is None:
+            routing = solution  # the fault-free plan the faults aim at
+    for name, plan in _plans(config, routing).items():
+        rows += [_trial(config, name, plan, k)[0] for k in backup_ks]
     return rows
 
 

@@ -7,7 +7,7 @@ from .base import (
     TabulatedOracle,
     group_nodes_distinct,
 )
-from .physical import PhysicalModelOracle, power_matrix_from_positions
+from .physical import PhysicalModelOracle
 from .probing import GroupTableOracle, probe_connectivity, probe_cost, probe_groups
 from .protocol import ProtocolModelOracle
 
@@ -19,7 +19,6 @@ __all__ = [
     "group_nodes_distinct",
     "ProtocolModelOracle",
     "PhysicalModelOracle",
-    "power_matrix_from_positions",
     "GroupTableOracle",
     "probe_connectivity",
     "probe_groups",

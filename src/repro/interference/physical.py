@@ -11,7 +11,8 @@ of all other senders:
 
 Unlike the protocol model this is a genuine *group* property — Fig. 3's
 example (three pairwise-compatible transmissions whose sum breaks one
-receiver) is representable and tested.
+receiver) is representable and tested.  The simulator's matrix is the radio
+medium's own ``rx_power`` (:func:`repro.mac.base.phy_truth_oracle`).
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ..topology.cluster import HEAD, Cluster
+from ..topology.cluster import HEAD
 from .base import CompatibilityOracle, Link
 
-__all__ = ["PhysicalModelOracle", "power_matrix_from_positions"]
+__all__ = ["PhysicalModelOracle"]
 
 
 class PhysicalModelOracle(CompatibilityOracle):
@@ -88,24 +89,3 @@ class PhysicalModelOracle(CompatibilityOracle):
         interference = sum(self.power[r, self._index(cs)] for cs, _ in concurrent)
         return float(self.power[r, s] / (self.noise + interference))
 
-
-def power_matrix_from_positions(
-    cluster: Cluster,
-    tx_power_w: float,
-    propagation,
-) -> np.ndarray:
-    """Build the ``(n+1, n+1)`` received-power matrix from geometry.
-
-    *propagation* is any object with ``gain(distance) -> float`` (see
-    :mod:`repro.radio.propagation`); all sensors transmit at *tx_power_w*.
-    The head row/column uses the head's position.  The diagonal is zero.
-    """
-    if cluster.positions is None or cluster.head_position is None:
-        raise ValueError("need a geometric cluster to derive powers from positions")
-    pos = np.vstack([cluster.positions, cluster.head_position[np.newaxis, :]])
-    diff = pos[:, np.newaxis, :] - pos[np.newaxis, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    gains = propagation.gain_matrix(dist)
-    power = tx_power_w * gains
-    np.fill_diagonal(power, 0.0)
-    return power

@@ -8,6 +8,7 @@ from .base import (
     MacTimings,
     build_cluster_phy,
     geometric_oracle,
+    phy_truth_oracle,
     sensor_power_for_range,
 )
 from .discovery import DiscoveryOutcome, DiscoveryProtocol
@@ -16,9 +17,7 @@ from .pollmac import (
     CycleStats,
     PollingClusterMac,
     PollingSensorAgent,
-    PollInstruction,
     Replan,
-    phy_truth_oracle,
 )
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "sensor_power_for_range",
     "PollingClusterMac",
     "PollingSensorAgent",
-    "PollInstruction",
     "AppPacket",
     "CycleStats",
     "Replan",

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..radio.channel import RadioMedium
-from ..radio.energy import EnergyParams
+from ..interference.physical import PhysicalModelOracle
+from ..radio.channel import RX_SENSITIVITY_W, RadioMedium
 from ..radio.packet import FrameSizes
 from ..radio.propagation import TwoRayGround
 from ..radio.transceiver import Transceiver
@@ -22,12 +22,14 @@ from ..sim.trace import Tracer
 from ..sim.units import transmission_time
 from ..topology.cluster import HEAD, Cluster
 from ..topology.deployment import SENSOR_RANGE_M, SIDE_M
+from ..topology.recluster import discovered_cluster
 
 __all__ = [
     "MacTimings",
     "ClusterPhy",
     "build_cluster_phy",
     "sensor_power_for_range",
+    "phy_truth_oracle",
     "geometric_oracle",
     "GROUND_SENSOR_PROPAGATION",
     "SENSOR_RANGE_M",
@@ -134,19 +136,15 @@ class ClusterPhy:
         )
 
 
-def sensor_power_for_range(propagation, range_m: float, rx_sensitivity_w: float) -> float:
+def sensor_power_for_range(propagation, range_m: float) -> float:
     """Transmit power that reaches exactly *range_m* at the sensitivity."""
     if range_m <= 0:
         raise ValueError(f"range must be positive, got {range_m}")
-    return rx_sensitivity_w / propagation.gain(range_m)
+    return RX_SENSITIVITY_W / propagation.gain(range_m)
 
 
 def _tx_power(
-    cluster: Cluster,
-    prop,
-    sensor_range_m: float,
-    rx_sensitivity_w: float,
-    homogeneous_head: bool = False,
+    cluster: Cluster, prop, sensor_range_m: float, homogeneous_head: bool = False
 ) -> np.ndarray:
     """Per-radio transmit power of a geometric cluster, head last.
 
@@ -155,64 +153,58 @@ def _tx_power(
     unless *homogeneous_head* gives it sensor power.
     """
     n = cluster.n_sensors
-    sensor_power = sensor_power_for_range(prop, sensor_range_m, rx_sensitivity_w)
+    sensor_power = sensor_power_for_range(prop, sensor_range_m)
     tx_power = np.full(n + 1, sensor_power)
     if not homogeneous_head:
         diffs = cluster.positions - cluster.head_position
         max_dist = float(np.sqrt((diffs**2).sum(axis=1)).max()) if n else 1.0
-        tx_power[n] = 4.0 * sensor_power_for_range(
-            prop, max(max_dist, sensor_range_m), rx_sensitivity_w
-        )
+        tx_power[n] = 4.0 * sensor_power_for_range(prop, max(max_dist, sensor_range_m))
     return tx_power
+
+
+def phy_truth_oracle(phy: ClusterPhy, max_group_size: int = 2) -> PhysicalModelOracle:
+    """The oracle matching the medium's actual decode rule exactly.
+
+    ``min(signal) >= sensitivity`` is folded in by raising the effective
+    noise floor to ``sensitivity / beta`` (conservative under interference,
+    never optimistic), so a link the oracle approves always decodes on a
+    quiet channel — the property the Table-1 algorithm needs.
+    """
+    medium = phy.medium
+    effective_noise = max(medium.noise, medium.rx_sensitivity / medium.beta)
+    power = medium.rx_power
+    if phy.index_map is not None:
+        # Shared-medium operation: restrict to this cluster's nodes (local
+        # layout: sensors then head).  Other clusters' interference is
+        # invisible to the head — exactly the Sec. V-G problem the
+        # coordination mechanisms exist to solve.
+        idx = np.asarray(phy.index_map)
+        power = power[np.ix_(idx, idx)]
+    return PhysicalModelOracle(
+        power=power,
+        beta=medium.beta,
+        noise=effective_noise,
+        max_group_size=max_group_size,
+    )
 
 
 def geometric_oracle(
     cluster: Cluster,
     sensor_range_m: float = 60.0,
     propagation=None,
-    rx_sensitivity_w: float = 1e-11,
-    capture_beta: float = 10.0,
-    noise_w: float = 1e-13,
     max_group_size: int = 2,
 ):
-    """A physical-model oracle for a geometric cluster, no DES required.
+    """A physical-model oracle for a geometric cluster, no run required.
 
-    Uses the same power derivation as :func:`build_cluster_phy`, so the
-    schedule-level experiments and the event-driven MAC agree on which
-    transmission groups are compatible (tests assert this equivalence).
-    Returns ``(oracle, discovered_cluster)`` where the cluster's hearing
-    matrix comes from the oracle's single-link audibility.
+    Builds the cluster's PHY (:func:`build_cluster_phy`) on a throwaway
+    simulator and reads it exactly as the MAC does, so the schedule-level
+    experiments and the event-driven MAC plan from one radio.  Returns
+    ``(oracle, discovered_cluster)``: :func:`phy_truth_oracle` and the
+    hearing graph :func:`~repro.topology.recluster.discovered_cluster`
+    reads off the medium.
     """
-    from ..interference.physical import PhysicalModelOracle
-
-    if cluster.positions is None or cluster.head_position is None:
-        raise ValueError("geometric oracle needs positions")
-    prop = propagation or GROUND_SENSOR_PROPAGATION
-    n = cluster.n_sensors
-    positions = np.vstack([cluster.positions, cluster.head_position[np.newaxis, :]])
-    tx_power = _tx_power(cluster, prop, sensor_range_m, rx_sensitivity_w)
-    diff = positions[:, np.newaxis, :] - positions[np.newaxis, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    power = prop.gain_matrix(dist) * tx_power[np.newaxis, :]
-    np.fill_diagonal(power, 0.0)
-    effective_noise = max(noise_w, rx_sensitivity_w / capture_beta)
-    oracle = PhysicalModelOracle(
-        power=power,
-        beta=capture_beta,
-        noise=effective_noise,
-        max_group_size=max_group_size,
-    )
-    hearing = (power >= rx_sensitivity_w) & (power >= capture_beta * effective_noise)
-    np.fill_diagonal(hearing, False)
-    discovered = Cluster(
-        hears=hearing[:n, :n],
-        head_hears=hearing[n, :n],
-        packets=cluster.packets.copy(),
-        energy=cluster.energy.copy(),
-        positions=cluster.positions.copy(),
-        head_position=cluster.head_position.copy(),
-    )
-    return oracle, discovered
+    phy = build_cluster_phy(Simulator(), cluster, sensor_range_m, propagation)
+    return phy_truth_oracle(phy, max_group_size), discovered_cluster(phy)
 
 
 def build_cluster_phy(
@@ -220,11 +212,8 @@ def build_cluster_phy(
     cluster: Cluster,
     sensor_range_m: float = 60.0,
     propagation=None,
-    energy: EnergyParams | None = None,
     frame_error_rate: float = 0.0,
     error_seed: int = 0,
-    capture_beta: float = 10.0,
-    rx_sensitivity_w: float = 1e-11,
     homogeneous_head: bool = False,
 ) -> ClusterPhy:
     """Assemble medium + transceivers for a geometric cluster.
@@ -247,20 +236,13 @@ def build_cluster_phy(
         [cluster.positions, cluster.head_position[np.newaxis, :]]
     )
     n = cluster.n_sensors
-    tx_power = _tx_power(
-        cluster, prop, sensor_range_m, rx_sensitivity_w, homogeneous_head
-    )
     medium = RadioMedium(
         sim=sim,
         positions=positions,
-        tx_power_w=tx_power,
+        tx_power_w=_tx_power(cluster, prop, sensor_range_m, homogeneous_head),
         propagation=prop,
-        rx_sensitivity_w=rx_sensitivity_w,
-        capture_beta=capture_beta,
         frame_error_rate=frame_error_rate,
         error_seed=error_seed,
     )
-    transceivers = [
-        Transceiver(sim, medium, i, energy=energy) for i in range(n + 1)
-    ]
+    transceivers = [Transceiver(sim, medium, i) for i in range(n + 1)]
     return ClusterPhy(sim=sim, cluster=cluster, medium=medium, transceivers=transceivers)

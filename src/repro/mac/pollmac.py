@@ -36,7 +36,7 @@ from ..core.ack import ack_phase_plan, plan_ack_collection
 from ..core.online import FailoverEvent, OnlinePollingScheduler
 from ..core.requests import RequestState
 from ..core.sectors import partition_into_sectors
-from ..interference.physical import PhysicalModelOracle
+from ..core.transmissions import Transmission
 from ..radio.packet import BROADCAST_ADDR, DEFAULT_SIZES, Frame, FrameSizes, FrameType
 from ..routing.backup import BackupRoutes, compute_backup_routes
 from ..routing.minmax import FlowSolution
@@ -52,17 +52,15 @@ from ..topology.recluster import (
     StalenessTrigger,
     discovered_cluster,
 )
-from .base import ClusterPhy, MacTimings
+from .base import ClusterPhy, MacTimings, phy_truth_oracle
 from .vector_engine import VectorPhaseEngine
 
 __all__ = [
     "AppPacket",
-    "PollInstruction",
     "PollingSensorAgent",
     "PollingClusterMac",
     "CycleStats",
     "Replan",
-    "phy_truth_oracle",
 ]
 
 _packet_seq = itertools.count()
@@ -83,42 +81,6 @@ class AppPacket:
     origin: int
     seq: int
     created: float
-
-
-@dataclass(frozen=True)
-class PollInstruction:
-    """One entry of a poll message: who sends what to whom this slot."""
-
-    sender: int  # scheduler node ids (HEAD = -1)
-    receiver: int
-    request_id: int
-    hop_index: int
-
-
-def phy_truth_oracle(phy: ClusterPhy, max_group_size: int = 2) -> PhysicalModelOracle:
-    """The oracle matching the medium's actual decode rule exactly.
-
-    ``min(signal) >= sensitivity`` is folded in by raising the effective
-    noise floor to ``sensitivity / beta`` (conservative under interference,
-    never optimistic), so a link the oracle approves always decodes on a
-    quiet channel — the property the Table-1 algorithm needs.
-    """
-    medium = phy.medium
-    effective_noise = max(medium.noise, medium.rx_sensitivity / medium.beta)
-    power = medium.rx_power
-    if phy.index_map is not None:
-        # Shared-medium operation: restrict to this cluster's nodes (local
-        # layout: sensors then head).  Other clusters' interference is
-        # invisible to the head — exactly the Sec. V-G problem the
-        # coordination mechanisms exist to solve.
-        idx = np.asarray(phy.index_map)
-        power = power[np.ix_(idx, idx)]
-    return PhysicalModelOracle(
-        power=power,
-        beta=medium.beta,
-        noise=effective_noise,
-        max_group_size=max_group_size,
-    )
 
 
 class PollingSensorAgent:
@@ -211,7 +173,7 @@ class PollingSensorAgent:
         and frame construction order are identical in both engines.
         """
         phase: str = payload["phase"]
-        instructions: list[PollInstruction] = payload["instructions"]
+        instructions: list[Transmission] = payload["instructions"]
         my_sends = [ins for ins in instructions if ins.sender == self.sensor]
         if not my_sends:
             return None
@@ -240,7 +202,7 @@ class PollingSensorAgent:
             payload={"instruction": ins, "counts": report, "cluster": self.cluster_id},
         )
 
-    def _packet_for(self, ins: PollInstruction):
+    def _packet_for(self, ins: Transmission):
         if ins.hop_index == 0:
             pkt = self.assigned.get(ins.request_id)
             if pkt is None:
@@ -270,7 +232,7 @@ class PollingSensorAgent:
                 self.packets_sent += 1
 
     def _on_data(self, payload) -> None:
-        ins: PollInstruction = payload["instruction"]
+        ins: Transmission = payload["instruction"]
         if ins.receiver == self.sensor:
             packet = payload["packet"]
             if packet.origin in self.known_dead:
@@ -279,7 +241,7 @@ class PollingSensorAgent:
             self.relay_buffer[ins.request_id] = packet
 
     def _on_ack(self, payload) -> None:
-        ins: PollInstruction = payload["instruction"]
+        ins: Transmission = payload["instruction"]
         if ins.receiver == self.sensor:
             self.ack_buffer[ins.request_id] = dict(payload["counts"])
 
@@ -794,7 +756,7 @@ class PollingClusterMac:
         if isinstance(payload, dict) and payload.get("cluster", self.cluster_id) != self.cluster_id:
             return
         if frame.ftype is FrameType.DATA:
-            ins: PollInstruction = frame.payload["instruction"]
+            ins: Transmission = frame.payload["instruction"]
             if ins.receiver == HEAD:
                 self._arrived_requests.add(ins.request_id)
                 self.deliveries.append((now, frame.payload["packet"]))
@@ -900,19 +862,10 @@ class PollingClusterMac:
                 self._tel.metrics.histogram("mac.group_size").observe(
                     float(len(group))
                 )
-            instructions = [
-                PollInstruction(
-                    sender=tx.sender,
-                    receiver=tx.receiver,
-                    request_id=tx.request_id,
-                    hop_index=tx.hop_index,
-                )
-                for tx in group
-            ]
-            payload = {"phase": phase, "slot": t, "instructions": instructions}
-            if vector is None or not vector.try_slot(
-                {**payload, "cluster": self.cluster_id}, group
-            ):
+            # The poll names the scheduler's own group (no later step
+            # appends to a filled slot's list).
+            payload = {"phase": phase, "instructions": group}
+            if vector is None or not vector.try_slot(payload, group):
                 self._broadcast(FrameType.POLL, self.sizes.poll, payload)
             yield Timeout(slot_time)
             t += 1

@@ -144,7 +144,7 @@ class VectorRadioBank:
         self.last_change = np.empty(n, dtype=np.float64)
         self.consumed = np.empty(n, dtype=np.float64)
         self.dwell = np.empty((4, n), dtype=np.float64)
-        self.listening = np.empty(n, dtype=bool)
+        self.listening = np.empty(n, dtype=bool)  # from listen_since, at load
         self.frames_sent = np.empty(n, dtype=np.int64)
         self.frames_received = np.empty(n, dtype=np.int64)
         self.frames_garbled = np.empty(n, dtype=np.int64)
@@ -162,8 +162,8 @@ class VectorRadioBank:
             self.dwell[IDLE, i] = d[RadioState.IDLE]
             self.dwell[RX, i] = d[RadioState.RX]
             self.dwell[TX, i] = d[RadioState.TX]
-            self.listening[i] = trx._listening
             ls = trx._listen_since
+            self.listening[i] = ls is not None
             self.listen_since[i] = np.inf if ls is None else ls
             self.frames_sent[i] = trx.frames_sent
             self.frames_received[i] = trx.frames_received
@@ -180,8 +180,6 @@ class VectorRadioBank:
             d[RadioState.IDLE] = float(self.dwell[IDLE, i])
             d[RadioState.RX] = float(self.dwell[RX, i])
             d[RadioState.TX] = float(self.dwell[TX, i])
-            listening = bool(self.listening[i])
-            trx._listening = listening
             ls = self.listen_since[i]
             trx._listen_since = float(ls) if np.isfinite(ls) else None
             trx.frames_sent = int(self.frames_sent[i])

@@ -922,11 +922,10 @@ def _run_multicluster(
     all_positions = np.vstack([sensors, heads])
     n_total = all_positions.shape[0]
     prop = GROUND_SENSOR_PROPAGATION
-    sensor_power = sensor_power_for_range(prop, SENSOR_RANGE_M, 1e-11)
-    tx_power = np.full(n_total, sensor_power)
+    tx_power = np.full(n_total, sensor_power_for_range(prop, SENSOR_RANGE_M))
     for h in range(config.n_heads):
         tx_power[config.n_sensors + h] = _tx_power(
-            net.clusters[h], prop, SENSOR_RANGE_M, 1e-11
+            net.clusters[h], prop, SENSOR_RANGE_M
         )[-1]
     medium = RadioMedium(
         sim=sim, positions=all_positions, tx_power_w=tx_power, propagation=prop

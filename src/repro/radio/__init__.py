@@ -1,6 +1,6 @@
 """PHY substrate: propagation, the shared medium, radios, energy."""
 
-from .channel import BITRATE_BPS, ActiveTransmission, RadioMedium
+from .channel import BITRATE_BPS, RX_SENSITIVITY_W, ActiveTransmission, RadioMedium
 from .energy import EnergyMeter, EnergyParams, RadioState
 from .packet import BROADCAST_ADDR, DEFAULT_SIZES, Frame, FrameSizes, FrameType
 from .propagation import (
@@ -19,6 +19,7 @@ __all__ = [
     "RadioMedium",
     "ActiveTransmission",
     "BITRATE_BPS",
+    "RX_SENSITIVITY_W",
     "Transceiver",
     "RadioError",
     "EnergyParams",

@@ -43,10 +43,14 @@ from .packet import Frame
 if TYPE_CHECKING:
     from .transceiver import Transceiver
 
-__all__ = ["RadioMedium", "ActiveTransmission", "BITRATE_BPS"]
+__all__ = ["RadioMedium", "ActiveTransmission", "BITRATE_BPS", "RX_SENSITIVITY_W"]
 
 BITRATE_BPS = 200_000.0
 """The sensor radios' bit rate (the paper's Sec. VI setup)."""
+
+RX_SENSITIVITY_W = 1e-11
+"""The receive power a frame needs to decode; sensor transmit power is sized
+to reach the sensor range at exactly this level."""
 
 
 @dataclass
@@ -72,7 +76,7 @@ class RadioMedium:
         tx_power_w: np.ndarray,
         propagation,
         bitrate_bps: float = BITRATE_BPS,
-        rx_sensitivity_w: float = 1e-11,
+        rx_sensitivity_w: float = RX_SENSITIVITY_W,
         cs_threshold_w: float = 1e-12,
         capture_beta: float = 10.0,
         noise_w: float = 1e-13,

@@ -27,24 +27,13 @@ class RadioError(RuntimeError):
 class Transceiver:
     """One node's radio, attached to a :class:`RadioMedium`."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        medium: RadioMedium,
-        node: int,
-        energy: EnergyParams | None = None,
-        start_asleep: bool = False,
-    ):
+    def __init__(self, sim: Simulator, medium: RadioMedium, node: int):
         self.sim = sim
         self.medium = medium
         self.node = node
-        self.meter = EnergyMeter(
-            params=energy or EnergyParams(),
-            state=RadioState.SLEEP if start_asleep else RadioState.IDLE,
-            last_change=sim.now,
-        )
-        self._listening = not start_asleep
-        self._listen_since = sim.now if not start_asleep else None
+        self.meter = EnergyMeter(params=EnergyParams(), last_change=sim.now)
+        # When this radio started listening; None while it sleeps or sends.
+        self._listen_since: float | None = sim.now
         self._tx_until: float | None = None
         self.dead = False
         self._stunned = False
@@ -77,7 +66,6 @@ class Transceiver:
         """Power down.  Any in-flight reception is lost; tx must be over."""
         if self.is_transmitting:
             raise RadioError(f"node {self.node} cannot sleep mid-transmission")
-        self._listening = False
         self._listen_since = None
         self.meter.change_state(RadioState.SLEEP, self.sim.now)
 
@@ -106,7 +94,6 @@ class Transceiver:
             self.wake()
 
     def _go_dark(self) -> None:
-        self._listening = False
         self._listen_since = None
         if not self.is_transmitting and self.meter.state is not RadioState.SLEEP:
             self.meter.change_state(RadioState.SLEEP, self.sim.now)
@@ -117,7 +104,6 @@ class Transceiver:
             return
         if not self.is_sleeping:
             return
-        self._listening = True
         self._listen_since = self.sim.now
         self.meter.change_state(RadioState.IDLE, self.sim.now)
         self._refresh_rx_state()
@@ -130,8 +116,7 @@ class Transceiver:
             raise RadioError(f"node {self.node} is already transmitting")
         duration = self.medium.airtime(frame)
         self._tx_until = self.sim.now + duration
-        self._listening = False  # half-duplex: tx kills reception
-        self._listen_since = None
+        self._listen_since = None  # half-duplex: tx kills reception
         self.meter.change_state(RadioState.TX, self.sim.now)
         self.medium.begin_transmission(self.node, frame)
         self.frames_sent += 1
@@ -146,9 +131,7 @@ class Transceiver:
 
     def listened_through(self, start: float, end: float) -> bool:
         """Was this radio continuously listening over [start, end]?"""
-        if not self._listening or self._listen_since is None:
-            return False
-        return self._listen_since <= start
+        return self._listen_since is not None and self._listen_since <= start
 
     def deliver(self, frame: Frame, rx_power: float) -> None:
         self.frames_received += 1
@@ -167,14 +150,13 @@ class Transceiver:
             # returning to listening.
             self.meter.change_state(RadioState.SLEEP, self.sim.now)
             return
-        self._listening = True
         self._listen_since = self.sim.now
         self.meter.change_state(RadioState.IDLE, self.sim.now)
         self._refresh_rx_state()
 
     def _refresh_rx_state(self) -> None:
         """Listening radios draw RX power while anything audible is in the air."""
-        if not self._listening:
+        if self._listen_since is None:
             return
         busy = self.medium.in_air_power_at(self.node) >= self.medium.cs_threshold
         target = RadioState.RX if busy else RadioState.IDLE

@@ -8,10 +8,8 @@ from repro.interference import (
     ProtocolModelOracle,
     TabulatedOracle,
     group_nodes_distinct,
-    power_matrix_from_positions,
 )
-from repro.mac.base import GROUND_SENSOR_PROPAGATION
-from repro.topology import HEAD, Cluster, line
+from repro.topology import HEAD
 
 
 # --- base semantics -------------------------------------------------------------
@@ -165,14 +163,3 @@ def test_physical_model_validation():
         PhysicalModelOracle(np.zeros((3, 3)), beta=0.0)
     with pytest.raises(ValueError):
         PhysicalModelOracle(np.zeros((3, 3)), noise=0.0)
-
-
-def test_power_matrix_from_positions_head_row():
-    cluster = Cluster.from_deployment(line(2, spacing=10.0))
-    power = power_matrix_from_positions(cluster, 1e-3, GROUND_SENSOR_PROPAGATION)
-    assert power.shape == (3, 3)
-    assert (np.diagonal(power) == 0).all()
-    # closer pair sees more power: head (index 2) is 10m from s0, 20m from s1
-    assert power[2, 0] > power[2, 1]
-    # symmetric distances, equal tx powers -> symmetric matrix
-    assert np.allclose(power, power.T)

@@ -6,7 +6,13 @@ import pytest
 from repro.core.ack import plan_ack_collection
 from repro.core.sectors import partition_into_sectors
 from repro.faults import FaultPlan, NodeJoin
-from repro.mac import MacTimings, build_cluster_phy, geometric_oracle, phy_truth_oracle
+from repro.mac import (
+    GROUND_SENSOR_PROPAGATION,
+    MacTimings,
+    build_cluster_phy,
+    geometric_oracle,
+    phy_truth_oracle,
+)
 from repro.mac.pollmac import PollingClusterMac
 from repro.net import (
     MultiClusterConfig,
@@ -14,11 +20,13 @@ from repro.net import (
     run_multicluster_simulation,
     run_polling_simulation,
 )
+from repro.radio.propagation import LogNormalShadowing
 from repro.routing.backup import compute_backup_routes
 from repro.routing.minmax import solve_min_max_load
 from repro.routing.repair import prune_dead_nodes
 from repro.sim import Simulator
 from repro.topology import Cluster, line, uniform_square
+from repro.topology.recluster import discovered_cluster
 
 
 def small_run(**overrides) -> "PollingSimResult":
@@ -85,28 +93,36 @@ def test_phy_truth_oracle_matches_medium_single_links():
                 assert oracle.single_link_ok((j, i)) == hearing[i, j]
 
 
-def test_geometric_oracle_equals_des_oracle():
-    """The schedule-level experiments and the DES agree on compatibility."""
-    dep = uniform_square(10, seed=4)
-    geo = Cluster.from_deployment(dep)
-    sim = Simulator()
-    phy = build_cluster_phy(sim, geo)
+@pytest.mark.parametrize(
+    "n_sensors, seed, range_m, sigma_db",
+    [
+        (10, 4, 60.0, None),
+        (30, 1, 60.0, None),
+        (60, 7, 55.0, None),
+        (30, 3, 45.0, None),
+        (25, 1, 60.0, 6.0),  # the model ablations.shadowing_discovery passes
+    ],
+)
+def test_geometric_oracle_equals_des_oracle(n_sensors, seed, range_m, sigma_db):
+    """The schedule-level experiments and the DES plan from one radio: the
+    oracle and cluster of ``geometric_oracle`` are the ones the MAC reads
+    off ``build_cluster_phy``, bit for bit."""
+    geo = Cluster.from_deployment(uniform_square(n_sensors, seed=seed))
+    prop = None
+    if sigma_db is not None:
+        prop = LogNormalShadowing(
+            reference=GROUND_SENSOR_PROPAGATION, sigma_db=sigma_db, seed=seed
+        )
+    oracle, discovered = geometric_oracle(geo, sensor_range_m=range_m, propagation=prop)
+    phy = build_cluster_phy(Simulator(), geo, sensor_range_m=range_m, propagation=prop)
     des_oracle = phy_truth_oracle(phy)
-    ana_oracle, discovered = geometric_oracle(geo)
-    n = geo.n_sensors
-    # identical connectivity
-    hearing = phy.medium.hearing_matrix()
-    assert np.array_equal(discovered.hears, hearing[:n, :n])
-    assert np.array_equal(discovered.head_hears, hearing[n, :n])
-    # identical pair answers on actual links
-    links = [(j, i) for i in range(n) for j in range(n) if discovered.hears[i, j]]
-    links += [(-1 if False else s, -1) for s in discovered.first_level_sensors()]
-    from itertools import combinations
-
-    for a, b in list(combinations(links, 2))[:300]:
-        if len({a[0], a[1], b[0], b[1]}) < 4:
-            continue
-        assert des_oracle.compatible([a, b]) == ana_oracle.compatible([a, b])
+    des_cluster = discovered_cluster(phy)
+    assert np.array_equal(oracle.power, des_oracle.power)
+    assert oracle.beta == des_oracle.beta
+    assert oracle.noise == des_oracle.noise
+    assert oracle.max_group_size == des_oracle.max_group_size
+    for name in ("hears", "head_hears", "packets", "energy", "positions", "head_position"):
+        assert np.array_equal(getattr(discovered, name), getattr(des_cluster, name)), name
 
 
 def test_des_duty_time_matches_slot_model():

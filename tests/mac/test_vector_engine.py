@@ -102,7 +102,6 @@ class _StubTrx:
         self.meter.state = state
         self.meter.last_change = last_change
         self.meter.consumed_j = consumed
-        self._listening = True
         self._listen_since = last_change
         self.frames_sent = 0
         self.frames_received = 0

@@ -92,9 +92,9 @@ def test_assign_channels_separates_clusters_one_head_reaches(loud_head, channels
     sense: here only cluster 0's head, at its loud setting, reaches cluster
     1, whose radios never reach cluster 0."""
     prop = GROUND_SENSOR_PROPAGATION
-    power = np.full(4, sensor_power_for_range(prop, 50.0, 1e-11))
+    power = np.full(4, sensor_power_for_range(prop, 50.0))
     if loud_head:
-        power[1] = sensor_power_for_range(prop, 200.0, 1e-12)
+        power[1] = 1e-12 / prop.gain(200.0)  # the carrier-sense threshold at 200 m
     positions = np.array([[0.0, 0.0], [10.0, 0.0], [200.0, 0.0], [210.0, 0.0]])
     medium = RadioMedium(Simulator(), positions, power, prop)
     rosters = [[0, 1], [2, 3]]
